@@ -6,8 +6,9 @@ n ∈ {12, 16}:
 
 * **numpy** — the bit-identical reference over the seed kernels
   (per-qubit mixer passes, dense cost exponential),
-* **fused** — the blocked Walsh–Hadamard-diagonalised mixer with cached
-  popcount-eigenphase stage tables plus the quantised cost-phase gather;
+* **fused** — the Walsh–Hadamard-diagonalised mixer as ``⌈n/5⌉`` GEMM
+  stages (every qubit in a stage; matrices from cached
+  popcount-eigenphase tables) plus the quantised cost-phase gather;
   weighted diagonals go through the bucketed-quantisation +
   Taylor-residual-GEMM path (:mod:`repro.quantum.backend.fused`),
 * **compiled** — the Numba-JIT'd cache-resident evolve kernels

@@ -13,17 +13,15 @@ qubits, so the diagonalisation *factors*: for any split
     exp(-iβ ΣX) = ⊗_j ( H^{⊗s_j} · D_β^{(s_j)} · H^{⊗s_j} / 2^{s_j} ).
 
 The reference backend walks qubit by qubit (``s_j ≡ 1``): 3n full-array
-complex ufunc passes per layer, the NumPy pass-count floor the ROADMAP
-calls out.  This backend instead applies the diagonalisation in two or
-three *blocked stages* (~5 qubits each): every stage is one pass over the
-state — a BLAS matmul against the stage's fused
-``H·diag(eigenphases)·H`` matrix, built from eigenphase tables indexed by
-a cached per-stage popcount vector — so a whole layer costs ~2–3 blocked
-passes plus a few middle-qubit rotations instead of 3n elementwise ones.
-Low qubits (where per-qubit passes stride badly) go through a realified
-GEMM on the interleaved re/im view; high qubits through a batched matmul
-on the leading basis axis; any middle qubits keep the reference per-qubit
-rotation, whose strides are benign there.
+complex ufunc passes per layer.  This backend instead splits the qubits
+into ``⌈n/MAX_STAGE_QUBITS⌉`` near-equal *blocked stages* (four of 4–5
+qubits at n=18): every stage is one pass over the state — a BLAS matmul
+against the stage's fused ``H·diag(eigenphases)·H`` matrix, built from
+eigenphase tables indexed by a cached per-stage popcount vector — so a
+whole layer costs ``⌈n/5⌉`` GEMM passes instead of 3n elementwise ones.
+The lowest stage (contiguous runs of ``2^s`` amplitudes) is a realified
+GEMM on the interleaved re/im row view; every higher stage is one complex
+GEMM over its axis of the ``(batch, outer, 2^s, inner)`` view.
 
 Elementwise fusion: the ``1/2^s`` transform normalisations, the caller's
 optional ``scale`` factor (used by :meth:`evolve_batch` to absorb the
@@ -52,11 +50,16 @@ from repro.quantum.backend.scratch import ScratchPool, shared_pool
 from repro.quantum.statevector import n_qubits_for_dim
 from repro.util.tracing import current_trace
 
-# Stage widths: ~32×32 stage matrices are big enough that one blocked
-# pass replaces five strided per-qubit passes, small enough that building
-# them per call is negligible.  Tuned on the n∈{12..16} bench.
-LOW_STAGE_QUBITS = 5
-HIGH_STAGE_QUBITS = 5
+# Stage width cap: the mixer runs ⌈n/MAX⌉ near-equal GEMM stages.  A wider
+# stage saves a pass over the state but costs 2^s complex multiply-adds
+# per amplitude.  Per-call time, one row, OPENBLAS_NUM_THREADS=1, best of
+# 5 rounds on a 2-core Intel Xeon VM (stage widths in brackets):
+#   cap 4: n=16 [4,4,4,4] 1.05 ms  n=18 [3,3,4,4,4] 6.06 ms  n=20 [4]*5 29.7 ms
+#   cap 5: n=16 [4,4,4,4] 1.10 ms  n=18 [4,4,5,5]   5.28 ms  n=20 [5]*4 34.0 ms
+#   cap 6: n=16 [5,5,6]   1.45 ms  n=18 [6,6,6]     7.97 ms  n=20 [5]*4 29.7 ms
+# 5 is fastest at the 18-qubit leaf cap.  Equal splits run the same code,
+# so the n=20 gap between caps 5 and 6 is run-to-run noise.
+MAX_STAGE_QUBITS = 5
 # Cost diagonals with at most this many distinct values (and at most a
 # quarter of the state dimension) get the quantised-phase gather path:
 # exp() over the unique values only, then an index gather.  MaxCut
@@ -370,46 +373,31 @@ class FusedBackend(NumpyBackend):
         work = states if states.ndim == 2 else states.reshape(1, -1)
         if scratch is None or scratch.shape != states.shape or scratch.dtype != states.dtype:
             scratch = np.empty_like(states)
-        swap = scratch.reshape(work.shape)
-
+        src, dst = work, scratch.reshape(work.shape)
         batch = work.shape[0]
-        k = min(n, LOW_STAGE_QUBITS)
-        h = min(n - k, HIGH_STAGE_QUBITS)
         factor = 1.0 if scale is None else float(scale)
-
-        # Low-k stage: realified GEMM on the interleaved re/im row view
-        # (the qubits whose per-qubit passes stride worst).
-        low = self._realify(self._stage_matrix(k, beta_arr, factor))
-        rv = work.view(np.float64).reshape(batch, -1, (1 << k) * 2)
-        sv = swap.view(np.float64).reshape(rv.shape)
-        np.matmul(rv, low, out=sv)
-        src, dst = swap, work
-
-        # Middle qubits: the reference per-qubit rotation (benign strides
-        # here: inner blocks are ≥ 2^k, outer blocks ≥ 2^h).
-        if n > k + h:
-            c = np.cos(beta_arr)
-            s_ = -1j * np.sin(beta_arr)
-            if beta_arr.ndim == 1:
-                c = c[:, None, None, None]
-                s_ = s_[:, None, None, None]
-            for q in range(k, n - h):
-                view = src.reshape(batch, 1 << (n - 1 - q), 2, 1 << q)
-                tview = dst.reshape(view.shape)
-                np.multiply(view[:, :, ::-1, :], s_, out=tview)
-                np.multiply(view, c, out=view)
-                view += tview
-
-        # High-h stage: batched matmul over the leading basis axis.
-        if h:
-            high = self._stage_matrix(h, beta_arr, 1.0)
-            if high.ndim == 2:
-                high = np.ascontiguousarray(high)
-            xv = src.reshape(batch, 1 << h, -1)
-            ov = dst.reshape(xv.shape)
-            np.matmul(high, xv, out=ov)
+        # ⌈n/MAX⌉ near-equal stages, narrowest first; a dim-1 state still
+        # gets one (width-0) stage so ``scale`` applies.
+        n_stages = max(1, -(-n // MAX_STAGE_QUBITS))
+        low = 0
+        for j in range(n_stages):
+            s = (n + j) // n_stages
+            if j == 0:
+                # Lowest stage: realified GEMM on the interleaved re/im
+                # row view (unit-stride rows of 2^s complex amplitudes).
+                mat = self._realify(self._stage_matrix(s, beta_arr, factor))
+                xv = src.view(np.float64).reshape(batch, -1, (1 << s) * 2)
+                np.matmul(xv, mat, out=dst.view(np.float64).reshape(xv.shape))
+            else:
+                # Higher stage: one GEMM over its axis of the
+                # (batch, outer, 2^s, inner) view.
+                mat = self._stage_matrix(s, beta_arr, 1.0)
+                if mat.ndim == 3:
+                    mat = mat[:, None]
+                xv = src.reshape(batch, -1, 1 << s, 1 << low)
+                np.matmul(mat, xv, out=dst.reshape(xv.shape))
+            low += s
             src, dst = dst, src
-
         if src is not work:
             work[...] = src
         return states
@@ -476,6 +464,5 @@ __all__ = [
     "COST_RESIDUAL_X_MAX",
     "FUSED_CHUNK_BUDGET_BYTES",
     "FusedBackend",
-    "HIGH_STAGE_QUBITS",
-    "LOW_STAGE_QUBITS",
+    "MAX_STAGE_QUBITS",
 ]

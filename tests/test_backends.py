@@ -126,21 +126,29 @@ class TestCrossBackendParity:
                 engine.energies(matrix), singles, atol=PARITY_ATOL
             )
 
-    def test_middle_qubit_stage_parity(self):
-        # n > LOW_STAGE_QUBITS + HIGH_STAGE_QUBITS (10) exercises the
-        # fused mixer's middle per-qubit rotation branch, which no
-        # n ≤ 10 case reaches.
-        from repro.quantum.backend.fused import HIGH_STAGE_QUBITS, LOW_STAGE_QUBITS
-
-        n = LOW_STAGE_QUBITS + HIGH_STAGE_QUBITS + 2
-        rng = np.random.default_rng(13)
-        for weighted in (False, True):
-            graph = erdos_renyi(n, 0.25, weighted=weighted, rng=1)
-            diag = cut_diagonal(graph)
-            mat = rng.uniform(-np.pi, np.pi, (3, 4))
-            a = NumpyBackend().evolve_batch(diag, mat).copy()
-            b = FusedBackend().evolve_batch(diag, mat).copy()
-            np.testing.assert_allclose(a, b, atol=PARITY_ATOL)
+    @pytest.mark.parametrize("n", range(19))
+    def test_mixer_stage_parity_every_width(self, n):
+        # Every n from the dim-1 state up to the 18-qubit leaf cap walks
+        # a different split into ⌈n/MAX_STAGE_QUBITS⌉ GEMM stages.
+        fused, ref = FusedBackend(), NumpyBackend()
+        rng = np.random.default_rng(100 + n)
+        dim = 1 << n
+        single = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        batch = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+        betas = rng.uniform(-np.pi, np.pi, 3)
+        for states, beta in ((single, 0.7), (batch, betas)):
+            expected = ref.apply_mixer_layer(states.copy(), beta)
+            for scale in (None, 0.25):
+                got = fused.apply_mixer_layer(states.copy(), beta, scale=scale)
+                factor = 1.0 if scale is None else scale
+                assert got.shape == states.shape
+                np.testing.assert_allclose(got, factor * expected, atol=PARITY_ATOL)
+        if n == 0:
+            # A width-0 stage is still one stage: the dim-1 state comes
+            # back unchanged (the mixer is the identity on zero qubits).
+            np.testing.assert_array_equal(
+                fused.apply_mixer_layer(single.copy(), 0.7), single
+            )
 
     def test_weighted_and_unweighted_cost_paths_agree(self):
         # Unweighted diagonals take the fused exact-gather path; weighted
@@ -511,6 +519,9 @@ class TestChunkPolicy:
             (get_backend("numpy"), 11, True),
             (get_backend("fused"), 10, True),
             (get_backend("fused"), 11, False),
+            # n=16 splits into four 4-qubit stages, two of them middle
+            # stages whose GEMMs run per (row, outer block).
+            (get_backend("fused"), 16, False),
             (_chunk_policy_backends()[-1], 8, True),  # compiled (jit or py)
         ]
         for backend, n, weighted in cases:

@@ -105,6 +105,19 @@ class TestConversions:
         assert x.tolist() == [1, 0, 0]  # bit 0 = node 0
 
 
+def _per_edge_cut_diagonal(graph: Graph) -> np.ndarray:
+    """Reference cut diagonal: bit-index arithmetic over the whole index
+    range, accumulating ``w * (bit_u XOR bit_v)`` edge by edge."""
+    diag = np.zeros(1 << graph.n_nodes)
+    idx = np.arange(1 << graph.n_nodes, dtype=np.uint64)
+    u64 = graph.u.astype(np.uint64)
+    v64 = graph.v.astype(np.uint64)
+    for a, b, weight in zip(u64, v64, graph.w, strict=True):
+        differs = ((idx >> a) ^ (idx >> b)) & np.uint64(1)
+        diag += weight * differs
+    return diag
+
+
 class TestCutDiagonal:
     def test_matches_explicit_enumeration(self, er_small):
         diag = cut_diagonal(er_small)
@@ -117,10 +130,23 @@ class TestCutDiagonal:
         assert diag[0] == 0.0
         assert diag[-1] == 0.0
 
-    def test_chunked_matches_unchunked(self, er_small):
-        full = cut_diagonal(er_small)
-        chunked = cut_diagonal(er_small, chunk=16)
-        assert np.array_equal(full, chunked)
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+    @pytest.mark.parametrize("kind", ["unweighted", "weighted", "signed", "edgeless"])
+    def test_bit_identical_to_per_edge_loop(self, n, kind):
+        rng = np.random.default_rng(n)
+        if kind == "edgeless":
+            graph = Graph.from_edges(n, [])
+        else:
+            graph = erdos_renyi(n, 0.5, weighted=kind != "unweighted", rng=n)
+        if kind == "signed":  # merge graphs carry negative weights
+            signs = rng.choice([-1.0, 1.0], size=graph.n_edges)
+            graph = Graph.from_edges(
+                n, list(zip(graph.u, graph.v, graph.w * signs, strict=True))
+            )
+            assert n < 5 or (graph.w < 0).any()
+        got, expected = cut_diagonal(graph), _per_edge_cut_diagonal(graph)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_too_many_nodes_rejected(self):
         g = erdos_renyi(30, 0.1, rng=0)
