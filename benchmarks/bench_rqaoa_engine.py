@@ -21,7 +21,7 @@ cache-resident and the per-qubit mixer passes sit at the NumPy
 two-operand-ufunc floor, so batching buys back Python dispatch and
 allocator overhead but cannot cut the kernel traffic itself (measured:
 GEMM/einsum mixers and wider chunks are all *slower*; see
-``SweepEngine.auto_chunk_size``).
+``repro.quantum.backend.cache_resident_chunk_size``).
 
 ``python benchmarks/bench_rqaoa_engine.py --quick`` emits the JSON smoke
 report; under pytest the same pair runs via pytest-benchmark.

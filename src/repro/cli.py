@@ -192,9 +192,9 @@ def cmd_service_stats(args: argparse.Namespace) -> int:
         else:
             stats = service.cache.compact()
             print(
-                f"compacted disk tier: {stats['entries']} entries, merged "
-                f"{stats['merged_files']} per-entry files into "
-                f"{stats['data_bytes']} data bytes"
+                f"compacted disk tier: {stats['entries']} entries kept, "
+                f"{stats['dropped']} superseded records dropped, "
+                f"{stats['log_bytes']} log bytes"
             )
     print()
     print(service.stats_report())
@@ -249,7 +249,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             disk_dir=args.disk_dir,
             cache_cost_floor=args.cache_cost_floor,
-            compact_every=args.compact_every,
         )
         return 0
 
@@ -275,7 +274,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_batch=args.max_batch,
         disk_dir=args.disk_dir,
         cache_cost_floor=args.cache_cost_floor,
-        compact_every=args.compact_every,
     )
     solved = sum(1 for res in results if not res.failed)
     print(
@@ -386,10 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--layers", type=int, default=2)
     p_stats.add_argument("--maxiter", type=int, default=30)
     p_stats.add_argument("--disk-dir", type=str, default=None,
-                         help="enable the JSON disk cache tier here")
+                         help="enable the disk cache tier: an append-only "
+                              "cache.log in this directory")
     p_stats.add_argument("--compact", action="store_true",
-                         help="compact the disk tier (merge per-entry JSON "
-                              "files into one indexed store) after the stream")
+                         help="compact the disk tier after the stream (keep "
+                              "only the newest record per request digest)")
     p_stats.add_argument("--backend", choices=_backend_choices(), default="auto",
                          help="statevector evolution backend for QAOA solves")
     p_stats.add_argument("--seed", type=int, default=0)
@@ -458,13 +457,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-batch", type=int, default=16,
                          help="micro-batch size per shard worker dispatch")
     p_serve.add_argument("--disk-dir", type=str, default=None,
-                         help="enable per-shard JSON disk cache tiers here")
+                         help="enable per-shard disk cache tiers: one "
+                              "append-only cache.log per shard under here")
     p_serve.add_argument("--cache-cost-floor", type=float, default=None,
                          help="only cache solves costlier than this many "
                               "seconds (omit: cache everything)")
-    p_serve.add_argument("--compact-every", type=int, default=None,
-                         help="threshold-compact each shard's disk tier "
-                              "after this many loose writes")
     p_serve.add_argument("--backend", choices=_backend_choices(), default="auto",
                          help="statevector evolution backend for QAOA solves")
     p_serve.add_argument("--trace", action="store_true",

@@ -3,12 +3,7 @@ strategies, the solver and the recursive-QAOA extension."""
 
 from repro.qaoa.analytic import AnalyticP1Energy, angle_axes
 from repro.qaoa.energy import MaxCutEnergy
-from repro.qaoa.engine import (
-    ScratchPool,
-    SweepEngine,
-    auto_chunk_size,
-    shared_pool,
-)
+from repro.qaoa.engine import SweepEngine
 from repro.qaoa.params import (
     default_iterations,
     fixed_init,
@@ -24,10 +19,7 @@ __all__ = [
     "AnalyticP1Energy",
     "angle_axes",
     "MaxCutEnergy",
-    "ScratchPool",
     "SweepEngine",
-    "auto_chunk_size",
-    "shared_pool",
     "QAOAResult",
     "QAOASolver",
     "solve_maxcut_qaoa",

@@ -83,11 +83,7 @@ from repro.quantum.backend import (
     resolve_backend,
     shared_pool,
 )
-from repro.quantum.backend.base import (
-    CHUNK_BUDGET_BYTES,
-    DEFAULT_CHUNK_SIZE,
-    cache_resident_chunk_size,
-)
+from repro.quantum.backend.base import CHUNK_BUDGET_BYTES, DEFAULT_CHUNK_SIZE
 from repro.util.tracing import current_trace
 
 # Cap on the spectral angle-grid path's per-chunk working set (two
@@ -95,26 +91,10 @@ from repro.util.tracing import current_trace
 SPECTRAL_BUDGET_BYTES = 256 * 1024 * 1024
 
 
-def auto_chunk_size(n_qubits: int) -> int:
-    """The cache-resident chunk sizing (delegates to
-    :func:`repro.quantum.backend.base.cache_resident_chunk_size`).
-
-    Kept as the historical ``repro.qaoa`` entry point; the engine itself
-    now asks the backend (:meth:`StatevectorBackend.preferred_chunk_size`)
-    rather than calling this directly — elementwise backends return
-    exactly this value."""
-    return cache_resident_chunk_size(n_qubits)
-
-
 def spectral_row_bytes(n_qubits: int) -> int:
     """Spectral-path working set per γ row: a 2**n complex statevector,
     counted twice (transformed state + ping-pong scratch)."""
     return 2 * (1 << n_qubits) * 16
-
-
-# ScratchPool and shared_pool now live in repro.quantum.backend.scratch
-# (with an LRU byte budget); re-imported above and re-exported below for
-# the historical repro.qaoa import path.
 
 
 class SweepEngine:
@@ -448,8 +428,5 @@ class SweepEngine:
 __all__ = [
     "CHUNK_BUDGET_BYTES",
     "DEFAULT_CHUNK_SIZE",
-    "ScratchPool",
     "SweepEngine",
-    "auto_chunk_size",
-    "shared_pool",
 ]

@@ -7,11 +7,12 @@ work is a *request* (graph + solver configuration) rather than a graph:
   refinement + individualisation backtracking) so relabeled-isomorphic
   requests share one identity;
 * :mod:`repro.service.cache`       — two-tier result cache (byte-budget
-  LRU + JSON disk tier) with knowledge-base warm-start export;
+  LRU + append-only, CRC-framed disk log) with knowledge-base warm-start
+  export;
 * :mod:`repro.service.scheduler`   — coalesced-job dispatch: lock-step
   SPSA batches, shared cut diagonals, executor fan-out;
 * :mod:`repro.service.service`     — the :class:`MaxCutService` facade
-  (``submit`` / ``result`` / ``solve`` / ``solve_many``);
+  (``solve`` / ``solve_many``);
 * :mod:`repro.service.sharding`    — fingerprint-prefix shard routing
   (:class:`ShardRouter`): deterministic and relabeling-invariant;
 * :mod:`repro.service.server`      — :class:`AsyncMaxCutServer`, the

@@ -1,4 +1,4 @@
-"""Two-tier result cache: in-memory LRU (byte budget) + JSON disk tier.
+"""Two-tier result cache: in-memory LRU (byte budget) + append-only disk log.
 
 Entries are keyed by the request digest (:func:`repro.service.fingerprint.
 request_digest`) and store the solution in *canonical* node labels, so a
@@ -13,24 +13,28 @@ Tiers
 * **memory** — an ``OrderedDict`` LRU bounded by ``max_bytes`` (entry
   sizes are estimated from their array payloads).  Hot entries cost one
   dict lookup plus the assignment re-index.
-* **disk** — optional (``disk_dir``): entries are written through as one
-  JSON file per digest and read back on memory misses (then promoted),
-  so a restarted service warms up from its predecessor's work.
-  :meth:`ResultCache.compact` merges the per-entry files into a single
-  compacted data file plus a byte-offset index (``repro service-stats
-  --compact``), so long-lived stores stop accumulating one inode per
-  solve; fresh write-throughs keep landing as per-entry files (newest
-  wins) until the next compaction folds them in.  Pass ``compact_every=N``
-  to trigger compaction automatically once ``N`` loose files have been
-  written since the last one — the async server's default mode, replacing
-  the operator-invoked path for long-lived services.
+* **disk** — optional (``disk_dir``): every ``put`` appends one record to
+  ``<disk_dir>/cache.log`` and memory misses read it back (then promote),
+  so a restarted service warms up from its predecessor's work.  A record
+  is an 8-byte little-endian header ``(len(payload), zlib.crc32(payload))``
+  followed by the entry's JSON.  Opening a cache scans the log once into
+  a ``{digest: (offset, length)}`` index of each digest's newest record
+  and cuts the file back to the end of the last record whose header,
+  length and CRC check out, so a crash at any byte loses at most the
+  record being written.  Every disk read re-checks the CRC and the
+  digest, and any mismatch is a miss.  :meth:`ResultCache.compact`
+  (``repro service-stats --compact``) atomically replaces the log with
+  the newest record per digest.  Files of any other name in ``disk_dir``
+  are ignored.
 
-Thread safety: one re-entrant lock serialises every public operation
-(get/put/compact/clear), so the async server's shard worker threads — and
-a threshold compaction firing inside a ``put`` — can share an instance
-without torn LRU state.  Cross-*process* safety remains what it was:
-atomic tmp+rename compaction, newest-loose-file-wins, and any torn or
-stale read degrades to a miss.
+Thread safety: one lock serialises every public operation
+(get/put/compact/clear), so the async server's shard worker threads can
+share an instance without torn LRU state or interleaved appends.  Across
+processes, a handle does not see records another handle appends after it
+opened the log, a compaction elsewhere leaves its offsets stale, and
+opening a log while another process appends to it can cut that record;
+the CRC and digest re-checks turn all three into misses, never wrong
+answers.
 
 Entries that carry optimal QAOA angles can be exported into the paper's
 Fig. 3 knowledge base (:meth:`ResultCache.export_knowledge`), turning the
@@ -41,10 +45,12 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import threading
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,10 +62,10 @@ DEFAULT_MAX_BYTES = 32 * 1024 * 1024
 # Fixed per-entry overhead estimate (dict/dataclass plumbing, small
 # scalars) added on top of the array payload sizes.
 ENTRY_OVERHEAD_BYTES = 512
-# Compacted-store filenames.  Entry files are ``<hex digest>.json``, so
-# the ``compact.`` prefix can never collide with one.
-COMPACT_DATA_FILE = "compact.data.jsonl"
-COMPACT_INDEX_FILE = "compact.index.json"
+# The disk tier's one file, and its record header: little-endian
+# (payload length, zlib.crc32(payload)).
+LOG_FILE = "cache.log"
+_HEADER = struct.Struct("<II")
 
 
 @dataclass
@@ -133,14 +139,40 @@ class CacheEntry:
         return CacheEntry(**payload)
 
 
-class ResultCache:
-    """LRU-over-bytes result store with optional JSON persistence."""
+def _scan(log: bytes) -> Tuple[Dict[str, Tuple[int, int]], int, int]:
+    """Index a log image.
 
-    # LRU state is shared between shard worker threads and the event-loop
-    # thread; every mutation must happen under the cache lock (reads of
-    # the scalar/dict attributes are deliberately lock-free snapshots).
-    # Machine-checked by the guarded-by rule in repro.analysis.
-    # repro: guarded-by=_lock writes=_entries,_nbytes,_compact_index,_loose_writes
+    Returns ``(index, end, records)``: each digest's newest record as
+    ``(offset, payload length)``, the end of the last whole record, and
+    the number of whole records.  The scan stops at the first record
+    whose header, length or CRC does not check out — nothing after it can
+    be framed.  A CRC-clean record that is not an entry is skipped.
+    """
+    index: Dict[str, Tuple[int, int]] = {}
+    end = records = 0
+    while end + _HEADER.size <= len(log):
+        length, crc = _HEADER.unpack_from(log, end)
+        payload = log[end + _HEADER.size : end + _HEADER.size + length]
+        if len(payload) != length or zlib.crc32(payload) != crc:
+            break
+        try:
+            index[str(json.loads(payload)["digest"])] = (end, length)
+        except (ValueError, TypeError, KeyError):
+            pass  # framed but not an entry: nothing to serve
+        records += 1
+        end += _HEADER.size + length
+    return index, end, records
+
+
+class ResultCache:
+    """LRU-over-bytes result store with an optional append-only disk log."""
+
+    # LRU state and the disk index are shared between shard worker threads
+    # and the event-loop thread; every mutation must happen under the
+    # cache lock (reads of the scalar/dict attributes are deliberately
+    # lock-free snapshots).  Machine-checked by the guarded-by rule in
+    # repro.analysis.
+    # repro: guarded-by=_lock writes=_entries,_nbytes,_index
 
     def __init__(
         self,
@@ -148,25 +180,27 @@ class ResultCache:
         max_bytes: int = DEFAULT_MAX_BYTES,
         disk_dir: Optional[str | Path] = None,
         metrics: Optional[ServiceMetrics] = None,
-        compact_every: Optional[int] = None,
     ) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
-        if compact_every is not None and compact_every < 1:
-            raise ValueError("compact_every must be positive (or None)")
         self.max_bytes = int(max_bytes)
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.compact_every = compact_every
         self._entries: Dict[str, CacheEntry] = {}  # insertion = LRU order
         self._nbytes = 0
-        self._compact_index: Optional[Dict[str, Tuple[int, int]]] = None
-        self._loose_writes = 0  # write-throughs since the last compaction
-        # Re-entrant: a threshold compaction fires inside _admit, which
-        # already holds the lock.
-        self._lock = threading.RLock()
+        self._log: Optional[Path] = None
+        # digest -> (offset, payload length) of its newest log record
+        self._index: Dict[str, Tuple[int, int]] = {}
+        self._lock = threading.Lock()
+        if self.disk_dir is not None:
+            self.disk_dir.mkdir(parents=True, exist_ok=True)
+            self._log = self.disk_dir / LOG_FILE
+            log = self._read_log()
+            self._index, end, _ = _scan(log)
+            if end < len(log):
+                # Cut the torn tail: an append after it could never be
+                # framed by the next scan.
+                os.truncate(self._log, end)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -175,9 +209,6 @@ class ResultCache:
     @property
     def nbytes(self) -> int:
         return self._nbytes
-
-    def entries(self) -> Iterator[CacheEntry]:
-        return iter(list(self._entries.values()))
 
     # ------------------------------------------------------------------
     def get(self, digest: str) -> Optional[CacheEntry]:
@@ -202,36 +233,26 @@ class ResultCache:
             entry = self._disk_get(digest)
             if entry is not None:
                 entry.hits += 1
-                self._admit(entry, write_through=False)
+                self._admit(entry)
                 return entry, "disk"
             return None, None
 
     def put(self, entry: CacheEntry) -> None:
-        self._admit(entry, write_through=True)
-
-    def _admit(self, entry: CacheEntry, *, write_through: bool) -> None:
         with self._lock:
-            old = self._entries.pop(entry.digest, None)
-            if old is not None:
-                self._nbytes -= old.nbytes
-            self._entries[entry.digest] = entry
-            self._nbytes += entry.nbytes
-            if write_through and self.disk_dir is not None:
-                self._disk_put(entry)
-                self._loose_writes += 1
-                if (
-                    self.compact_every is not None
-                    and self._loose_writes >= self.compact_every
-                ):
-                    self.compact()
-            self._evict()
+            self._admit(entry)
+            if self._log is not None:
+                self._append(entry)
 
-    # repro: holds-lock -- called from _admit, which holds the lock
-    def _evict(self) -> None:
+    # repro: holds-lock -- put() and get_tiered() hold the lock
+    def _admit(self, entry: CacheEntry) -> None:
+        old = self._entries.pop(entry.digest, None)
+        if old is not None:
+            self._nbytes -= old.nbytes
+        self._entries[entry.digest] = entry
+        self._nbytes += entry.nbytes
         while self._nbytes > self.max_bytes and len(self._entries) > 1:
             digest = next(iter(self._entries))  # least recently used
-            dropped = self._entries.pop(digest)
-            self._nbytes -= dropped.nbytes
+            self._nbytes -= self._entries.pop(digest).nbytes
             self.metrics.increment("evictions")
 
     def clear(self) -> None:
@@ -240,160 +261,85 @@ class ResultCache:
             self._nbytes = 0
 
     # ------------------------------------------------------------------
-    def _disk_path(self, digest: str) -> Path:
-        assert self.disk_dir is not None
-        return self.disk_dir / f"{digest}.json"
+    # Disk tier: one append-only log of CRC-framed JSON records
+    # ------------------------------------------------------------------
+    def _read_log(self) -> bytes:
+        assert self._log is not None
+        try:
+            return self._log.read_bytes()
+        except FileNotFoundError:
+            return b""
 
-    def _disk_put(self, entry: CacheEntry) -> None:
-        path = self._disk_path(entry.digest)
-        path.write_text(json.dumps(entry.to_json()))
+    # repro: holds-lock -- put() holds the lock
+    def _append(self, entry: CacheEntry) -> None:
+        assert self._log is not None
+        payload = json.dumps(entry.to_json()).encode()
+        record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        # One write in append mode: a crash tears at most this record,
+        # which the next open cuts away.
+        with open(self._log, "ab") as fh:
+            fh.write(record)
+            end = fh.tell()
+        self._index[entry.digest] = (end - len(record), len(payload))
 
+    # repro: holds-lock -- get_tiered() holds the lock
     def _disk_get(self, digest: str) -> Optional[CacheEntry]:
-        if self.disk_dir is None:
-            return None
-        path = self._disk_path(digest)
-        if path.exists():
-            try:
-                return CacheEntry.from_json(json.loads(path.read_text()))
-            except (OSError, ValueError, TypeError, KeyError):
-                # Torn write-through, or a concurrent compact() unlinked
-                # the file between exists() and read — either way the
-                # compacted store may still hold a valid copy.
-                pass
-        return self._compact_get(digest)
-
-    def _loose_files(self) -> List[Path]:
-        """Per-entry JSON files (excluding the compacted store's pair)."""
-        assert self.disk_dir is not None
-        return [
-            path
-            for path in self.disk_dir.glob("*.json")
-            if not path.name.startswith("compact.")
-        ]
-
-    def disk_entries(self) -> int:
-        """Distinct digests reachable on disk (loose files + compacted)."""
-        if self.disk_dir is None:
-            return 0
-        with self._lock:
-            digests = {path.stem for path in self._loose_files()}
-            digests.update(self._load_compact_index())
-            return len(digests)
-
-    # ------------------------------------------------------------------
-    # Compacted store: one JSONL data file + {digest: [offset, length]}
-    # ------------------------------------------------------------------
-    # repro: holds-lock -- every caller reads under the cache lock
-    def _load_compact_index(self) -> Dict[str, Tuple[int, int]]:
-        if self._compact_index is not None:
-            return self._compact_index
-        index: Dict[str, Tuple[int, int]] = {}
-        if self.disk_dir is not None:
-            path = self.disk_dir / COMPACT_INDEX_FILE
-            if path.exists():
-                try:
-                    raw = json.loads(path.read_text())
-                    index = {
-                        str(digest): (int(pos[0]), int(pos[1]))
-                        for digest, pos in raw["entries"].items()
-                    }
-                except (ValueError, TypeError, KeyError, IndexError):
-                    index = {}  # torn index: treat the store as empty
-        self._compact_index = index
-        return index
-
-    def _compact_get(self, digest: str) -> Optional[CacheEntry]:
-        pos = self._load_compact_index().get(digest)
+        pos = self._index.get(digest)
         if pos is None:
             return None
+        assert self._log is not None
         offset, length = pos
         try:
-            with open(self.disk_dir / COMPACT_DATA_FILE, "rb") as fh:
+            with open(self._log, "rb") as fh:
                 fh.seek(offset)
-                payload = json.loads(fh.read(length))
-            if payload.get("digest") != digest:
-                # A stale in-memory index against a rewritten data file
-                # (another process compacted) can land cleanly on a
-                # different entry — that is a miss, never a wrong answer.
-                return None
-            return CacheEntry.from_json(payload)
-        except (OSError, ValueError, TypeError, KeyError, AttributeError):
+                record = fh.read(_HEADER.size + length)
+            payload = record[_HEADER.size :]
+            header = _HEADER.pack(length, zlib.crc32(payload))
+            if len(payload) != length or record[: _HEADER.size] != header:
+                return None  # cut, rewritten or corrupted since the scan
+            entry = CacheEntry.from_json(json.loads(payload))
+        except (OSError, ValueError, TypeError, KeyError):
             return None
+        # A clean record of another digest: the log was compacted by
+        # another handle since this one indexed it.
+        return entry if entry.digest == digest else None
+
+    def disk_entries(self) -> int:
+        """Distinct digests this handle can read from the log."""
+        return len(self._index)
 
     def compact(self) -> Dict[str, int]:
-        """Merge the per-entry JSON files into the compacted store.
+        """Replace the log with the newest record per digest.
 
-        Reads the existing compacted store first, then every loose
-        ``<digest>.json`` (loose wins — it is the fresher write-through),
-        rewrites ``compact.data.jsonl`` + ``compact.index.json``
-        atomically (tmp + rename), and deletes the merged loose files.
-        Returns ``{"entries", "merged_files", "data_bytes"}``.
-
-        Runs holding the cache lock, so it is safe to trigger from any
-        thread — including the threshold path firing inside a concurrent
-        ``put`` — while other threads read and write.
+        Rescans the file, so records other handles appended since this
+        one opened it survive, writes the live records in log order to a
+        per-process tmp file and ``os.replace``-es the log with it.
+        Returns ``{"entries", "dropped", "log_bytes"}``: records kept,
+        whole records dropped, and the new log size.
         """
-        if self.disk_dir is None:
+        if self._log is None:
             raise ValueError("compact() requires a disk_dir-backed cache")
         with self._lock:
-            return self._compact_locked()
-
-    # repro: holds-lock -- compact() takes the lock before delegating
-    def _compact_locked(self) -> Dict[str, int]:
-        payloads: Dict[str, dict] = {}
-        for digest in self._load_compact_index():
-            entry = self._compact_get(digest)
-            if entry is not None:
-                payloads[digest] = entry.to_json()
-        loose: List[Tuple[Path, bytes]] = []
-        for path in self._loose_files():
-            try:
-                raw = path.read_bytes()
-                payload = json.loads(raw)
-                payloads[str(payload["digest"])] = payload
-            except (OSError, ValueError, TypeError, KeyError):
-                continue  # torn file: nothing worth preserving
-            loose.append((path, raw))
-        data_path = self.disk_dir / COMPACT_DATA_FILE
-        index_path = self.disk_dir / COMPACT_INDEX_FILE
-        # Per-process tmp names: two concurrent compactions then race only
-        # on the atomic renames (last one wins wholesale) instead of
-        # interleaving writes into one shared tmp file.
-        tag = f".{os.getpid()}.tmp"
-        tmp_data = data_path.with_name(data_path.name + tag)
-        index: Dict[str, Tuple[int, int]] = {}
-        offset = 0
-        with open(tmp_data, "wb") as fh:
-            for digest in sorted(payloads):
-                line = (json.dumps(payloads[digest]) + "\n").encode()
-                fh.write(line)
-                index[digest] = (offset, len(line) - 1)
-                offset += len(line)
-        tmp_index = index_path.with_name(index_path.name + tag)
-        tmp_index.write_text(
-            json.dumps({"version": 1, "entries": {d: list(p) for d, p in index.items()}})
-        )
-        tmp_data.replace(data_path)
-        tmp_index.replace(index_path)
-        for path, merged_bytes in loose:
-            # Only remove what was actually merged: a write-through that
-            # rewrote the file mid-compaction is fresher than the store
-            # and must survive to win the next read/compaction (the
-            # remaining read-vs-unlink window is microseconds, and a
-            # lost loose copy degrades to the compacted entry, never to
-            # a missing one).
-            try:
-                if path.read_bytes() == merged_bytes:
-                    path.unlink(missing_ok=True)
-            except OSError:
-                continue
-        self._compact_index = index
-        self._loose_writes = 0
-        self.metrics.increment("compactions")
+            log = self._read_log()
+            live, _, records = _scan(log)
+            out = bytearray()
+            index: Dict[str, Tuple[int, int]] = {}
+            for digest, (offset, length) in sorted(
+                live.items(), key=lambda item: item[1][0]
+            ):
+                index[digest] = (len(out), length)
+                out += log[offset : offset + _HEADER.size + length]
+            # Per-process tmp name: concurrent compactions race only on the
+            # atomic replace (last one wins wholesale).
+            tmp = self._log.with_name(f"{LOG_FILE}.{os.getpid()}.tmp")
+            tmp.write_bytes(out)
+            os.replace(tmp, self._log)
+            self._index = index
+            self.metrics.increment("compactions")
         return {
             "entries": len(index),
-            "merged_files": len(loose),
-            "data_bytes": offset,
+            "dropped": records - len(index),
+            "log_bytes": len(out),
         }
 
     # ------------------------------------------------------------------
@@ -441,10 +387,9 @@ class ResultCache:
 
 
 __all__ = [
-    "COMPACT_DATA_FILE",
-    "COMPACT_INDEX_FILE",
     "DEFAULT_MAX_BYTES",
     "ENTRY_OVERHEAD_BYTES",
+    "LOG_FILE",
     "CacheEntry",
     "ResultCache",
 ]

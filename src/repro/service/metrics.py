@@ -9,7 +9,7 @@ Counter vocabulary used by the service stack (callers may add their own):
 
 ``requests``        every request seen by ``solve_many``/``solve``
 ``hits_memory``     answered from the in-memory cache tier
-``hits_disk``       answered from the JSON disk tier (then promoted)
+``hits_disk``       answered from the disk tier's log (then promoted)
 ``misses``          required an actual solve
 ``coalesced``       duplicate in-flight requests folded into one job
     (both within one ``solve_many`` batch and — on the async server —
@@ -23,7 +23,7 @@ Counter vocabulary used by the service stack (callers may add their own):
 ``lockstep_batches``lock-step batches dispatched
 ``shared_diagonals``jobs that reused a batch-mate's cut diagonal
 ``evictions``       LRU entries dropped for the byte budget
-``compactions``     disk-tier compactions (operator- or threshold-run)
+``compactions``     disk-tier log rewrites keeping each digest's newest record
 ``cache_skipped``   solves below the cost floor, not admitted to cache
 ``executor_retries``job batches re-run serially after an executor crash
 ``rejected``        submissions refused by a full shard queue (reject)

@@ -129,8 +129,8 @@ class AsyncMaxCutServer:
     ``cache_cost_floor``  per-shard cache admission: only store solves
                           costlier than this many seconds ("auto" =
                           measured fingerprint+store cost; None = always)
-    ``compact_every``     per-shard disk tier: threshold-triggered
-                          compaction after this many loose writes
+    ``disk_dir``          per-shard disk tiers: shard ``k`` appends to
+                          ``<disk_dir>/shard-<kk>/cache.log``
     ``service_factory``   override shard construction entirely
                           (``factory(shard_index) -> MaxCutService``)
     ``tracing``           attach a span-tree trace to every submission and
@@ -154,7 +154,6 @@ class AsyncMaxCutServer:
         lockstep: bool = True,
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
-        compact_every: Optional[int] = None,
         service_factory: Optional[Callable[[int], MaxCutService]] = None,
         tracing: bool = False,
         traces: Optional[TraceRecorder] = None,
@@ -190,7 +189,6 @@ class AsyncMaxCutServer:
                     lockstep=lockstep,
                     use_cache=use_cache,
                     cache_cost_floor=cache_cost_floor,
-                    compact_every=compact_every,
                     error_mode="capture",
                 )
 

@@ -2,17 +2,17 @@
 
 Request lifecycle (see also ``src/repro/service/README.md``)::
 
-    submit ─▶ fingerprint ─▶ cache? ──hit──▶ un-relabel, return
-                                │miss
-                                ▼
-                           coalesce duplicates
-                                │
-                                ▼
-                       BatchScheduler (lock-step batches /
-                        shared diagonals / executor fan-out)
-                                │
-                                ▼
-                        cache fill ─▶ return (submission order)
+    solve_many ─▶ fingerprint ─▶ cache? ──hit──▶ un-relabel, return
+                                    │miss
+                                    ▼
+                               coalesce duplicates
+                                    │
+                                    ▼
+                           BatchScheduler (lock-step batches /
+                            shared diagonals / executor fan-out)
+                                    │
+                                    ▼
+                            cache fill ─▶ return (submission order)
 
 Determinism contract
 --------------------
@@ -140,11 +140,11 @@ def build_request(
 
     Accepts either a prebuilt request or a graph plus keyword knobs
     (``method=``, ``seed=``, and any ``QAOASolver`` option) — shared by
-    the synchronous ``submit`` and the async server front end.
+    :meth:`MaxCutService.solve` and the async server front end.
     """
     if request is None:
         if graph is None:
-            raise ValueError("submit() needs a graph or a request")
+            raise ValueError("a solve needs a graph or a request")
         method = options.pop("method", "qaoa")
         seed = options.pop("seed", None)
         qaoa_grid = options.pop("qaoa_grid", None)
@@ -164,12 +164,6 @@ def build_request(
     return request
 
 
-# Unclaimed tickets (submitted, flushed, never fetched) are retained up to
-# this many; past it the oldest are dropped so fire-and-forget submitters
-# cannot grow the service's memory without bound.
-DEFAULT_MAX_RETAINED_TICKETS = 4096
-
-
 class MaxCutService:
     """High-throughput MaxCut solving with caching and batching."""
 
@@ -186,7 +180,6 @@ class MaxCutService:
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
         error_mode: str = "raise",
-        compact_every: Optional[int] = None,
         tracing: bool = False,
         traces: Optional[TraceRecorder] = None,
     ) -> None:
@@ -207,10 +200,7 @@ class MaxCutService:
             cache
             if cache is not None
             else ResultCache(
-                max_bytes=max_bytes,
-                disk_dir=disk_dir,
-                metrics=self.metrics,
-                compact_every=compact_every,
+                max_bytes=max_bytes, disk_dir=disk_dir, metrics=self.metrics
             )
         )
         self.scheduler = BatchScheduler(
@@ -236,57 +226,10 @@ class MaxCutService:
             traces if traces is not None else (TraceRecorder() if tracing else None)
         )
         self.tracing = self.traces is not None
-        self.max_retained_tickets = DEFAULT_MAX_RETAINED_TICKETS
-        self._pending: List[SolveRequest] = []
-        self._tickets: Dict[int, ServiceResult] = {}  # insertion-ordered
-        self._next_ticket = 0
 
     # ------------------------------------------------------------------
     # Facade
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        graph: Optional[Graph] = None,
-        *,
-        request: Optional[SolveRequest] = None,
-        **options,
-    ) -> int:
-        """Enqueue a request; returns a ticket for :meth:`result`.
-
-        Pass either a prebuilt :class:`SolveRequest` or a graph plus
-        keyword knobs (``method=``, ``seed=``, and any ``QAOASolver``
-        option).  Pending requests are batched together at the next
-        :meth:`flush`/:meth:`result` call — that batch is where
-        coalescing and lock-step grouping happen.
-        """
-        request = build_request(graph, request=request, **options)
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._pending.append(request)
-        return ticket
-
-    def flush(self) -> None:
-        """Solve every pending submission as one batch."""
-        if not self._pending:
-            return
-        pending = self._pending
-        first_ticket = self._next_ticket - len(pending)
-        self._pending = []
-        for offset, result in enumerate(self.solve_many(pending)):
-            self._tickets[first_ticket + offset] = result
-        # Bound the unclaimed-result map: fire-and-forget submitters must
-        # not leak one retained result per abandoned ticket forever.
-        while len(self._tickets) > self.max_retained_tickets:
-            self._tickets.pop(next(iter(self._tickets)))
-
-    def result(self, ticket: int) -> ServiceResult:
-        """The answer for ``ticket``, flushing pending work if needed."""
-        if ticket not in self._tickets:
-            self.flush()
-        if ticket not in self._tickets:
-            raise KeyError(f"unknown ticket {ticket}")
-        return self._tickets.pop(ticket)
-
     def solve(
         self,
         graph: Optional[Graph] = None,
@@ -294,8 +237,13 @@ class MaxCutService:
         request: Optional[SolveRequest] = None,
         **options,
     ) -> ServiceResult:
-        """One-call convenience: submit + flush + result."""
-        return self.result(self.submit(graph, request=request, **options))
+        """Answer one request: ``solve_many`` of a batch of one.
+
+        Pass either a prebuilt :class:`SolveRequest` or a graph plus
+        keyword knobs (``method=``, ``seed=``, and any ``QAOASolver``
+        option).
+        """
+        return self.solve_many([build_request(graph, request=request, **options)])[0]
 
     # ------------------------------------------------------------------
     # Core batch path

@@ -502,10 +502,8 @@ class TestChunkPolicy:
         assert SweepEngine(graph, backend="fused", chunk_size=7).chunk_rows(40, 2) == 7
         # The numpy default is exactly the historical cache-resident
         # formula — the advice seam changed nothing for the reference.
-        from repro.qaoa.engine import auto_chunk_size
-
         engine_np = SweepEngine(graph, backend="numpy")
-        assert engine_np.chunk_rows(40, 2) == min(40, auto_chunk_size(10))
+        assert engine_np.chunk_rows(40, 2) == min(40, cache_resident_chunk_size(10))
         # Clamping: advice never exceeds the batch, floor of one row.
         assert engine.chunk_rows(1, 2) == 1
         assert engine.chunk_rows(0, 2) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.service import ResultCache
 
 
 class TestSolve:
@@ -88,9 +89,7 @@ class TestExperiments:
         out = capsys.readouterr().out
         assert "compacted disk tier" in out
         assert "backend_numpy" in out
-        assert (disk / "compact.index.json").exists()
-        assert not [p for p in disk.glob("*.json")
-                    if not p.name.startswith("compact.")]
+        assert [p.name for p in disk.iterdir()] == ["cache.log"]
 
     def test_service_stats_compact_without_disk(self, capsys):
         code = main([
@@ -133,13 +132,15 @@ class TestServe:
         code = main([
             "serve", "--requests", "8", "--universe", "2", "--nodes", "8",
             "--layers", "1", "--maxiter", "10", "--clients", "2",
-            "--shards", "1", "--compact-every", "1",
+            "--shards", "1",
             "--disk-dir", str(disk), "--backend", "numpy",
         ])
         assert code == 0
         assert "served 8/8 requests" in capsys.readouterr().out
-        # Threshold compaction produced a compacted store on the shard.
-        assert (disk / "shard-00" / "compact.index.json").exists()
+        # One solve per digest: the shard's log has nothing to compact away.
+        stats = ResultCache(disk_dir=disk / "shard-00").compact()
+        assert stats["entries"] >= 1 and stats["dropped"] == 0
+        assert [p.name for p in (disk / "shard-00").iterdir()] == ["cache.log"]
 
     def test_serve_rejects_bad_admission(self):
         with pytest.raises(SystemExit):

@@ -74,8 +74,9 @@ class TestCacheCorrectness:
         """(c) Coalesced concurrent submissions all receive the same
         result."""
         service = MaxCutService(seed=0)
-        tickets = [service.submit(graph, seed=9, **OPTIONS) for _ in range(4)]
-        results = [service.result(t) for t in tickets]
+        results = service.solve_many(
+            [SolveRequest(graph=graph, options=dict(OPTIONS), seed=9) for _ in range(4)]
+        )
         assert service.metrics.count("misses") == 1
         assert service.metrics.count("coalesced") == 3
         owner, rest = results[0], results[1:]
@@ -247,16 +248,12 @@ class TestFacade:
     def test_submit_requires_graph_or_request(self):
         service = MaxCutService(seed=0)
         with pytest.raises(ValueError, match="graph or a request"):
-            service.submit()
+            service.solve()
 
     def test_submit_rejects_both(self, graph):
         service = MaxCutService(seed=0)
         with pytest.raises(ValueError, match="not both"):
-            service.submit(graph, request=SolveRequest(graph=graph))
-
-    def test_unknown_ticket(self):
-        with pytest.raises(KeyError):
-            MaxCutService(seed=0).result(99)
+            service.solve(graph, request=SolveRequest(graph=graph))
 
     def test_gw_requests_cacheable(self, graph):
         service = MaxCutService(seed=0)
@@ -421,15 +418,3 @@ class TestReviewRegressions:
         assert hit.status == "hit-memory"
         assert hit.params[0] != 999.0
         assert "injected" not in hit.extra
-
-    def test_unclaimed_tickets_bounded(self, graph):
-        service = MaxCutService(seed=0)
-        service.max_retained_tickets = 3
-        tickets = []
-        for k in range(5):
-            tickets.append(service.submit(graph, seed=k, layers=1, maxiter=10))
-            service.flush()  # never claimed
-        assert len(service._tickets) == 3
-        with pytest.raises(KeyError):
-            service.result(tickets[0])  # oldest dropped
-        assert service.result(tickets[-1]).cut >= 0.0  # newest retained

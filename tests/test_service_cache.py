@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.graphs import erdos_renyi
-from repro.service.cache import ENTRY_OVERHEAD_BYTES, CacheEntry, ResultCache
+from repro.service.cache import ENTRY_OVERHEAD_BYTES, LOG_FILE, CacheEntry, ResultCache
 from repro.service.fingerprint import canonical_fingerprint
 
 
@@ -104,9 +106,25 @@ class TestDiskTier:
         assert cache.get_tiered("d0")[1] == "disk"  # evicted but persisted
 
     def test_corrupt_file_is_miss(self, tmp_path):
+        # Stray files, including a valid entry in the old one-JSON-per-digest
+        # and compacted-store layouts, are never read and never touched.
+        old = json.dumps(make_entry("old").to_json())
+        strays = {
+            "bad.json": "{not json",
+            "old.json": old,
+            "compact.data.jsonl": old + "\n",
+            "compact.index.json": '{"version": 1, "entries": {"old": [0, 10]}}',
+        }
+        for name, text in strays.items():
+            (tmp_path / name).write_text(text)
         cache = ResultCache(disk_dir=tmp_path)
-        (tmp_path / "bad.json").write_text("{not json")
         assert cache.get("bad") is None
+        assert cache.get("old") is None
+        cache.put(make_entry("new"))
+        cache.compact()
+        assert ResultCache(disk_dir=tmp_path).get("new") is not None
+        left = {p.name: p.read_text() for p in tmp_path.iterdir() if p.name != LOG_FILE}
+        assert left == strays
 
 
 class TestKnowledgeExport:
@@ -137,21 +155,19 @@ class TestKnowledgeExport:
 
 
 class TestCompaction:
-    """ResultCache.compact(): per-entry JSON files -> data file + index."""
+    """ResultCache.compact(): the log keeps only each digest's newest record."""
 
     def test_compact_round_trip(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
         entries = {f"d{i:02d}": make_entry(f"d{i:02d}", seed=i) for i in range(5)}
         for entry in entries.values():
             cache.put(entry)
-        assert len(list(tmp_path.glob("d*.json"))) == 5
         stats = cache.compact()
         assert stats["entries"] == 5
-        assert stats["merged_files"] == 5
-        assert not list(tmp_path.glob("d*.json"))  # loose files merged away
-        assert (tmp_path / "compact.data.jsonl").exists()
-        assert (tmp_path / "compact.index.json").exists()
-        # A fresh cache (cold memory) serves every entry from the store.
+        assert stats["dropped"] == 0
+        assert stats["log_bytes"] == (tmp_path / LOG_FILE).stat().st_size
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_FILE]
+        # A fresh cache (cold memory) serves every entry from the log.
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.disk_entries() == 5
         for digest, original in entries.items():
@@ -165,36 +181,30 @@ class TestCompaction:
         cache = ResultCache(disk_dir=tmp_path)
         cache.put(make_entry("dup", seed=1))
         cache.compact()
-        # A fresh write-through lands as a loose file and shadows the
-        # compacted copy until the next compaction folds it in.
+        # A newer put of the digest appends a second record, and the
+        # open scan keeps the newest.
         newer = make_entry("dup", seed=2)
         cache.put(newer)
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.disk_entries() == 1
         assert fresh.get("dup").cut == newer.cut
+        size_before = (tmp_path / LOG_FILE).stat().st_size
         stats = cache.compact()
-        assert stats["entries"] == 1 and stats["merged_files"] == 1
+        assert stats["entries"] == 1 and stats["dropped"] == 1
+        assert stats["log_bytes"] < size_before
         fresh2 = ResultCache(disk_dir=tmp_path)
         assert fresh2.get("dup").cut == newer.cut
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_FILE]
 
     def test_compact_empty_dir(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
         stats = cache.compact()
-        assert stats == {"entries": 0, "merged_files": 0, "data_bytes": 0}
+        assert stats == {"entries": 0, "dropped": 0, "log_bytes": 0}
         assert cache.disk_entries() == 0
 
     def test_compact_requires_disk_tier(self):
         with pytest.raises(ValueError, match="disk_dir"):
             ResultCache().compact()
-
-    def test_torn_index_degrades_to_miss(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path)
-        cache.put(make_entry("x1"))
-        cache.compact()
-        (tmp_path / "compact.index.json").write_text("{not json")
-        fresh = ResultCache(disk_dir=tmp_path)
-        assert fresh.get("x1") is None  # miss, never a crash
-        assert fresh.disk_entries() == 0
 
     def test_torn_loose_file_skipped_by_compaction(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
@@ -203,32 +213,10 @@ class TestCompaction:
         stats = cache.compact()
         assert stats["entries"] == 1
         assert ResultCache(disk_dir=tmp_path).get("ok") is not None
+        assert (tmp_path / "torn.json").read_text() == "{broken"
 
     def test_compaction_metric(self, tmp_path):
         cache = ResultCache(disk_dir=tmp_path)
         cache.put(make_entry("m1"))
         cache.compact()
         assert cache.metrics.count("compactions") == 1
-
-    def test_torn_loose_file_falls_through_to_compacted_copy(self, tmp_path):
-        # A crashed write-through must not shadow a valid compacted entry.
-        cache = ResultCache(disk_dir=tmp_path)
-        entry = make_entry("shadowed")
-        cache.put(entry)
-        cache.compact()
-        (tmp_path / "shadowed.json").write_text('{"digest": "shadowed", tor')
-        fresh = ResultCache(disk_dir=tmp_path)
-        got = fresh.get("shadowed")
-        assert got is not None and got.cut == entry.cut
-
-    def test_stale_index_digest_mismatch_is_a_miss(self, tmp_path):
-        # An index read against a rewritten data file may land cleanly on
-        # a different entry; the digest check turns that into a miss.
-        cache = ResultCache(disk_dir=tmp_path)
-        cache.put(make_entry("aaa"))
-        cache.put(make_entry("bbb", seed=9))
-        cache.compact()
-        index = cache._load_compact_index()
-        index["aaa"], index["bbb"] = index["bbb"], index["aaa"]  # simulate stale
-        assert cache._compact_get("aaa") is None
-        assert cache._compact_get("bbb") is None

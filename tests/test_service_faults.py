@@ -1,9 +1,11 @@
-"""Fault injection: torn disk stores, threshold compaction under
-concurrency, executor crashes, per-request error capture (ISSUE 6)."""
+"""Fault injection: torn and bit-flipped disk logs, stale log offsets,
+compaction under concurrency, executor crashes, per-request error
+capture."""
 
 from __future__ import annotations
 
-import json
+import bisect
+import sys
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,7 +14,7 @@ import pytest
 
 from repro.graphs import erdos_renyi
 from repro.service import AsyncMaxCutServer, MaxCutService, RequestError, ResultCache
-from repro.service.cache import COMPACT_DATA_FILE, COMPACT_INDEX_FILE
+from repro.service.cache import LOG_FILE
 
 from test_service_cache import make_entry
 
@@ -21,8 +23,18 @@ pytestmark = pytest.mark.timeout(120)
 OPTIONS = {"layers": 1, "maxiter": 15}
 
 
+def assert_same_entry(got, want):
+    assert got.digest == want.digest
+    assert got.cut == want.cut
+    assert got.seed == want.seed
+    np.testing.assert_array_equal(got.assignment, want.assignment)
+    np.testing.assert_array_equal(got.canon_u, want.canon_u)
+    np.testing.assert_array_equal(got.canon_v, want.canon_v)
+    np.testing.assert_array_equal(got.canon_w, want.canon_w)
+
+
 # ---------------------------------------------------------------------------
-# Torn / truncated compacted stores degrade to misses
+# Torn / truncated / stale logs degrade to misses
 # ---------------------------------------------------------------------------
 class TestTornStores:
     def _compacted(self, tmp_path, n=4):
@@ -34,14 +46,14 @@ class TestTornStores:
 
     def test_truncated_data_file_is_miss_never_crash(self, tmp_path):
         self._compacted(tmp_path)
-        data = tmp_path / COMPACT_DATA_FILE
-        raw = data.read_bytes()
-        data.write_bytes(raw[: len(raw) // 2])  # torn mid-entry
+        log = tmp_path / LOG_FILE
+        raw = log.read_bytes()
+        log.write_bytes(raw[: len(raw) // 2])  # torn mid-record
         fresh = ResultCache(disk_dir=tmp_path)
         served = sum(fresh.get(f"d{i:02d}") is not None for i in range(4))
-        # Entries before the tear may still be served; the rest are clean
-        # misses. Nothing raises, nothing returns a wrong entry.
-        assert 0 <= served < 4
+        # Records before the tear are served; the rest are clean misses.
+        # Nothing raises, nothing returns a wrong entry.
+        assert 0 < served < 4
         for i in range(4):
             got = fresh.get(f"d{i:02d}")
             if got is not None:
@@ -49,27 +61,33 @@ class TestTornStores:
 
     def test_garbage_data_file_is_all_misses(self, tmp_path):
         self._compacted(tmp_path)
-        (tmp_path / COMPACT_DATA_FILE).write_bytes(b"\x00\xff" * 128)
+        (tmp_path / LOG_FILE).write_bytes(b"\x00\xff" * 128)
         fresh = ResultCache(disk_dir=tmp_path)
         assert all(fresh.get(f"d{i:02d}") is None for i in range(4))
+        assert (tmp_path / LOG_FILE).stat().st_size == 0  # nothing framed
 
     def test_bad_index_offsets_are_misses(self, tmp_path):
-        self._compacted(tmp_path)
-        index_path = tmp_path / COMPACT_INDEX_FILE
-        payload = json.loads(index_path.read_text())
-        payload["entries"] = {
-            digest: [offset + 7, length]
-            for digest, (offset, length) in payload["entries"].items()
-        }
-        index_path.write_text(json.dumps(payload))
+        # Equal-length records, so offsets made stale by another handle's
+        # compaction land exactly on a neighbour's clean record: only the
+        # digest re-check keeps that a miss.
+        writer = ResultCache(disk_dir=tmp_path)
+        entries = [make_entry(f"d{i:02d}", seed=i) for i in range(4)]
+        for i, entry in enumerate(entries):
+            entry.cut = 1.5 + i
+            writer.put(entry)
+        newer = make_entry("d00", seed=9)
+        newer.cut = 9.5
+        writer.put(newer)  # d00's newest record is now the last one
+        reader = ResultCache(disk_dir=tmp_path)
+        writer.compact()  # drops d00's first record: every offset shifts
+        assert all(reader.get(f"d{i:02d}") is None for i in range(4))
         fresh = ResultCache(disk_dir=tmp_path)
-        # Shifted reads either fail to parse or parse onto the wrong
-        # digest; both degrade to a miss.
-        assert all(fresh.get(f"d{i:02d}") is None for i in range(4))
+        for want in [newer, *entries[1:]]:
+            assert_same_entry(fresh.get(want.digest), want)
 
     def test_truncated_store_can_be_rebuilt(self, tmp_path):
         cache = self._compacted(tmp_path)
-        (tmp_path / COMPACT_DATA_FILE).write_bytes(b"")
+        (tmp_path / LOG_FILE).write_bytes(b"")
         # Re-populating and recompacting recovers a healthy store.
         cache2 = ResultCache(disk_dir=tmp_path)
         for i in range(4):
@@ -81,44 +99,83 @@ class TestTornStores:
 
 
 # ---------------------------------------------------------------------------
-# Threshold-triggered compaction
+# A crash at any byte: the log recovers every whole record
 # ---------------------------------------------------------------------------
-class TestThresholdCompaction:
-    def test_fires_every_n_loose_writes(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path, compact_every=3)
-        for i in range(2):
-            cache.put(make_entry(f"a{i}", seed=i))
-        assert cache.metrics.count("compactions") == 0
-        cache.put(make_entry("a2", seed=2))  # third loose write: fires
-        assert cache.metrics.count("compactions") == 1
-        assert not list(tmp_path.glob("a*.json"))
-        for i in range(3):  # counter restarts after compaction
-            cache.put(make_entry(f"b{i}", seed=i))
-        assert cache.metrics.count("compactions") == 2
-        assert ResultCache(disk_dir=tmp_path).disk_entries() == 6
+class TestCrashAtAnyByte:
+    N_FLIPS = 500
 
-    def test_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="compact_every"):
-            ResultCache(disk_dir=tmp_path, compact_every=0)
+    def _written(self, tmp_path):
+        """Four entries in one log, and the offset where each record starts."""
+        entries = [
+            make_entry(f"e{i}", seed=i, params=[0.1 * i, 0.2], layers=1)
+            for i in range(4)
+        ]
+        cache = ResultCache(disk_dir=tmp_path / "src")
+        log = tmp_path / "src" / LOG_FILE
+        starts = []
+        for entry in entries:
+            starts.append(log.stat().st_size if log.exists() else 0)
+            cache.put(entry)
+        return entries, log.read_bytes(), starts
 
-    def test_memory_only_cache_ignores_threshold(self):
-        cache = ResultCache(compact_every=2)  # no disk tier: nothing to do
-        for i in range(5):
-            cache.put(make_entry(f"m{i}", seed=i))
-        assert cache.metrics.count("compactions") == 0
+    def test_truncation_at_every_byte_of_the_last_record(self, tmp_path):
+        entries, raw, starts = self._written(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        log = work / LOG_FILE
+        for cut in range(starts[3], len(raw)):
+            log.write_bytes(raw[:cut])
+            fresh = ResultCache(disk_dir=work)
+            for want in entries[:3]:
+                got, tier = fresh.get_tiered(want.digest)
+                assert tier == "disk"
+                assert_same_entry(got, want)
+            assert fresh.get(entries[3].digest) is None
+            assert log.stat().st_size == starts[3]  # cut back to the boundary
+            fresh.put(entries[3])
+            again = ResultCache(disk_dir=work).get(entries[3].digest)
+            assert_same_entry(again, entries[3])
 
-    def test_service_threshold_compaction_end_to_end(self, tmp_path):
-        service = MaxCutService(seed=0, disk_dir=tmp_path, compact_every=2)
-        for i in range(3):
-            graph = erdos_renyi(9, 0.4, weighted=True, rng=200 + i)
-            service.solve(graph, seed=1, **OPTIONS)
-        assert service.metrics.count("compactions") >= 1
-        assert (tmp_path / COMPACT_DATA_FILE).exists()
-        # Every solve remains reachable from a cold cache.
-        assert ResultCache(disk_dir=tmp_path).disk_entries() == 3
+    def test_bit_flips_never_serve_a_wrong_entry(self, tmp_path):
+        entries, raw, starts = self._written(tmp_path)
+        work = tmp_path / "work"
+        work.mkdir()
+        log = work / LOG_FILE
+        log.write_bytes(raw)
+        opened = ResultCache(disk_dir=work)  # indexed before any flip
+        rng = np.random.default_rng(2024)
+        for bit in rng.integers(0, 8 * len(raw), size=self.N_FLIPS):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            log.write_bytes(bytes(flipped))
+            hit = bisect.bisect_right(starts, bit // 8) - 1  # record holding it
+            # The open handle re-checks every record it reads: only the
+            # flipped one is a miss.
+            opened.clear()
+            for k, want in enumerate(entries):
+                got = opened.get(want.digest)
+                if k == hit:
+                    assert got is None
+                else:
+                    assert_same_entry(got, want)
+            # A fresh handle cuts the log at the flipped record and serves
+            # every whole record before it.
+            fresh = ResultCache(disk_dir=work)
+            assert log.stat().st_size == starts[hit]
+            for k, want in enumerate(entries):
+                got = fresh.get(want.digest)
+                if k < hit:
+                    assert_same_entry(got, want)
+                else:
+                    assert got is None
 
+
+# ---------------------------------------------------------------------------
+# Compaction racing puts and gets on one cache
+# ---------------------------------------------------------------------------
+class TestConcurrentCompaction:
     def test_concurrent_puts_gets_and_compactions(self, tmp_path):
-        cache = ResultCache(disk_dir=tmp_path, compact_every=4)
+        cache = ResultCache(disk_dir=tmp_path)
         errors = []
 
         def writer(tag):
@@ -141,16 +198,23 @@ class TestThresholdCompaction:
             threading.Thread(target=writer, args=("y",)),
             threading.Thread(target=compactor),
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert not errors
         fresh = ResultCache(disk_dir=tmp_path)
         assert fresh.disk_entries() == 40
         for tag in ("x", "y"):
             for i in range(20):
                 assert fresh.get(f"{tag}{i:02d}") is not None
+        assert [p.name for p in tmp_path.iterdir()] == [LOG_FILE]
 
 
 # ---------------------------------------------------------------------------

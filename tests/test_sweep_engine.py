@@ -11,8 +11,9 @@ import pytest
 from repro.experiments import default_angle_axes, run_angle_grid
 from repro.graphs import erdos_renyi
 from repro.optim import minimize_spsa
-from repro.qaoa import MaxCutEnergy, QAOASolver, ScratchPool, SweepEngine, shared_pool
+from repro.qaoa import MaxCutEnergy, QAOASolver, SweepEngine
 from repro.qaoa2.solver import QAOA2Solver
+from repro.quantum.backend import ScratchPool, shared_pool
 
 GOLDEN_GRAPH_ARGS = dict(n=12, p=0.4, weighted=True, rng=3)
 
