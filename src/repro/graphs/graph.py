@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import coo_matrix
 
 try:  # networkx is a declared dependency but keep import failure local
     import networkx as nx
@@ -183,8 +184,6 @@ class Graph:
         """Sparse CSR adjacency (used by the SDP mixing solver and spectra)."""
         key = "adjacency_sparse"
         if key not in self._cache:
-            from scipy.sparse import coo_matrix
-
             row = np.concatenate([self.u, self.v])
             col = np.concatenate([self.v, self.u])
             dat = np.concatenate([self.w, self.w])

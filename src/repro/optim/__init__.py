@@ -1,8 +1,10 @@
 """Classical optimizers for the variational loop.
 
 ``minimize`` dispatches by name; COBYLA (the paper's optimizer, with its
-``rhobeg`` knob) is the default.  SPSA and Nelder–Mead are from-scratch
-implementations used in the optimizer ablation.
+``rhobeg`` knob) is the default.  It is an in-repo port of PRIMA's COBYLA
+that evaluates the same points as SciPy's (see :mod:`repro.optim.cobyla`),
+so no optimizer here imports ``scipy.optimize``.  SPSA and Nelder–Mead are
+from-scratch implementations used in the optimizer ablation.
 """
 
 from __future__ import annotations

@@ -1,8 +1,16 @@
-"""Unit tests for repro.optim (COBYLA wrapper, SPSA, Nelder-Mead)."""
+"""Unit tests for repro.optim (COBYLA port, SPSA, Nelder-Mead)."""
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+from repro.graphs.generators import erdos_renyi
 from repro.optim import (
     RecordingObjective,
     minimize,
@@ -12,6 +20,10 @@ from repro.optim import (
     multi_start_spsa,
     multi_start_spsa_independent,
 )
+from repro.qaoa.energy import MaxCutEnergy
+from repro.qaoa.params import initial_parameters
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def quadratic(x):
@@ -59,6 +71,217 @@ class TestCobyla:
     def test_returns_best_seen_not_last(self):
         result = minimize_cobyla(quadratic, np.zeros(2), maxiter=100)
         assert result.fun == min(result.history)
+
+
+def _scipy_has_prima() -> bool:
+    major, minor = (int(part) for part in scipy.__version__.split(".")[:2])
+    return (major, minor) >= (1, 16)
+
+
+def assert_cobyla_parity(fun, x0, *, rhobeg, maxiter, tol=1e-6):
+    """Run the port and SciPy's COBYLA on ``fun``; both must evaluate the
+    same points, bit for bit, in the same order."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    ours, theirs = [], []
+
+    def recording(points):
+        def objective(x):
+            points.append(np.array(x, copy=True))
+            return fun(x)
+
+        return objective
+
+    x0 = np.asarray(x0, dtype=np.float64)
+    budget = max(maxiter, len(x0) + 2)
+    with warnings.catch_warnings():
+        # Overflow on infinite objectives, and SciPy's notice that it reset
+        # rhoend, are expected on both sides.
+        warnings.simplefilter("ignore")
+        result = minimize_cobyla(
+            recording(ours), x0.copy(), rhobeg=rhobeg, maxiter=maxiter, tol=tol
+        )
+        reference = scipy_minimize(
+            recording(theirs),
+            x0.copy(),
+            method="COBYLA",
+            options={"rhobeg": rhobeg, "maxiter": budget, "tol": tol},
+        )
+    assert len(ours) == len(theirs)
+    for mine, ref in zip(ours, theirs, strict=True):
+        np.testing.assert_array_equal(mine.view(np.uint64), ref.view(np.uint64))
+    assert result.success == bool(reference.success)
+    assert result.nfev == len(ours) <= budget
+
+
+def qaoa_case(seed):
+    """A seeded QAOA objective: graph size 3-10, depth 1-3, and one of the
+    three deterministic-or-seeded initialisations."""
+    gen = np.random.default_rng(seed)
+    n, p = int(gen.integers(3, 11)), int(gen.integers(1, 4))
+    graph = erdos_renyi(
+        n, float(gen.uniform(0.3, 0.8)), weighted=bool(gen.integers(2)), rng=seed
+    )
+    energy = MaxCutEnergy(graph)
+    x0 = initial_parameters(p, ("ramp", "random", "fixed")[seed % 3], rng=seed)
+    rhobeg = float(gen.choice([0.1, 0.2, 0.3, 0.4, 0.5]))
+    maxiter = int(gen.choice([5, 10, 20, 40, 100, 300]))
+    return (lambda x: -energy.expectation(x)), x0, rhobeg, maxiter
+
+
+def _overwrites_argument(x):
+    value = float(np.sum((x - 0.5) ** 2))
+    x[:] = 123.0  # the port must hand ``fun`` a copy, as SciPy does
+    return value
+
+
+def _inf_beyond(x):
+    return float("inf") if x[0] > 0.3 else float(np.sum((x - 1.0) ** 2))
+
+
+def _neg_inf_beyond(x):
+    return float("-inf") if x[0] > 0.8 else float(np.sum((x - 1.0) ** 2))
+
+
+# name -> (fun, x0, rhobeg, maxiter, tol)
+EDGE_CASES = {
+    "constant": (lambda x: 1.0, np.zeros(3), 0.5, 100, 1e-6),
+    "nan-everywhere": (lambda x: float("nan"), np.zeros(3), 0.5, 100, 1e-6),
+    "inf-on-part": (_inf_beyond, np.zeros(3), 0.5, 200, 1e-6),
+    "neg-inf-on-part": (_neg_inf_beyond, np.zeros(2), 0.5, 200, 1e-6),
+    "huge-f-gradient-rescale": (
+        lambda x: 1e15 * float(np.sum((x - 0.7) ** 2)) + 3e15,
+        np.zeros(2),
+        0.5,
+        200,
+        1e-6,
+    ),
+    "negative-zero": (lambda x: -0.0, np.zeros(2), 0.5, 100, 1e-6),
+    # f ignores x[1], so the step's second entry is -0.0 before PRIMA adds
+    # it to zero: the first step must land on +0.0, not -0.0.
+    "negative-zero-start": (
+        lambda x: float((x[0] + 1.0) ** 2),
+        np.array([0.0, -0.0]),
+        0.5,
+        20,
+        1e-6,
+    ),
+    "rhobeg-below-tol": (
+        lambda x: float(np.sum((x - 1e-7) ** 2)),
+        np.zeros(2),
+        1e-7,
+        50,
+        1e-6,
+    ),
+    "maxiter-below-n-plus-2": (
+        lambda x: float(np.sum((x - 1.0) ** 2)),
+        np.zeros(4),
+        0.5,
+        2,
+        1e-6,
+    ),
+    "one-variable": (lambda x: float((x[0] - 0.3) ** 2), np.zeros(1), 0.5, 100, 1e-6),
+    "overwrites-argument": (_overwrites_argument, np.zeros(3), 0.5, 100, 1e-6),
+    "tiny-gradient": (
+        lambda x: 1e-160 * float(x[0] + 2.0 * x[1]),
+        np.zeros(2),
+        0.5,
+        60,
+        1e-6,
+    ),
+    "skewed-gradient": (
+        lambda x: float(x[1] + 1e-20 * x[0]),
+        np.zeros(2),
+        0.5,
+        40,
+        1e-6,
+    ),
+    "quadratic-to-convergence": (quadratic, np.zeros(3), 0.5, 1000, 1e-6),
+}
+
+
+@pytest.mark.skipif(
+    not _scipy_has_prima(),
+    reason="SciPy < 1.16 runs Powell's Fortran COBYLA, not the PRIMA "
+    "translation the port reproduces",
+)
+class TestCobylaParity:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_qaoa_objectives(self, seed):
+        fun, x0, rhobeg, maxiter = qaoa_case(seed)
+        assert_cobyla_parity(fun, x0, rhobeg=rhobeg, maxiter=maxiter)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name):
+        fun, x0, rhobeg, maxiter, tol = EDGE_CASES[name]
+        assert_cobyla_parity(fun, x0, rhobeg=rhobeg, maxiter=maxiter, tol=tol)
+
+    @pytest.mark.slow
+    def test_qaoa_sweep(self):
+        for seed in range(16, 96):
+            fun, x0, rhobeg, maxiter = qaoa_case(seed)
+            assert_cobyla_parity(fun, x0, rhobeg=rhobeg, maxiter=maxiter)
+
+    @pytest.mark.slow
+    def test_random_objective_families(self):
+        gen = np.random.default_rng(2024)
+        for _ in range(30):
+            dim = int(gen.integers(1, 9))
+            centre = gen.normal(size=dim)
+            basis = np.linalg.qr(gen.normal(size=(dim, dim)))[0]
+            hessian = basis @ np.diag(10.0 ** gen.uniform(-6, 6, size=dim)) @ basis.T
+            power = gen.uniform(0.5, 4.0)
+            family = (
+                lambda x, c=centre, h=hessian: float((x - c) @ h @ (x - c)),
+                lambda x, c=centre, q=power: float(np.sum(np.abs(x - c) ** q)),
+                lambda x, c=centre: float(np.sum(np.floor(3.0 * (x - c)))),
+            )[int(gen.integers(3))]
+            assert_cobyla_parity(
+                family,
+                gen.normal(size=dim) * 10.0 ** gen.uniform(-3, 3),
+                rhobeg=10.0 ** gen.uniform(-4, 1),
+                maxiter=int(gen.choice([5, 20, 100, 500])),
+                tol=10.0 ** gen.uniform(-12, -2),
+            )
+
+
+class TestCobylaPort:
+    def test_does_not_mutate_x0(self):
+        x0 = np.array([0.25, -0.5])
+        minimize_cobyla(quadratic, x0, rhobeg=0.3, maxiter=30)
+        np.testing.assert_array_equal(x0, [0.25, -0.5])
+
+    def test_non_finite_x0_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            minimize_cobyla(quadratic, np.array([0.0, np.nan]))
+
+    def test_no_finite_value_returns_x0(self):
+        result = minimize_cobyla(lambda x: float("nan"), np.ones(2), maxiter=20)
+        np.testing.assert_array_equal(result.x, np.ones(2))
+        assert result.fun == np.inf
+        assert result.nfev == len(result.history) <= 20
+
+    def test_solves_never_import_scipy_optimize(self):
+        # scipy.optimize costs ~27 MB of RSS on import; the solvers must not
+        # pull it in now that COBYLA lives in this package.
+        script = (
+            "import sys\n"
+            "from repro.graphs.generators import erdos_renyi\n"
+            "from repro.qaoa2 import QAOA2Solver\n"
+            "from repro.service import MaxCutService\n"
+            "QAOA2Solver(n_max_qubits=8, rng=1).solve(erdos_renyi(20, 0.3, rng=1))\n"
+            "MaxCutService().solve(erdos_renyi(8, 0.5, rng=2), seed=3)\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            timeout=120,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestSPSA:
