@@ -50,9 +50,15 @@ class MaxCutEnergy:
         # ``diagonal`` lets a caller that already built the cut diagonal
         # (e.g. a SweepEngine solving the same graph repeatedly) share it —
         # constructing it is the dominant per-solve setup cost.
-        self.diagonal = diagonal if diagonal is not None else cut_diagonal(graph)
-        if self.diagonal.shape != (1 << self.n_qubits,):
+        if diagonal is None:
+            diagonal = cut_diagonal(graph)
+        elif diagonal.shape != (1 << self.n_qubits,):
             raise ValueError("diagonal length does not match the graph")
+        elif not np.array_equal(diagonal, diagonal[::-1]):
+            # The backends evolve only the top-bit-0 half of the state,
+            # which is exact only for a complement-symmetric diagonal.
+            raise ValueError("diagonal is not complement-symmetric (d[x] != d[~x])")
+        self.diagonal = diagonal
         self._backend_spec = backend
         # batch=1: the pointwise objective has no sweep width, so the auto
         # policy keeps it on the NumPy-family backends (a row-parallel

@@ -120,8 +120,13 @@ class SweepEngine:
             raise ValueError("chunk_size must be positive")
         self.graph = graph
         self.n_qubits = graph.n_nodes
-        if diagonal is not None and diagonal.shape != (1 << self.n_qubits,):
-            raise ValueError("diagonal length does not match the graph")
+        if diagonal is not None:
+            if diagonal.shape != (1 << self.n_qubits,):
+                raise ValueError("diagonal length does not match the graph")
+            # The backends evolve only the top-bit-0 half of the state,
+            # which is exact only for a complement-symmetric diagonal.
+            if not np.array_equal(diagonal, diagonal[::-1]):
+                raise ValueError("diagonal is not complement-symmetric (d[x] != d[~x])")
         # Built lazily: the analytic tier never touches the 2**n diagonal,
         # so a p=1 angle grid on a graph far past the statevector wall must
         # not allocate it as a construction side effect.

@@ -28,6 +28,13 @@ State layout is the repo-wide convention: dense ``complex128``, qubit
 ``q`` = bit ``q`` of the little-endian basis index; batches are
 ``(B, 2**n)`` with the batch index leading.  Parameter rows are packed
 ``[γ_1..γ_p, β_1..β_p]``.
+
+The composed evolutions require a complement-symmetric diagonal
+(``d[x] == d[~x]``, as every cut diagonal is exactly).  |+⟩^n and RX
+layers commute with ``X^{⊗n}``, so then ``ψ[x] == ψ[~x]`` and only
+``φ = ψ[:2**(n-1)]`` is evolved: the primitives run on φ (qubits 0…n−2),
+qubit n−1 pairs φ with ``φ[::-1]``, and ``ψ = [φ, φ[::-1]]`` is mirrored
+out once — bit-identical to the full-space loop on :class:`NumpyBackend`.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from repro.quantum.backend.scratch import ScratchPool, shared_pool
-from repro.quantum.statevector import n_qubits_for_dim, plus_state
+from repro.quantum.statevector import n_qubits_for_dim
 from repro.util.tracing import current_trace
 
 # Default sweep-chunk sizing (the cache-resident policy the engine has
@@ -166,36 +173,70 @@ class StatevectorBackend(ABC):
 
         ``params_matrix`` is ``(B, 2p)``; returns the pooled ``(B, 2**n)``
         state buffer, valid until the next backend call on the same pool
-        (callers that need to retain states must copy).
+        (callers that need to retain states must copy).  ``diagonal``
+        must be complement-symmetric over n ≥ 1 qubits (module docstring).
         """
         mat = self._params_matrix(params_matrix)
-        n = n_qubits_for_dim(len(diagonal))
+        n = self._half_space_qubits(diagonal)
         m, p = mat.shape[0], mat.shape[1] // 2
-        dim = 1 << n
         pool = pool if pool is not None else shared_pool()
         with current_trace().span(
             "backend-evolve", backend=self.name, rows=m, layers=p
         ):
-            states = self.plus_state_batch(n, m, out=pool.take("states", (m, dim)))
-            scratch = pool.take("phases", (m, dim))
-            for layer in range(p):
-                self.apply_cost_layer(states, diagonal, mat[:, layer], scratch=scratch)
-                # The phase scratch doubles as the mixer's ping-pong buffer.
-                self.apply_mixer_layer(states, mat[:, p + layer], scratch=scratch)
-            return states
+            states = pool.take("states", (m, 1 << n))
+            half, scratch = self._half_buffers(pool, m, n)
+            half.fill(1.0 / np.sqrt(1 << n))  # the |+⟩^n amplitude
+            self._evolve_half(diagonal, half, scratch, mat[:, :p].T, mat[:, p:].T)
+            return np.concatenate((half, half[:, ::-1]), axis=1, out=states)
 
     def evolve_state(self, diagonal: np.ndarray, params: np.ndarray) -> np.ndarray:
-        """|ψ_p(γ, β)⟩ for one packed parameter vector (fresh array)."""
+        """|ψ_p(γ, β)⟩ for one packed parameter vector (fresh array);
+        same precondition as :meth:`evolve_batch`."""
         params = np.asarray(params, dtype=np.float64)
         if params.ndim != 1 or len(params) % 2 != 0:
             raise ValueError("parameter vector must have even length (γs then βs)")
-        n = n_qubits_for_dim(len(diagonal))
+        n = self._half_space_qubits(diagonal)
         p = len(params) // 2
-        state = plus_state(n)
-        for layer in range(p):
-            state = self.apply_cost_layer(state, diagonal, params[layer])
-            state = self.apply_mixer_layer(state, params[p + layer])
+        # The returned array's upper half is the scratch until the mirror.
+        state = np.empty(1 << n, dtype=np.complex128)
+        half, scratch = np.split(state, 2)
+        half.fill(1.0 / np.sqrt(1 << n))
+        self._evolve_half(diagonal, half, scratch, params[:p], params[p:])
+        scratch[...] = half[::-1]
         return state
+
+    # -- half-space evolution (see the module docstring) -----------------
+    @staticmethod
+    def _half_space_qubits(diagonal: np.ndarray) -> int:
+        n = n_qubits_for_dim(len(diagonal))
+        if n == 0:
+            raise ValueError("QAOA evolution needs a diagonal over at least one qubit")
+        return n
+
+    @staticmethod
+    def _half_buffers(pool: ScratchPool, rows: int, n_qubits: int) -> np.ndarray:
+        """φ and its scratch: the two contiguous ``(rows, 2**(n-1))``
+        halves of the pooled ``phases`` buffer, stacked."""
+        work = pool.take("phases", (rows, 1 << n_qubits))
+        return work.reshape(2, rows, 1 << (n_qubits - 1))
+
+    def _evolve_half(self, diagonal, half, scratch, gammas, betas) -> None:
+        """In place on φ: one cost and one mixer layer per (γ, β) pair."""
+        half_diagonal = diagonal[: half.shape[-1]]
+        for gamma, beta in zip(gammas, betas, strict=True):
+            self.apply_cost_layer(half, half_diagonal, gamma, scratch=scratch)
+            self.apply_mixer_layer(half, beta, scratch=scratch)
+            self._mix_top_qubit(half, beta, scratch)
+
+    @staticmethod
+    def _mix_top_qubit(half: np.ndarray, betas, scratch: np.ndarray) -> None:
+        """RX(2β) on qubit n−1 of φ: the partner of index y is y with its
+        top bit set, whose amplitude is ψ[~y] = φ[2**(n-1) − 1 − y], i.e.
+        ``φ[..., ::-1]``.  Same ufuncs as the full-space pass."""
+        beta = np.asarray(betas, dtype=np.float64)[..., None]
+        np.multiply(half[..., ::-1], -1j * np.sin(beta), out=scratch)
+        np.multiply(half, np.cos(beta), out=half)
+        half += scratch
 
     # -- helpers ---------------------------------------------------------
     @staticmethod

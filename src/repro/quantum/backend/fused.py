@@ -32,6 +32,11 @@ backend instance (a registry singleton, so process-wide); full-size
 scratch comes from the shared
 :class:`~repro.quantum.backend.scratch.ScratchPool`.
 
+The composed evolution runs on the bit-flip-symmetric half φ (see
+:mod:`repro.quantum.backend.base`): the stages cover its n−1 qubits
+(four stages at n=18), and the cost tables are built on
+``diagonal[:2**(n-1)]``, so the bucketed path starts at n=11.
+
 Parity: ≤1e-12 against :class:`NumpyBackend` for every shape
 (property-tested in ``tests/test_backends.py``); ≥1.3× on batched p≥2
 evolution at n=16 (gated in ``benchmarks/bench_backends.py``).
@@ -104,11 +109,11 @@ class FusedBackend(NumpyBackend):
         self._hadamards: Dict[int, np.ndarray] = {}
         self._popcounts: Dict[int, np.ndarray] = {}
         self._eigenvalues: Dict[int, np.ndarray] = {}
-        # Per cost diagonal (keyed by object identity, guarded by a weak
-        # reference): ("exact", values, inverse) for few-valued diagonals,
+        # Per cost diagonal view (see _cost_table for the key):
+        # ("exact", values, inverse) for few-valued diagonals,
         # ("bucket", reps, idx, residual, rmax) for value-rich (weighted)
         # ones, or None when only the dense exponential applies.
-        self._cost_cache: Dict[int, Tuple] = {}
+        self._cost_cache: Dict[Tuple, Tuple] = {}
 
     # -- cached stage tables --------------------------------------------
     def _stage_tables(self, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,16 +175,22 @@ class FusedBackend(NumpyBackend):
         precomputed here.  Built only where the correction pass pays
         (``COST_BUCKET_MIN_DIM``, levels ≪ dim).
 
-        ``None`` — dense exponential only.  A dead weak reference means
-        the id was recycled and the entry is rebuilt.
+        ``None`` — dense exponential only.
+
+        Evolutions pass a fresh ``diagonal[:2**(n-1)]`` view per call, so
+        the key is the memory's owner plus the view's place in it, and the
+        entry holds only a weak reference to the owner (caching the view
+        would keep the owner alive).  The owner's death drops the entry.
         """
-        key = id(diagonal)
+        owner = diagonal if diagonal.base is None else diagonal.base
+        start = diagonal.__array_interface__["data"][0]
+        key = (id(owner), start, diagonal.shape, diagonal.strides)
         rec = self._cost_cache.get(key)
-        if rec is not None and rec[0]() is diagonal:
+        if rec is not None and rec[0]() is owner:
             return rec[1]
         try:
-            ref = weakref.ref(diagonal, lambda _, k=key: self._cost_cache.pop(k, None))
-        except TypeError:  # non-weakref-able duck array
+            ref = weakref.ref(owner, lambda _, k=key: self._cost_cache.pop(k, None))
+        except TypeError:  # memory owned by a non-weakref-able object
             return None
         dim = diagonal.size
         values, inverse = np.unique(diagonal, return_inverse=True)
@@ -410,17 +421,17 @@ class FusedBackend(NumpyBackend):
         *,
         pool: Optional[ScratchPool] = None,
     ) -> np.ndarray:
-        """Batched evolution with the adjacent state-prep/cost fusion.
+        """Batched half-space evolution with the adjacent state-prep/cost
+        fusion.
 
-        |+⟩^n is uniform, so ``ψ_0 = exp(-iγ_1 D)|+⟩`` is the first cost
-        exponential written straight into the state buffer — no fill
-        pass — with the ``1/√dim`` amplitude folded into the first
-        mixer's low stage matrix via ``scale`` (no normalisation pass
-        either).  Later layers run the cost-phase multiply plus the
-        blocked mixer, sharing one pooled scratch.
+        |+⟩^n is uniform, so ``φ_0 = exp(-iγ_1 D)|+⟩`` is the first cost
+        exponential written straight into φ — no fill pass — with the
+        ``1/√dim`` amplitude folded into the first mixer's low stage
+        matrix via ``scale`` (no normalisation pass either).  Later layers
+        run the base class's half-space loop.
         """
         mat = self._params_matrix(params_matrix)
-        n = n_qubits_for_dim(len(diagonal))
+        n = self._half_space_qubits(diagonal)
         m, p = mat.shape[0], mat.shape[1] // 2
         dim = 1 << n
         pool = pool if pool is not None else shared_pool()
@@ -428,8 +439,9 @@ class FusedBackend(NumpyBackend):
             "backend-evolve", backend=self.name, rows=m, layers=p
         ):
             states = pool.take("states", (m, dim))
-            scratch = pool.take("phases", (m, dim))
-            table = self._cost_table(diagonal)
+            half, scratch = self._half_buffers(pool, m, n)
+            half_diagonal = diagonal[: dim >> 1]
+            table = self._cost_table(half_diagonal)
             gam0 = mat[:, 0]
             if table is not None and table[0] == "bucket":
                 _, reps, idx, rpow, rmax = table
@@ -438,23 +450,24 @@ class FusedBackend(NumpyBackend):
                     table = None  # dense exponential for this γ range
                 else:
                     coarse = np.exp(np.multiply.outer(-1j * gam0, reps))
-                    np.take(coarse, idx, axis=1, out=states)
+                    np.take(coarse, idx, axis=1, out=half)
                     self._residual_rotation(gam0, rpow, scratch)
-                    states *= scratch
+                    half *= scratch
             if table is None:
-                np.multiply.outer(-1j * gam0, diagonal, out=states)
-                np.exp(states, out=states)
+                np.multiply.outer(-1j * gam0, half_diagonal, out=half)
+                np.exp(half, out=half)
             elif table[0] == "exact":
                 _, values, inverse = table
                 phase = np.exp(np.multiply.outer(-1j * gam0, values))
-                np.take(phase, inverse, axis=1, out=states)
+                np.take(phase, inverse, axis=1, out=half)
             self.apply_mixer_layer(
-                states, mat[:, p], scratch=scratch, scale=1.0 / np.sqrt(dim)
+                half, mat[:, p], scratch=scratch, scale=1.0 / np.sqrt(dim)
             )
-            for layer in range(1, p):
-                self.apply_cost_layer(states, diagonal, mat[:, layer], scratch=scratch)
-                self.apply_mixer_layer(states, mat[:, p + layer], scratch=scratch)
-            return states
+            self._mix_top_qubit(half, mat[:, p], scratch)
+            self._evolve_half(
+                diagonal, half, scratch, mat[:, 1:p].T, mat[:, p + 1 :].T
+            )
+            return np.concatenate((half, half[:, ::-1]), axis=1, out=states)
 
 
 __all__ = [

@@ -69,8 +69,6 @@ class NumpyBackend(StatevectorBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        if states.ndim == 1:
-            return apply_rx_layer(states, betas)
         return apply_rx_layer(states, betas, scratch=scratch)
 
     def walsh_transform(

@@ -171,9 +171,9 @@ def apply_rx_layer(
     Works in place via the axis kernel per qubit; cost is n passes over the
     state, each fully vectorised.  ``state`` may be a single ``(2**n,)``
     vector with scalar ``beta``, or a ``(B, 2**n)`` batch where ``beta`` is
-    a scalar or a ``(B,)`` vector of per-row mixer angles.  The batched
-    path runs three full-array ufunc passes per qubit against ``scratch``
-    (allocated on demand) instead of copying strided halves.
+    a scalar or a ``(B,)`` vector of per-row mixer angles.  Both shapes run
+    three full-array ufunc passes per qubit against ``scratch`` (allocated
+    on demand) instead of copying strided halves.
     """
     n = n_qubits_for_dim(state.shape[-1])
     beta_arr = np.asarray(beta, dtype=np.float64)
@@ -182,18 +182,13 @@ def apply_rx_layer(
     if state.ndim == 1:
         if beta_arr.ndim != 0:
             raise ValueError("per-row betas require a batched (B, dim) state")
-        out = state
-        for q in range(n):
-            view = out.reshape(1 << (n - 1 - q), 2, 1 << q)
-            a = view[:, 0, :].copy()
-            b = view[:, 1, :]
-            view[:, 0, :] = c * a + s * b
-            view[:, 1, :] = s * a + c * b
-            out = view.reshape(-1)
-        return out
-    if state.ndim != 2:
+    elif state.ndim != 2:
         raise ValueError(f"state must be 1-D or 2-D, got ndim={state.ndim}")
-    batch = state.shape[0]
+    if not state.flags.c_contiguous:
+        # The passes run on reshaped views; a strided input would be
+        # reshaped into a copy and the update silently lost.
+        raise ValueError("state must be C-contiguous for in-place passes")
+    batch = state.shape[0] if state.ndim == 2 else 1
     if beta_arr.ndim == 1:
         if beta_arr.shape != (batch,):
             raise ValueError(

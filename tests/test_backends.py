@@ -13,6 +13,8 @@ Three layers of guarantees:
   advisory: sweep results are bit-identical for every chunk width.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,17 @@ def _golden_statevector(diagonal: np.ndarray, params: np.ndarray) -> np.ndarray:
         state *= np.exp(-1j * gamma * diagonal)
         state = _golden_rx_layer(state, beta)
     return state
+
+
+def _weight_kinds(n, seed):
+    """ER(n, 0.5) unweighted, weighted (w in [0, 1]) and with mixed-sign
+    weights, as QAOA² merge graphs carry."""
+    weighted = erdos_renyi(n, 0.5, weighted=True, rng=seed)
+    return {
+        "unweighted": erdos_renyi(n, 0.5, rng=seed),
+        "weighted": weighted,
+        "negative": weighted.with_weights(weighted.w - 0.5),
+    }
 
 
 def _random_cases(n_cases, seed=7, n_lo=2, n_hi=11):
@@ -154,8 +167,9 @@ class TestCrossBackendParity:
         # Unweighted diagonals take the fused exact-gather path; weighted
         # ones at this size (dim < COST_BUCKET_MIN_DIM) the dense
         # exponential — both must match numpy to ≤1e-12 after the mixer.
-        # (Weighted diagonals at dim ≥ 1024 take the bucketed-residual
-        # path, covered by test_weighted_bucket_residual_parity below.)
+        # (Weighted diagonals whose evolved half has ≥ 1024 entries take
+        # the bucketed-residual path, covered by
+        # test_weighted_bucket_residual_parity below.)
         fused = FusedBackend()
         numpy_backend = NumpyBackend()
         rng = np.random.default_rng(3)
@@ -187,12 +201,14 @@ class TestCrossBackendParity:
         # the bucketed one (not a silent dense fallback).
         from repro.quantum.backend.fused import COST_BUCKET_MIN_DIM
 
+        # Evolutions build the table on the top-bit-0 half they evolve,
+        # so n=11 is the smallest size that reaches the bucket path.
         n = 11
-        assert (1 << n) >= COST_BUCKET_MIN_DIM
+        assert (1 << (n - 1)) >= COST_BUCKET_MIN_DIM
         fused, ref = FusedBackend(), NumpyBackend()
         graph = erdos_renyi(n, 0.4, weighted=True, rng=12)
         diag = cut_diagonal(graph)
-        table = fused._cost_table(diag)
+        table = fused._cost_table(diag[: 1 << (n - 1)])
         assert table is not None and table[0] == "bucket"
         rng = np.random.default_rng(5)
         mat = rng.uniform(-np.pi, np.pi, (7, 6))
@@ -219,6 +235,49 @@ class TestCrossBackendParity:
         ref.apply_cost_layer(states_a, diag, big)
         fused.apply_cost_layer(states_b, diag, big)
         np.testing.assert_array_equal(states_a, states_b)
+
+    @pytest.mark.parametrize("n", range(10, 19))
+    def test_fused_half_space_parity(self, n):
+        # Up to the 18-qubit leaf cap, for every weight kind: the fused
+        # batched and pointwise evolutions against the numpy reference
+        # (itself golden-pinned), with γ small enough for the bucketed
+        # residual path and large enough for its dense fallback.
+        from repro.quantum.backend.fused import COST_RESIDUAL_X_MAX
+
+        fused, ref = FusedBackend(), NumpyBackend()
+        rng = np.random.default_rng(200 + n)
+        for kind, graph in _weight_kinds(n, seed=n).items():
+            diag = cut_diagonal(graph)
+            table = fused._cost_table(diag[: 1 << (n - 1)])
+            if kind != "unweighted" and n >= 11:
+                assert table[0] == "bucket"
+            mats = [rng.uniform(-np.pi, np.pi, (3, 4))]
+            if table is not None and table[0] == "bucket":
+                big = 2.0 * COST_RESIDUAL_X_MAX / table[4]
+                mats.append(np.array([[big, -big, 0.4, 0.9], [-big, big, 0.1, -0.3]]))
+            for mat in mats:
+                a = ref.evolve_batch(diag, mat).copy()
+                b = fused.evolve_batch(diag, mat).copy()
+                np.testing.assert_allclose(b, a, atol=PARITY_ATOL)
+                np.testing.assert_allclose(
+                    fused.evolve_state(diag, mat[0]), a[0], atol=PARITY_ATOL
+                )
+
+    def test_fused_cost_table_keyed_on_owner_not_view(self):
+        # Each evolution passes a fresh half view of the diagonal: the
+        # table must be built once per diagonal, and must not keep the
+        # diagonal alive once its caller drops it.
+        fused = FusedBackend()
+        diag = cut_diagonal(erdos_renyi(12, 0.5, rng=4))
+        params = np.array([0.3, -0.7, 0.5, 0.2])
+        fused.evolve_state(diag, params)
+        ((_, table),) = fused._cost_cache.values()
+        fused.evolve_state(diag, params)
+        ((_, again),) = fused._cost_cache.values()
+        assert again is table
+        del diag
+        gc.collect()
+        assert fused._cost_cache == {}
 
     def test_mixer_shapes_and_validation(self):
         for backend in (NumpyBackend(), FusedBackend()):
@@ -252,6 +311,11 @@ class TestCrossBackendParity:
                 backend.evolve_batch(diag, np.zeros((2, 3)))
             with pytest.raises(ValueError, match="even"):
                 backend.evolve_state(diag, np.zeros(3))
+            # A 0-qubit diagonal has no half to evolve.
+            with pytest.raises(ValueError, match="one qubit"):
+                backend.evolve_batch(np.zeros(1), np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="one qubit"):
+                backend.evolve_state(np.zeros(1), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +323,25 @@ class TestCrossBackendParity:
 # ---------------------------------------------------------------------------
 class TestGoldenEvolvePaths:
     CASES = _random_cases(10, seed=2024)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_numpy_half_space_evolution_bit_identical(self, n):
+        # The composed evolutions run on the top-bit-0 half of the state;
+        # pointwise, one-row and multi-row batched, they must reproduce the
+        # seed full-space loop bit for bit on every weight kind.
+        backend = NumpyBackend()
+        rng = np.random.default_rng(300 + n)
+        for graph in _weight_kinds(n, seed=n).values():
+            diag = cut_diagonal(graph)
+            mat = rng.uniform(-np.pi, np.pi, (3, 2 * int(rng.integers(1, 4))))
+            batch = backend.evolve_batch(diag, mat).copy()
+            for row, state in zip(mat, batch, strict=True):
+                golden = _golden_statevector(diag, row)
+                np.testing.assert_array_equal(state, golden)
+                np.testing.assert_array_equal(backend.evolve_state(diag, row), golden)
+                np.testing.assert_array_equal(
+                    backend.evolve_batch(diag, row[None, :])[0], golden
+                )
 
     def test_energy_statevector_bit_identical_on_numpy(self):
         for graph, params in self.CASES:

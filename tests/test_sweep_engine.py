@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import default_angle_axes, run_angle_grid
-from repro.graphs import erdos_renyi
+from repro.graphs import cut_diagonal, erdos_renyi
 from repro.optim import minimize_spsa
 from repro.qaoa import MaxCutEnergy, QAOASolver, SweepEngine
 from repro.qaoa2.solver import QAOA2Solver
@@ -112,6 +112,20 @@ class TestChunking:
             engine.energies(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="diagonal"):
             SweepEngine(graph, diagonal=np.zeros(4))
+
+    def test_diagonal_must_be_complement_symmetric(self, setup):
+        # The backends evolve only the top-bit-0 half of the state, so a
+        # caller-supplied diagonal with d[x] != d[~x] is refused up front.
+        graph, _, _ = setup
+        diagonal = cut_diagonal(graph)
+        SweepEngine(graph, diagonal=diagonal)
+        MaxCutEnergy(graph, diagonal=diagonal)
+        skewed = diagonal.copy()
+        skewed[0] += 1.0
+        with pytest.raises(ValueError, match="complement-symmetric"):
+            SweepEngine(graph, diagonal=skewed)
+        with pytest.raises(ValueError, match="complement-symmetric"):
+            MaxCutEnergy(graph, diagonal=skewed)
 
 
 class TestScratchPool:
