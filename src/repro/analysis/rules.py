@@ -70,8 +70,8 @@ def _module_in(module: str, packages: Sequence[str]) -> bool:
 # 1. backend-seam (PR 5)
 # ----------------------------------------------------------------------
 
-#: The raw batch-evolution kernels whose only sanctioned import surface is
-#: ``repro.quantum.backend`` (callers go through a StatevectorBackend).
+#: The raw batch-evolution kernels of ``repro.quantum.statevector``;
+#: callers go through a StatevectorBackend instead.
 KERNEL_NAMES = frozenset(
     {
         "plus_state_batch",
@@ -80,14 +80,10 @@ KERNEL_NAMES = frozenset(
         "walsh_hadamard_batch",
     }
 )
-KERNEL_SOURCES = (
-    "repro.quantum.statevector",
-    "repro.quantum.backend",
-    "repro.quantum",
-)
-#: Modules allowed to touch the kernels directly: the defining module, the
-#: backend package itself, and the ``repro.quantum`` facade re-export.
-SEAM_ALLOWED = ("repro.quantum.backend", "repro.quantum.statevector")
+KERNEL_MODULE = "repro.quantum.statevector"
+#: Modules allowed to touch the kernels directly: the defining module and
+#: the backend package itself.
+SEAM_ALLOWED = ("repro.quantum.backend", KERNEL_MODULE)
 
 
 @register_rule
@@ -95,22 +91,22 @@ class BackendSeamRule(Rule):
     name = "backend-seam"
     description = (
         "Raw statevector kernels (apply_rx_layer, apply_phases_batch, "
-        "walsh_hadamard_batch, plus_state_batch) may be imported only "
-        "inside repro.quantum.backend; everyone else goes through a "
-        "StatevectorBackend."
+        "walsh_hadamard_batch, plus_state_batch) may be imported from "
+        "repro.quantum.statevector only inside repro.quantum.backend; "
+        "everyone else goes through a StatevectorBackend."
     )
     invariant = "PR 5 (pluggable backend layer: the seam is grep-clean)"
 
     def check(self, file: SourceFile, ctx: AnalysisContext) -> Iterator[Finding]:
-        if file.module == "repro.quantum" or _module_in(file.module, SEAM_ALLOWED):
+        if _module_in(file.module, SEAM_ALLOWED):
             return
         for node in ast.walk(file.tree):
             if not isinstance(node, ast.ImportFrom) or node.level != 0:
                 continue
-            if node.module not in KERNEL_SOURCES:
+            if node.module != KERNEL_MODULE:
                 continue
             for alias in node.names:
-                if alias.name == "*" and node.module == "repro.quantum.statevector":
+                if alias.name == "*":
                     yield file.finding(
                         self.name,
                         node.lineno,
@@ -782,72 +778,8 @@ def _error_line(error: str) -> int:
         return 1
 
 
-# ----------------------------------------------------------------------
-# 10. compiled-seam (PR 10)
-# ----------------------------------------------------------------------
-
-#: The only package whose modules may import numba — and even there only
-#: lazily, inside a function body, so a numba-less install can import the
-#: whole repo (the ``compiled`` backend degrades to BackendUnavailable).
-COMPILED_SEAM_PACKAGE = "repro.quantum.backend"
-
-
-def _numba_imports(
-    node: ast.AST, inside_function: bool = False
-) -> Iterator[Tuple[ast.stmt, bool]]:
-    """Yield ``(import_node, inside_function)`` for every numba import."""
-    for child in ast.iter_child_nodes(node):
-        nested = inside_function or isinstance(
-            child, (ast.FunctionDef, ast.AsyncFunctionDef)
-        )
-        if isinstance(child, ast.Import):
-            if any(
-                alias.name == "numba" or alias.name.startswith("numba.")
-                for alias in child.names
-            ):
-                yield child, inside_function
-        elif isinstance(child, ast.ImportFrom):
-            if child.level == 0 and child.module is not None and (
-                child.module == "numba" or child.module.startswith("numba.")
-            ):
-                yield child, inside_function
-        yield from _numba_imports(child, nested)
-
-
-@register_rule
-class CompiledSeamRule(Rule):
-    name = "compiled-seam"
-    description = (
-        "numba may be imported only inside repro.quantum.backend, and "
-        "only lazily (function-level) — never at module top level — so "
-        "the repo imports cleanly on a numba-less install."
-    )
-    invariant = "PR 10 (compiled backend: numba stays an optional dependency)"
-
-    def check(self, file: SourceFile, ctx: AnalysisContext) -> Iterator[Finding]:
-        in_backend = _module_in(file.module, (COMPILED_SEAM_PACKAGE,))
-        for node, inside_function in _numba_imports(file.tree):
-            if not in_backend:
-                yield file.finding(
-                    self.name,
-                    node.lineno,
-                    "numba imported outside repro.quantum.backend; the "
-                    "compiled kernels are the only sanctioned numba "
-                    "surface (use resolve_backend('compiled') instead)",
-                )
-            elif not inside_function:
-                yield file.finding(
-                    self.name,
-                    node.lineno,
-                    "module-level numba import; numba is optional — import "
-                    "it lazily inside the function that JIT-compiles "
-                    "(see numba_available/_jit_kernels)",
-                )
-
-
 __all__ = [
     "BLOCKING_CALLS",
-    "COMPILED_SEAM_PACKAGE",
     "CORE_PACKAGES",
     "KERNEL_NAMES",
     "MUTATING_METHODS",
@@ -856,7 +788,6 @@ __all__ = [
     "AsyncBlockingRule",
     "AtomicSectionRule",
     "BackendSeamRule",
-    "CompiledSeamRule",
     "GuardedByRule",
     "LayeringRule",
     "RngDisciplineRule",

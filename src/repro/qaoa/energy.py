@@ -60,13 +60,8 @@ class MaxCutEnergy:
             raise ValueError("diagonal is not complement-symmetric (d[x] != d[~x])")
         self.diagonal = diagonal
         self._backend_spec = backend
-        # batch=1: the pointwise objective has no sweep width, so the auto
-        # policy keeps it on the NumPy-family backends (a row-parallel
-        # compiled kernel has nothing to parallelise over here).
         self.backend = resolve_backend(
-            "numpy" if backend is None else backend,
-            n_qubits=self.n_qubits,
-            batch=1,
+            "numpy" if backend is None else backend, n_qubits=self.n_qubits
         )
         self._engine = None  # lazy SweepEngine for the batch path
         self._analytic = None  # lazy AnalyticP1Energy for the p=1 fast path

@@ -17,10 +17,10 @@ trailing.  The evolution itself is delegated to a pluggable
 ``"auto"`` | a registered name | an instance): ``numpy`` is the
 bit-identical reference over the seed kernels (one batched diagonal phase
 multiply plus one batched mixer pass per layer), ``fused`` applies the
-mixer through its blocked Walsh–Hadamard diagonalisation — the default
-``auto`` policy picks it from 14 qubits, where the per-qubit NumPy pass
-count is the bottleneck.  Either way the Python interpreter runs
-``O(p · n)`` ops per *batch* instead of per *vector*.
+mixer as ``⌈n/5⌉`` blocked GEMM stages — the default ``auto`` policy
+picks it from 14 qubits, where the per-qubit NumPy pass count is the
+bottleneck.  Either way the Python interpreter runs ``O(p · n)`` ops per
+*batch* instead of per *vector*.
 
 Memory model
 ------------
@@ -28,14 +28,14 @@ Peak working set is two ``(chunk, 2**n)`` complex buffers (states +
 phase scratch) ≈ ``32 · chunk · 2**n`` bytes, regardless of how many
 parameter vectors are requested: ``energies()`` walks the batch in
 chunk-row slices.  By default the chunk width is **backend-advised**:
-each sweep asks ``backend.preferred_chunk_size(n, batch=..., layers=...)``,
-so the elementwise ``numpy`` backend keeps the cache-resident sizing
-(at 14+ qubits an over-wide chunk spills the CPU cache and runs *slower*
-than the per-point loop it replaces) while the ``fused``/``compiled``
-backends — whose GEMM stages and parallel kernels *want* batch width —
-get the wide chunks they tolerate.  Chunking is strictly an execution
-detail: results are bit-identical for any chunk width (pinned in
-``tests/test_backends.py``), and an explicit ``chunk_size=`` pins it.
+each sweep asks ``backend.preferred_chunk_size(n, batch=...)``, so the
+elementwise ``numpy`` backend keeps the cache-resident sizing (at 14+
+qubits an over-wide chunk spills the CPU cache and runs *slower* than
+the per-point loop it replaces) while the ``fused`` backend — whose GEMM
+stages *want* batch width — gets the wide chunks it tolerates.  Chunking
+is strictly an execution detail: results are bit-identical for any chunk
+width (pinned in ``tests/test_backends.py``), and an explicit
+``chunk_size=`` pins it.
 Buffers live in a process-wide pool keyed by shape, so repeated engines
 over equal-sized graphs (the QAOA² partition loop) reuse the same
 allocations.
@@ -179,9 +179,7 @@ class SweepEngine:
         return self.analytic.energies(params_matrix)
 
     # ------------------------------------------------------------------
-    def chunk_rows(
-        self, batch: int, layers: Optional[int] = None
-    ) -> int:
+    def chunk_rows(self, batch: int) -> int:
         """The chunk width for a sweep of ``batch`` parameter rows.
 
         An explicit ``chunk_size=`` pins it; otherwise the backend's
@@ -194,9 +192,7 @@ class SweepEngine:
         if self.chunk_size is not None:
             advised = self.chunk_size
         else:
-            advised = self.backend.preferred_chunk_size(
-                self.n_qubits, batch=batch, layers=layers
-            )
+            advised = self.backend.preferred_chunk_size(self.n_qubits, batch=batch)
         if batch > 0:
             advised = min(advised, batch)
         return max(1, int(advised))
@@ -226,7 +222,7 @@ class SweepEngine:
         bounded for arbitrarily large sweeps.
         """
         mat = self._params_matrix(params_matrix)
-        chunk = self.chunk_rows(mat.shape[0], mat.shape[1] // 2)
+        chunk = self.chunk_rows(mat.shape[0])
         current_trace().annotate(
             chunk_count=-(-mat.shape[0] // chunk),
             chunk_size=chunk,
@@ -250,7 +246,7 @@ class SweepEngine:
         validation and small batches, not huge sweeps.
         """
         mat = self._params_matrix(params_matrix)
-        chunk = self.chunk_rows(mat.shape[0], mat.shape[1] // 2)
+        chunk = self.chunk_rows(mat.shape[0])
         out = np.empty((mat.shape[0], 1 << self.n_qubits), dtype=np.complex128)
         for start in range(0, mat.shape[0], chunk):
             stop = min(start + chunk, mat.shape[0])
@@ -372,7 +368,7 @@ class SweepEngine:
         rows = max(
             1,
             min(
-                self.chunk_rows(len(gammas), 1),
+                self.chunk_rows(len(gammas)),
                 SPECTRAL_BUDGET_BYTES // spectral_row_bytes(n),
             ),
         )

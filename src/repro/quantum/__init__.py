@@ -35,19 +35,15 @@ from repro.quantum.statevector import (
     apply_diagonal,
     apply_gate,
     apply_one_qubit,
-    apply_phases_batch,
-    apply_rx_layer,
     basis_state,
     expectation_diagonal,
     expectation_diagonal_batch,
     fidelity,
     n_qubits_for_dim,
     plus_state,
-    plus_state_batch,
     probabilities,
     sample_counts,
     top_amplitudes,
-    walsh_hadamard_batch,
     zero_state,
 )
 
@@ -60,7 +56,6 @@ __all__ = [
     "register_backend",
     "resolve_backend",
     "shared_pool",
-    "walsh_hadamard_batch",
     "Circuit",
     "Instruction",
     "ParamRef",
@@ -80,13 +75,10 @@ __all__ = [
     "n_qubits_for_dim",
     "zero_state",
     "plus_state",
-    "plus_state_batch",
     "basis_state",
     "apply_gate",
     "apply_one_qubit",
     "apply_diagonal",
-    "apply_phases_batch",
-    "apply_rx_layer",
     "probabilities",
     "sample_counts",
     "top_amplitudes",

@@ -15,12 +15,12 @@ expressed in six operations:
 * :meth:`StatevectorBackend.expectations_batch` — ⟨ψ|H_C|ψ⟩ per row,
 
 plus :meth:`walsh_transform` (the unnormalised Walsh–Hadamard transform
-used by the spectral angle-grid tier and by fused-mixer backends),
+used by the spectral angle-grid tier),
 advisory chunk sizing via :meth:`preferred_chunk_size` (the sweep engine
 asks the backend how wide its evaluation chunks should be), and scratch
 management via :class:`repro.quantum.backend.scratch.ScratchPool`.
 Implementations differ only in *how* they realise the operations (NumPy
-passes, fused FWHT kernels, future numba/GPU/distributed backends); all
+passes, fused GEMM stages, future GPU/distributed backends); all
 must agree numerically to ≤1e-12 with :class:`NumpyBackend`, which is the
 bit-identical wrapper over the seed kernels.
 
@@ -67,8 +67,8 @@ def cache_resident_chunk_size(n_qubits: int) -> int:
 
 
 class BackendUnavailable(RuntimeError):
-    """A registered backend cannot run in this environment (e.g. the
-    ``compiled`` backend when numba is not installed).
+    """A registered backend cannot run in this environment (e.g. its
+    optional dependency is not installed).
 
     Raised at resolve/instantiation time so callers fail with a clear
     message instead of an ImportError mid-sweep; the auto policy never
@@ -140,24 +140,19 @@ class StatevectorBackend(ABC):
 
     # -- chunk advice -----------------------------------------------------
     def preferred_chunk_size(
-        self,
-        n_qubits: int,
-        *,
-        batch: Optional[int] = None,
-        layers: Optional[int] = None,
+        self, n_qubits: int, *, batch: Optional[int] = None
     ) -> int:
         """Advisory sweep-chunk width for this backend (rows per chunk).
 
         :class:`~repro.qaoa.engine.SweepEngine` consults this instead of
         hard-wiring the cache-budget heuristic, so backends whose kernels
-        *want* wide batches (fused BLAS stages, compiled parallel loops)
-        can ask for them while elementwise backends keep the
-        cache-resident default.  Strictly advisory: results must be
-        **bit-identical** for any chunking (pinned by
-        ``tests/test_backends.py::TestChunkPolicy``), and the returned
-        value must be a pure function of the arguments.  ``batch``/
-        ``layers`` describe the sweep about to run when known; the engine
-        clamps the advice to ``[1, batch]``.
+        *want* wide batches (fused BLAS stages) can ask for them while
+        elementwise backends keep the cache-resident default.  Strictly
+        advisory: results must be **bit-identical** for any chunking
+        (pinned by ``tests/test_backends.py::TestChunkPolicy``), and the
+        returned value must be a pure function of the arguments.
+        ``batch`` is the width of the sweep about to run when known; the
+        engine clamps the advice to ``[1, batch]``.
         """
         return cache_resident_chunk_size(n_qubits)
 

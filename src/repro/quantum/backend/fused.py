@@ -336,11 +336,7 @@ class FusedBackend(NumpyBackend):
 
     # -- chunk advice -----------------------------------------------------
     def preferred_chunk_size(
-        self,
-        n_qubits: int,
-        *,
-        batch: Optional[int] = None,
-        layers: Optional[int] = None,
+        self, n_qubits: int, *, batch: Optional[int] = None
     ) -> int:
         """Wide chunks: the blocked GEMM stages amortise their stage-matrix
         builds over the batch, so starve them of width (the elementwise

@@ -9,23 +9,16 @@ per process, not once per solve.
 
 Auto policy
 -----------
-``resolve_backend("auto", n_qubits=..., layers=..., batch=...)`` picks,
-in measured-preference order (``benchmarks/bench_backends.py``):
+``resolve_backend("auto", n_qubits=...)`` picks:
 
-* ``compiled`` at ``n_qubits >= COMPILED_MIN_QUBITS`` (16) when numba is
-  importable **and** the sweep shape is worth a JIT'd parallel kernel:
-  ``batch`` unknown, or ``batch · layers >= COMPILED_MIN_WORK_ROWS`` —
-  pointwise objectives (``batch=1``, the hint ``MaxCutEnergy`` passes)
-  stay on the NumPy-family backends,
 * ``fused`` at ``n_qubits >= FUSED_MIN_QUBITS`` (14) — the regime where
-  the mixer's per-qubit pass count dominates evolution and the FWHT
-  diagonalisation wins,
+  the mixer's per-qubit pass count dominates evolution and the blocked
+  GEMM stages win,
 * ``numpy`` below that, and whenever ``n_qubits`` is unknown — the
   bit-identical reference is always the safe floor.
 
-The policy is a **pure function** of ``(n_qubits, layers, batch)`` (plus
-the process-constant numba availability): a given problem shape always
-resolves to the same backend, regression-pinned by
+The policy is a **pure function** of ``n_qubits``: a given problem size
+always resolves to the same backend, regression-pinned by
 ``tests/test_backends.py::TestRegistry::test_auto_policy_is_pure``.
 
 Registering a new backend
@@ -48,22 +41,15 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from repro.quantum.backend.base import BackendUnavailable, StatevectorBackend
-from repro.quantum.backend.compiled import CompiledBackend, numba_available
+from repro.quantum.backend.base import StatevectorBackend
 from repro.quantum.backend.fused import FusedBackend
 from repro.quantum.backend.numpy_backend import NumpyBackend
 
-# Qubit count from which the fused FWHT mixer out-runs the per-qubit RX
-# passes (ROADMAP: "at 14+ qubits the evolve kernels are at the NumPy
-# pass-count floor").
+# Qubit count from which the fused GEMM-stage mixer replaces the numpy
+# per-qubit passes.  Set when the fused backend was introduced, before
+# its all-GEMM stages and the half-space evolution; re-deriving it from a
+# sweep over n is an open ROADMAP item.
 FUSED_MIN_QUBITS = 14
-# Crossover for the JIT'd kernels: below this the NumPy-family passes are
-# already cache-resident and the compiled kernels' dispatch overhead is
-# not worth paying (measured on bench_backends' n ∈ {12, 16} cases).
-COMPILED_MIN_QUBITS = 16
-# Minimum batch·layers work for the compiled pick: row-parallel kernels
-# need rows to parallelise over; pointwise solves stay NumPy-family.
-COMPILED_MIN_WORK_ROWS = 4
 
 BackendSpec = Union[str, StatevectorBackend, None]
 
@@ -113,27 +99,10 @@ def get_backend(name: str) -> StatevectorBackend:
     return instance
 
 
-def auto_backend_name(
-    n_qubits: Optional[int] = None,
-    layers: Optional[int] = None,
-    batch: Optional[int] = None,
-) -> str:
-    """The built-in auto policy (see module docstring).
-
-    A pure function of its inputs: ``layers``/``batch`` are honoured as
-    sweep-shape hints (they gate the ``compiled`` pick), and repeated
-    calls with the same ``(n_qubits, layers, batch)`` always return the
-    same name.
-    """
-    if n_qubits is None:
-        return "numpy"
-    if n_qubits >= COMPILED_MIN_QUBITS and numba_available():
-        work_rows = (1 if batch is None else batch) * (
-            1 if layers is None else max(1, layers)
-        )
-        if batch is None or work_rows >= COMPILED_MIN_WORK_ROWS:
-            return "compiled"
-    if n_qubits >= FUSED_MIN_QUBITS:
+def auto_backend_name(n_qubits: Optional[int] = None) -> str:
+    """The built-in auto policy (see module docstring): a pure function
+    of ``n_qubits``."""
+    if n_qubits is not None and n_qubits >= FUSED_MIN_QUBITS:
         return "fused"
     return "numpy"
 
@@ -142,18 +111,16 @@ def resolve_backend(
     spec: BackendSpec = "auto",
     *,
     n_qubits: Optional[int] = None,
-    layers: Optional[int] = None,
-    batch: Optional[int] = None,
 ) -> StatevectorBackend:
     """Resolve a backend spec to an instance.
 
-    ``spec`` may be ``None``/``"auto"`` (policy pick for the given
-    problem shape), a registered name, or an instance (returned as-is).
+    ``spec`` may be ``None``/``"auto"`` (policy pick for ``n_qubits``),
+    a registered name, or an instance (returned as-is).
     """
     if isinstance(spec, StatevectorBackend):
         return spec
     if spec is None or spec == "auto":
-        return get_backend(auto_backend_name(n_qubits, layers, batch))
+        return get_backend(auto_backend_name(n_qubits))
     if not isinstance(spec, str):
         raise TypeError(
             f"backend spec must be a name, 'auto', or a StatevectorBackend "
@@ -164,17 +131,10 @@ def resolve_backend(
 
 register_backend(NumpyBackend.name, NumpyBackend)
 register_backend(FusedBackend.name, FusedBackend)
-# Registered unconditionally so the name is discoverable (CLI choices,
-# available_backends()); instantiation raises BackendUnavailable on a
-# numba-less install, and the auto policy checks numba_available() first.
-register_backend(CompiledBackend.name, CompiledBackend)
 
 
 __all__ = [
-    "COMPILED_MIN_QUBITS",
-    "COMPILED_MIN_WORK_ROWS",
     "FUSED_MIN_QUBITS",
-    "BackendUnavailable",
     "auto_backend_name",
     "available_backends",
     "get_backend",

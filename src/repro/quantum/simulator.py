@@ -150,9 +150,7 @@ def run_qaoa_reference(
     from repro.quantum.backend import resolve_backend
 
     n = int(np.log2(len(graph_diagonal)))
-    # batch=1: a single-state layer walk — the auto policy keeps it off
-    # row-parallel backends.
-    evolve = resolve_backend(backend, n_qubits=n, batch=1, layers=len(gammas))
+    evolve = resolve_backend(backend, n_qubits=n)
     state = plus_state(n)
     for gamma, beta in zip(gammas, betas, strict=True):
         state = evolve.apply_cost_layer(state, graph_diagonal, gamma)

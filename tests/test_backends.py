@@ -21,12 +21,8 @@ import pytest
 from repro.graphs import cut_diagonal, erdos_renyi
 from repro.qaoa import MaxCutEnergy, SweepEngine
 from repro.quantum.backend import (
-    COMPILED_MIN_QUBITS,
-    COMPILED_MIN_WORK_ROWS,
     DEFAULT_CHUNK_SIZE,
     FUSED_MIN_QUBITS,
-    BackendUnavailable,
-    CompiledBackend,
     FusedBackend,
     NumpyBackend,
     ScratchPool,
@@ -35,7 +31,6 @@ from repro.quantum.backend import (
     available_backends,
     cache_resident_chunk_size,
     get_backend,
-    numba_available,
     register_backend,
     resolve_backend,
 )
@@ -241,7 +236,9 @@ class TestCrossBackendParity:
         # Up to the 18-qubit leaf cap, for every weight kind: the fused
         # batched and pointwise evolutions against the numpy reference
         # (itself golden-pinned), with γ small enough for the bucketed
-        # residual path and large enough for its dense fallback.
+        # residual path, just either side of its |γ|·rmax cutoff (the
+        # order-7 Taylor residual at its validity bound, then the dense
+        # fallback), and far past it.
         from repro.quantum.backend.fused import COST_RESIDUAL_X_MAX
 
         fused, ref = FusedBackend(), NumpyBackend()
@@ -253,14 +250,19 @@ class TestCrossBackendParity:
                 assert table[0] == "bucket"
             mats = [rng.uniform(-np.pi, np.pi, (3, 4))]
             if table is not None and table[0] == "bucket":
-                big = 2.0 * COST_RESIDUAL_X_MAX / table[4]
-                mats.append(np.array([[big, -big, 0.4, 0.9], [-big, big, 0.1, -0.3]]))
+                cutoff = COST_RESIDUAL_X_MAX / table[4]
+                # One matrix per side: the cutoff applies to each cost
+                # layer's largest |γ| over the batch.
+                for g in (0.999 * cutoff, 1.001 * cutoff, 2.0 * cutoff):
+                    mats.append(np.array([[g, -g, 0.4, 0.9], [-g, g, 0.1, -0.3]]))
             for mat in mats:
                 a = ref.evolve_batch(diag, mat).copy()
                 b = fused.evolve_batch(diag, mat).copy()
-                np.testing.assert_allclose(b, a, atol=PARITY_ATOL)
+                # rtol=0: the bound is absolute (the default rtol=1e-7
+                # would excuse 1e-9 errors on 2^(-n/2)-sized amplitudes).
+                np.testing.assert_allclose(b, a, rtol=0, atol=PARITY_ATOL)
                 np.testing.assert_allclose(
-                    fused.evolve_state(diag, mat[0]), a[0], atol=PARITY_ATOL
+                    fused.evolve_state(diag, mat[0]), a[0], rtol=0, atol=PARITY_ATOL
                 )
 
     def test_fused_cost_table_keyed_on_owner_not_view(self):
@@ -461,68 +463,19 @@ class TestRegistry:
     def test_subclass_contract(self):
         assert isinstance(get_backend("fused"), StatevectorBackend)
 
-    def test_compiled_registered_but_gated(self):
-        # The name is always discoverable (CLI choices, docs); whether
-        # the instance can be built depends only on numba availability.
-        assert "compiled" in available_backends()
-        if numba_available():
-            assert get_backend("compiled").name == "compiled"
-        else:
-            with pytest.raises(BackendUnavailable, match="numba"):
-                get_backend("compiled")
-
     def test_auto_policy_is_pure(self):
-        # Referenced from the registry module docstring: a given
-        # (n_qubits, layers, batch) shape always resolves identically —
-        # no hidden state beyond process-constant numba availability.
-        shapes = [
-            (None, None, None),
-            (8, 1, 1),
-            (FUSED_MIN_QUBITS, 2, 24),
-            (COMPILED_MIN_QUBITS, 2, 24),
-            (COMPILED_MIN_QUBITS, 1, 1),
-            (COMPILED_MIN_QUBITS, None, None),
-            (20, 3, 256),
-        ]
-        for n, layers, batch in shapes:
-            first = auto_backend_name(n, layers, batch)
+        # Referenced from the registry module docstring: a given qubit
+        # count always resolves identically — no hidden state.
+        for n in (None, 0, 8, FUSED_MIN_QUBITS - 1, FUSED_MIN_QUBITS, 18, 20):
+            first = auto_backend_name(n)
             for _ in range(3):
-                assert auto_backend_name(n, layers, batch) == first
-            assert (
-                resolve_backend(
-                    "auto", n_qubits=n, layers=layers, batch=batch
-                ).name
-                == first
-            )
-
-    def test_auto_policy_work_row_hints(self):
-        # layers/batch gate the compiled pick: pointwise solves (the
-        # batch=1 hint MaxCutEnergy passes) stay NumPy-family; real
-        # sweeps above the crossover go compiled when numba is present.
-        big_sweep = "compiled" if numba_available() else "fused"
-        n = COMPILED_MIN_QUBITS
-        assert auto_backend_name(n, 2, 24) == big_sweep
-        assert auto_backend_name(n, None, None) == big_sweep  # shape unknown
-        assert auto_backend_name(n, 1, 1) == "fused"  # below min work rows
-        assert auto_backend_name(n, 1, COMPILED_MIN_WORK_ROWS) == big_sweep
-        assert auto_backend_name(n - 1, 2, 24) == "fused"  # below crossover
+                assert auto_backend_name(n) == first
+            assert resolve_backend("auto", n_qubits=n).name == first
 
 
 # ---------------------------------------------------------------------------
 # Chunk policy: advice is pure, engine-consulted, and strictly advisory
 # ---------------------------------------------------------------------------
-def _chunk_policy_backends():
-    """One instance per registered backend; on numba-less installs the
-    compiled backend participates through its interpreted kernel mode
-    (same bodies, same per-row arithmetic)."""
-    instances = [get_backend("numpy"), get_backend("fused")]
-    try:
-        instances.append(get_backend("compiled"))
-    except BackendUnavailable:
-        instances.append(CompiledBackend(mode="python"))
-    return instances
-
-
 class TestChunkPolicy:
     """Results must be bit-identical no matter how a sweep is chunked
     (referenced from the ``preferred_chunk_size`` protocol docstring)."""
@@ -552,44 +505,30 @@ class TestChunkPolicy:
         assert backend.preferred_chunk_size(16) > cache_resident_chunk_size(16)
         assert backend.preferred_chunk_size(16, batch=4) == 4  # clamped
 
-    def test_compiled_advice_is_batch_wide(self):
-        from repro.quantum.backend.compiled import COMPILED_CHUNK_BUDGET_BYTES
-
-        backend = _chunk_policy_backends()[-1]
-        assert backend.name == "compiled"
-        cap = COMPILED_CHUNK_BUDGET_BYTES // ((1 << 16) * 16)
-        assert backend.preferred_chunk_size(16) == cap
-        assert backend.preferred_chunk_size(16, batch=24) == 24
-        assert backend.preferred_chunk_size(16, batch=10 * cap) == cap
-
     def test_advice_is_pure_and_positive(self):
-        for backend in _chunk_policy_backends():
+        for name in available_backends():
+            backend = get_backend(name)
             for n in (4, 12, 16):
                 for batch in (None, 1, 24, 4096):
-                    for layers in (None, 1, 3):
-                        advice = backend.preferred_chunk_size(
-                            n, batch=batch, layers=layers
-                        )
-                        assert isinstance(advice, int) and advice >= 1
-                        assert advice == backend.preferred_chunk_size(
-                            n, batch=batch, layers=layers
-                        )
+                    advice = backend.preferred_chunk_size(n, batch=batch)
+                    assert isinstance(advice, int) and advice >= 1
+                    assert advice == backend.preferred_chunk_size(n, batch=batch)
 
     def test_engine_consults_backend_advice(self):
         graph = erdos_renyi(10, 0.4, rng=2)
         engine = SweepEngine(graph, backend="fused")  # chunk_size=None
-        assert engine.chunk_rows(40, 2) == get_backend(
+        assert engine.chunk_rows(40) == get_backend(
             "fused"
-        ).preferred_chunk_size(10, batch=40, layers=2)
+        ).preferred_chunk_size(10, batch=40)
         # An explicit chunk_size pins the width regardless of advice.
-        assert SweepEngine(graph, backend="fused", chunk_size=7).chunk_rows(40, 2) == 7
+        assert SweepEngine(graph, backend="fused", chunk_size=7).chunk_rows(40) == 7
         # The numpy default is exactly the historical cache-resident
         # formula — the advice seam changed nothing for the reference.
         engine_np = SweepEngine(graph, backend="numpy")
-        assert engine_np.chunk_rows(40, 2) == min(40, cache_resident_chunk_size(10))
+        assert engine_np.chunk_rows(40) == min(40, cache_resident_chunk_size(10))
         # Clamping: advice never exceeds the batch, floor of one row.
-        assert engine.chunk_rows(1, 2) == 1
-        assert engine.chunk_rows(0, 2) == 1
+        assert engine.chunk_rows(1) == 1
+        assert engine.chunk_rows(0) == 1
 
     def test_energies_bit_identical_across_chunk_widths(self):
         # chunk_size ∈ {1, awkward split, preferred, full batch, advised}:
@@ -603,13 +542,12 @@ class TestChunkPolicy:
             # n=16 splits into four 4-qubit stages, two of them middle
             # stages whose GEMMs run per (row, outer block).
             (get_backend("fused"), 16, False),
-            (_chunk_policy_backends()[-1], 8, True),  # compiled (jit or py)
         ]
         for backend, n, weighted in cases:
             graph = erdos_renyi(n, 0.4, weighted=weighted, rng=17)
             mat = rng.uniform(-np.pi, np.pi, size=(13, 4))
             reference = SweepEngine(graph, backend=backend, chunk_size=13).energies(mat)
-            preferred = backend.preferred_chunk_size(n, batch=13, layers=2)
+            preferred = backend.preferred_chunk_size(n, batch=13)
             for width in {1, 3, preferred, 13, None}:
                 engine = SweepEngine(graph, backend=backend, chunk_size=width)
                 np.testing.assert_array_equal(engine.energies(mat), reference)
