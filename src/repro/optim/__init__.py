@@ -3,8 +3,10 @@
 ``minimize`` dispatches by name; COBYLA (the paper's optimizer, with its
 ``rhobeg`` knob) is the default.  It is an in-repo port of PRIMA's COBYLA
 that evaluates the same points as SciPy's (see :mod:`repro.optim.cobyla`),
-so no optimizer here imports ``scipy.optimize``.  SPSA and Nelder–Mead are
-from-scratch implementations used in the optimizer ablation.
+so no optimizer here imports ``scipy.optimize``; ``cobyla_steps`` is the
+same loop as an ask/tell generator, which ``drive`` runs against a
+function.  SPSA and Nelder–Mead are from-scratch implementations used in
+the optimizer ablation.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.optim.base import OptimizationResult, RecordingObjective
-from repro.optim.cobyla import minimize_cobyla
+from repro.optim.base import OptimizationResult, RecordingObjective, drive
+from repro.optim.cobyla import cobyla_steps, minimize_cobyla
 from repro.optim.multi_start import multi_start_spsa, multi_start_spsa_independent
 from repro.optim.nelder_mead import minimize_nelder_mead
 from repro.optim.spsa import minimize_spsa, spsa_perturbation_from_rhobeg
@@ -59,6 +61,8 @@ def minimize(
 __all__ = [
     "OptimizationResult",
     "RecordingObjective",
+    "cobyla_steps",
+    "drive",
     "minimize",
     "minimize_cobyla",
     "minimize_spsa",

@@ -1,9 +1,9 @@
-"""Common optimizer result type and objective-wrapping utilities."""
+"""Common optimizer result type, objective-wrapping and ask/tell utilities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Generator, List, Optional
 
 import numpy as np
 
@@ -30,9 +30,10 @@ class RecordingObjective:
     Optimizers can terminate away from their best iterate (COBYLA in
     particular); QAOA cares about the best parameters encountered, so every
     solver in this package reports ``best_x``/``best_f`` from this wrapper.
+    ``fun`` may be omitted when every value arrives through :meth:`record`.
     """
 
-    def __init__(self, fun: Callable[[np.ndarray], float]) -> None:
+    def __init__(self, fun: Optional[Callable[[np.ndarray], float]] = None) -> None:
         self._fun = fun
         self.nfev = 0
         self.history: List[float] = []
@@ -55,4 +56,17 @@ class RecordingObjective:
         return value
 
 
-__all__ = ["OptimizationResult", "RecordingObjective"]
+def drive(steps: Generator[Any, Any, Any], answer: Optional[Callable] = None) -> Any:
+    """Run an ask/tell generator to its return value, replying to each
+    request it yields with ``answer(request)``; a generator that asks
+    nothing needs no ``answer``."""
+    reply = None
+    while True:
+        try:
+            request = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = answer(request)
+
+
+__all__ = ["OptimizationResult", "RecordingObjective", "drive"]

@@ -24,6 +24,12 @@ full ``dnew``); ``redrat``'s NaN/Inf rules (a step is only taken when its
 predicted reduction is positive, and moderated values are finite); the
 filter, history, messages and ``ScalarFunction`` wrapper (they pick what to
 return or print, not where to evaluate).
+
+The loop asks and is told: :func:`cobyla_steps` is a generator that yields
+each point to evaluate and receives its value, so a caller can evaluate the
+points of many independent runs together (the QAOA² leaf stage does).
+:func:`minimize_cobyla` drives it with ``fun``; the arithmetic is the same
+either way.
 """
 
 # Derived from SciPy's scipy/_lib/pyprima (PRIMA's Python translation by
@@ -33,11 +39,11 @@ return or print, not where to evaluate).
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from repro.optim.base import OptimizationResult, RecordingObjective
+from repro.optim.base import OptimizationResult, RecordingObjective, drive
 
 _EPS = float(np.finfo(float).eps)
 _REALMIN, _REALMAX = float(np.finfo(float).tiny), float(np.finfo(float).max)
@@ -72,12 +78,25 @@ def minimize_cobyla(
     """Minimize ``fun`` from ``x0`` with COBYLA: ``rhobeg`` is the initial
     trust-region radius (the paper's swept parameter), ``tol`` the final one;
     ``maxiter`` bounds evaluations, but not below ``len(x0) + 2``."""
-    recorder = RecordingObjective(fun)
+    return drive(cobyla_steps(x0, rhobeg=rhobeg, maxiter=maxiter, tol=tol), fun)
+
+
+def cobyla_steps(
+    x0: np.ndarray,
+    *,
+    rhobeg: float = 0.5,
+    maxiter: int = 100,
+    tol: float = 1e-6,
+) -> Generator[np.ndarray, float, OptimizationResult]:
+    """:func:`minimize_cobyla` as an ask/tell generator: yields each point to
+    evaluate (a fresh array the caller may keep or overwrite), expects its
+    value to be sent back, and returns the :class:`OptimizationResult`."""
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.ndim != 1 or not np.isfinite(x0).all():
         raise ValueError("x0 must be a finite 1-D array")
+    recorder = RecordingObjective()
     maxfun = max(int(maxiter), len(x0) + 2)
-    info = _cobylb(recorder, x0, float(rhobeg), float(tol), maxfun)
+    info = yield from _cobylb(recorder.record, x0, float(rhobeg), float(tol), maxfun)
     return OptimizationResult(
         x=recorder.best_x if recorder.best_x is not None else x0.copy(),
         fun=recorder.best_f,
@@ -90,9 +109,10 @@ def minimize_cobyla(
 
 
 def _cobylb(
-    fun: Callable, x0: np.ndarray, rhobeg: float, rhoend: float, maxfun: int
-) -> int:
-    """PRIMA's ``cobylb`` without constraints; returns the exit flag."""
+    record: Callable, x0: np.ndarray, rhobeg: float, rhoend: float, maxfun: int
+) -> Generator[np.ndarray, float, int]:
+    """PRIMA's ``cobylb`` without constraints: yields each point, books its
+    value with ``record(x, value)`` and returns the exit flag."""
     # PRIMA's preproc: repair an invalid or nearly equal RHOBEG/RHOEND.
     if abs(rhobeg - rhoend) < 1e2 * _EPS * max(abs(rhobeg), 1):
         rhoend = rhobeg
@@ -101,7 +121,8 @@ def _cobylb(
     if not 0 < rhoend < math.inf or rhobeg < rhoend:
         rhoend = max(_EPS, min(0.1 * rhobeg, 1e-6))
     try:
-        s = _Simplex(fun, x0, rhobeg, rhoend, maxfun)
+        s = _Simplex(record, x0, rhobeg, rhoend, maxfun)
+        yield from s.initxfc(x0, rhobeg)
         rho = delta = rhobeg
         for _ in range(10 * maxfun):
             s.updatepole()
@@ -115,7 +136,7 @@ def _cobylb(
             if bad_step:
                 delta = rho if 0.1 * delta <= _GAMMA3 * rho else 0.1 * delta
             else:
-                x, f = s.trial(d)
+                x, f = yield from s.trial(d)
                 actrem = s.fval[-1] - f  # the merit function is f: cstrv = 0
                 # PRIMA's redrat: its NaN/Inf rules never fire, as prerem > 0
                 # passed trfail and moderated values keep actrem finite.
@@ -131,7 +152,8 @@ def _cobylb(
                 if not (sqnorms <= 4 * (delta * delta)).all():
                     jdrop = int(sqnorms.argmax())
                     d = s.geostep(jdrop, delta / 2)
-                    s.accept(jdrop, d, *s.trial(d))
+                    x, f = yield from s.trial(d)
+                    s.accept(jdrop, d, x, f)
             elif max(delta, dnorm) <= rho:  # this resolution is done
                 if rho <= rhoend:
                     raise _Stop(_SMALL_TR_RADIUS)
@@ -147,26 +169,31 @@ def _cobylb(
     if info == _SMALL_TR_RADIUS and shortd and s.nf < maxfun:
         x = s.sim[:, -1] + d
         if _norm(x - s.sim[:, -1]) > 1e-3 * rhoend:
-            s.evaluate(x)
+            yield from s.evaluate(x)
     return info
 
 
 class _Simplex:
     """PRIMA's interpolation set, first built by ``initxfc``: SIM[:, n] is the
     pole (best vertex), SIM[:, j] vertex j's offset from it, SIMI =
-    inv(SIM[:, :n]); FVAL holds the values, the pole's last."""
+    inv(SIM[:, :n]); FVAL holds the values, the pole's last.  The methods
+    that evaluate are generators: they yield the point, get its value."""
 
-    def __init__(self, fun, x0, rhobeg, rhoend, maxfun) -> None:
-        self.fun, self.rhoend, self.maxfun, self.nf = fun, rhoend, maxfun, 0
+    def __init__(self, record, x0, rhobeg, rhoend, maxfun) -> None:
+        self.record, self.rhoend, self.maxfun, self.nf = record, rhoend, maxfun, 0
         n = self.n = x0.size
         sim = self.sim = np.eye(n, n + 1) * rhobeg
         sim[:, n] = x0
-        fval = self.fval = np.empty(n + 1)
-        fval[n] = self.evaluate(x0)
+        self.fval = np.empty(n + 1)
+
+    def initxfc(self, x0, rhobeg):
+        """Evaluate x0 and x0 + rhobeg e_j; the best becomes the pole."""
+        sim, fval, n = self.sim, self.fval, self.n
+        fval[n] = yield from self.evaluate(x0)
         for j in range(n):
             x = sim[:, n].copy()
             x[j] += rhobeg
-            fval[j] = self.evaluate(x)
+            fval[j] = yield from self.evaluate(x)
             if not np.isfinite(x).all():
                 raise _Stop(_NAN_INF_X)
             if fval[j] < fval[n]:
@@ -175,13 +202,14 @@ class _Simplex:
                 sim[j, : j + 1] = -rhobeg
         self.simi = np.linalg.inv(sim[:, :n])
 
-    def evaluate(self, x: np.ndarray) -> float:
-        """f(x) behind PRIMA's extreme barrier; ``fun`` gets its own copy."""
+    def evaluate(self, x: np.ndarray):
+        """f(x) behind PRIMA's extreme barrier; the caller gets its own copy."""
         self.nf += 1
-        f = self.fun(np.clip(x, -_REALMAX, _REALMAX))
+        x = np.clip(x, -_REALMAX, _REALMAX)
+        f = self.record(x, (yield x))
         return _FUNCMAX if f != f else min(max(f, -_REALMAX), _FUNCMAX)
 
-    def trial(self, d: np.ndarray) -> tuple:
+    def trial(self, d: np.ndarray):
         """The pole + d and its value, reused from a vertex within 1e-4 * RHOEND."""
         sim, n = self.sim, self.n
         x = sim[:, n] + d
@@ -191,7 +219,9 @@ class _Simplex:
         distsq = np.append(distsq, np.add.reduce(to_pole * to_pole))
         j = distsq.argmin()
         tiny = 1e-4 * self.rhoend
-        return x, self.fval[j] if distsq[j] <= tiny * tiny else self.evaluate(x)
+        if distsq[j] <= tiny * tiny:
+            return x, self.fval[j]
+        return x, (yield from self.evaluate(x))
 
     def accept(self, jdrop: Optional[int], d, x, f) -> None:
         """PRIMA's ``updatexfc`` (vertex ``jdrop`` := pole + d), then checkbreak."""
@@ -345,4 +375,4 @@ def _trrad(delta: float, dnorm: float, ratio: float, rho: float) -> float:
     return rho if delta <= _GAMMA3 * rho else delta
 
 
-__all__ = ["minimize_cobyla"]
+__all__ = ["cobyla_steps", "minimize_cobyla"]

@@ -11,19 +11,32 @@ Pipeline per solve:
    ``topk`` — best cut among the k highest amplitudes (the improvement the
    paper suggests in §3.2/§5), or
    ``sampled`` — best cut among ``shots`` sampled bitstrings (hardware-like).
+
+:meth:`QAOASolver.steps` is the pipeline as a generator.  In lock-step it
+yields ``(energy, params)`` at each evaluation of a single-start COBYLA run
+on the exact statevector objective and expects ``energy.expectation(params)``
+back, so a caller can evaluate many solves' points in one batched evolution
+(the QAOA² leaf stage does).  :meth:`QAOASolver.solve` runs it pointwise,
+with the optimizer calling its objective itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult, bitstring_to_assignment
 from repro.hpc.executor import map_jobs
-from repro.optim import minimize, multi_start_spsa, spsa_perturbation_from_rhobeg
+from repro.optim import (
+    cobyla_steps,
+    drive,
+    minimize,
+    multi_start_spsa,
+    spsa_perturbation_from_rhobeg,
+)
 from repro.qaoa.energy import MaxCutEnergy
 from repro.qaoa.params import default_iterations, initial_parameters
 from repro.quantum.simulator import DEFAULT_SHOTS
@@ -160,6 +173,15 @@ class QAOASolver:
     max_qubits: int = 26
 
     def solve(self, graph: Graph) -> QAOAResult:
+        # Pointwise: the optimizer calls its objective, so nothing is asked.
+        return drive(self.steps(graph, lockstep=False))
+
+    def steps(
+        self, graph: Graph, *, lockstep: bool
+    ) -> Generator[Tuple[MaxCutEnergy, np.ndarray], float, QAOAResult]:
+        """The solve as a generator (see the module docstring); yields only
+        with ``lockstep``, and only for single-start COBYLA on the exact
+        statevector objective.  Every other objective evaluates inline."""
         if graph.n_nodes > self.max_qubits:
             raise ValueError(
                 f"graph has {graph.n_nodes} nodes > max_qubits={self.max_qubits}; "
@@ -193,6 +215,7 @@ class QAOASolver:
         )
 
         neg_fp_batch = None
+        asks = False  # whether the objective is energy.expectation itself
         use_analytic = self._use_analytic()  # validates the knob up front
         if self.noise is not None and not self.noise.is_trivial():
             from repro.quantum.noise import noisy_expectation
@@ -216,6 +239,8 @@ class QAOASolver:
                     def neg_fp_batch(params_matrix: np.ndarray) -> np.ndarray:
                         return -analytic.energies(params_matrix)
             else:
+                asks = True
+
                 def neg_fp(params: np.ndarray) -> float:
                     return -energy.expectation(params)
 
@@ -232,7 +257,17 @@ class QAOASolver:
         else:
             raise ValueError(f"unknown objective {self.objective!r}")
 
-        opt = self._optimize(neg_fp, neg_fp_batch, x0, maxiter, gen)
+        if (
+            lockstep
+            and asks
+            and self.n_starts == 1
+            and self.optimizer.lower() == "cobyla"
+        ):
+            opt = yield from _ask_expectations(
+                energy, cobyla_steps(x0, rhobeg=self.rhobeg, maxiter=maxiter)
+            )
+        else:
+            opt = self._optimize(neg_fp, neg_fp_batch, x0, maxiter, gen)
         if self.engine is not None and self.engine.graph is graph:
             # Bitwise-identical to the per-point evolve (pinned in tests),
             # but through the pooled batch kernels.
@@ -413,6 +448,18 @@ class QAOASolver:
                 {"bitstring": best, "distinct_sampled": int(len(unique))},
             )
         raise ValueError(f"unknown selection {self.selection!r}")
+
+
+def _ask_expectations(energy: MaxCutEnergy, steps: Generator):
+    """Relay a minimizer's points as ``(energy, params)`` requests and tell
+    it each reply negated: the minimizer's objective is -F_p."""
+    reply = None
+    while True:
+        try:
+            params = steps.send(reply)
+        except StopIteration as stop:
+            return stop.value
+        reply = -(yield energy, params)
 
 
 def solve_maxcut_qaoa(graph: Graph, **kwargs) -> QAOAResult:

@@ -7,7 +7,11 @@ Steps, matching the paper's enumeration:
    any community exceeding the budget (:mod:`repro.graphs.partition`).
 3. Solve all sub-graphs *in parallel* (configurable executor backend) with
    QAOA, GW, the better of the two, or a run-time selection policy —
-   the hybrid resource-mix idea of §3.6.
+   the hybrid resource-mix idea of §3.6.  Under the ``serial`` executor
+   the sub-graphs below ``FUSED_MIN_QUBITS`` nodes advance together
+   instead: each round evolves the pending COBYLA points of all of them
+   as one batch per (backend, qubits, layers), with the same values a
+   solve of each alone computes.
 4. Build the merged graph with sign-flipped cut edges
    (:mod:`repro.qaoa2.merge`).
 5. Solve the merged graph (recursively if it still exceeds the budget;
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,6 +36,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult, cut_value
 from repro.graphs.partition import partition_with_cap
 from repro.hpc.executor import ExecutorConfig, map_jobs
+from repro.optim import drive
 from repro.qaoa.engine import SweepEngine
 from repro.qaoa.solver import QAOASolver
 from repro.qaoa2.merge import (
@@ -39,6 +44,7 @@ from repro.qaoa2.merge import (
     assemble_global_assignment,
     build_merge_problem,
 )
+from repro.quantum.backend import FUSED_MIN_QUBITS
 from repro.util.rng import RngLike, ensure_rng
 
 MethodPolicy = Union[str, Callable[[Graph], str]]
@@ -57,6 +63,8 @@ class SubgraphRecord:
     qaoa_cut: Optional[float] = None
     gw_cut: Optional[float] = None
     gw_average: Optional[float] = None
+    # Wall seconds of the leaf's solve; a lock-stepped leaf gets its
+    # job's wall time divided by the job's leaves.
     elapsed: float = 0.0
 
 
@@ -97,7 +105,7 @@ class QAOA2Result:
 
 
 # ---------------------------------------------------------------------------
-# Sub-graph job (module level so the process backend can pickle it)
+# Sub-graph jobs (module level so the process backend can pickle them)
 # ---------------------------------------------------------------------------
 def _solve_subgraph_job(payload: dict) -> dict:
     """Solve one sub-graph with the requested method; returns a plain dict.
@@ -110,6 +118,73 @@ def _solve_subgraph_job(payload: dict) -> dict:
         byte-identical graphs, skipping the dominant per-solve setup cost.
         The values computed are bit-identical with or without it.
     """
+    return drive(_subgraph_steps(payload, lockstep=False))
+
+
+def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
+    """Solve small sub-graphs together; equal, bit for bit, to solving each
+    with :func:`_solve_subgraph_job` (``elapsed`` apart).
+
+    Each round takes every leaf's pending ``(energy, params)`` request,
+    evolves each (backend, qubits, layers) group as one ``evolve_batch``
+    over the stack of its members' diagonals, and answers each leaf with
+    ``energy.expectation_from_state`` of its own row: the pointwise
+    expression on a bit-identical state.  A group's stack is built once
+    and re-indexed only when its members change.
+    """
+    start = time.perf_counter()
+    leaves = [_subgraph_steps(payload, lockstep=True) for payload in payloads]
+    results: List[Optional[dict]] = [None] * len(leaves)
+    pending: Dict[int, tuple] = {}  # leaf -> its (energy, params) request
+    stacks: Dict[tuple, tuple] = {}  # group -> (members, diagonal stack)
+
+    def advance(leaf: int, reply: Optional[float]) -> None:
+        try:
+            pending[leaf] = leaves[leaf].send(reply)
+        except StopIteration as stop:
+            results[leaf] = stop.value
+            pending.pop(leaf, None)
+
+    for leaf in range(len(leaves)):
+        advance(leaf, None)
+    while pending:
+        groups: Dict[tuple, List[int]] = {}
+        for leaf, (energy, params) in pending.items():
+            key = (energy.backend, energy.n_qubits, len(params) // 2)
+            groups.setdefault(key, []).append(leaf)
+        replies = {}
+        for key, members in groups.items():
+            old_members, stack = stacks.get(key, ((), None))
+            if members != old_members:
+                if set(members) <= set(old_members):
+                    stack = stack[[old_members.index(leaf) for leaf in members]]
+                else:
+                    stack = np.stack([pending[leaf][0].diagonal for leaf in members])
+                stacks[key] = (members, stack)
+            params = np.stack([pending[leaf][1] for leaf in members])
+            states = key[0].evolve_batch(stack, params)
+            for row, leaf in enumerate(members):
+                replies[leaf] = pending[leaf][0].expectation_from_state(states[row])
+        for leaf, reply in replies.items():
+            advance(leaf, reply)
+    elapsed = (time.perf_counter() - start) / len(payloads)
+    for result in results:
+        result["elapsed"] = elapsed
+    return results
+
+
+def _solve_leaf_job(job: Union[dict, List[dict]]) -> List[dict]:
+    """A ``serial`` executor job: a list of small payloads, lock-stepped, or
+    one payload, solved alone."""
+    if isinstance(job, dict):
+        return [_solve_subgraph_job(job)]
+    return _solve_lockstep_job(job)
+
+
+def _subgraph_steps(payload: dict, *, lockstep: bool) -> Generator:
+    """:func:`_solve_subgraph_job` as a generator: with ``lockstep``, its
+    QAOA solves run as :meth:`QAOASolver.steps`, yielding their
+    ``(energy, params)`` requests; otherwise nothing is yielded."""
     graph: Graph = payload["graph"]
     method: str = payload["method"]
     seed: int = payload["seed"]
@@ -122,7 +197,7 @@ def _solve_subgraph_job(payload: dict) -> dict:
     out: dict = {"method": method, "qaoa_cut": None, "gw_cut": None, "gw_average": None,
                  "params": None, "layers": None, "rhobeg": None}
 
-    def run_qaoa() -> CutResult:
+    def run_qaoa() -> Generator:
         # One engine per sub-graph: the cut diagonal is built once and every
         # config in the option grid (and every optimizer iteration) reuses
         # it; the engine's pooled buffers are additionally shared across
@@ -139,7 +214,10 @@ def _solve_subgraph_job(payload: dict) -> dict:
         for offset, overrides in enumerate(configs):
             options = {**qaoa_options, **overrides}
             solver = QAOASolver(rng=seed + offset, engine=engine, **options)
-            qaoa_result = solver.solve(graph)
+            if lockstep:
+                qaoa_result = yield from solver.steps(graph, lockstep=True)
+            else:
+                qaoa_result = solver.solve(graph)
             result = qaoa_result.as_cut_result()
             if best is None or result.cut > best.cut:
                 best = result
@@ -157,13 +235,13 @@ def _solve_subgraph_job(payload: dict) -> dict:
         return gw.as_cut_result()
 
     if method == "qaoa":
-        chosen = run_qaoa()
+        chosen = yield from run_qaoa()
         out["qaoa_cut"] = chosen.cut
     elif method == "gw":
         chosen = run_gw()
         out["gw_cut"] = chosen.cut
     elif method == "best":
-        q = run_qaoa()
+        q = yield from run_qaoa()
         g = run_gw()
         out["qaoa_cut"] = q.cut
         out["gw_cut"] = g.cut
@@ -311,9 +389,26 @@ class QAOA2Solver:
         sequentially-drawn seeds) as ``exact`` requests, so cold solves run
         the reference :func:`_solve_subgraph_job` computation bit-for-bit;
         only caching/coalescing/diagonal-sharing differ.
+
+        Under the ``serial`` executor the payloads below
+        ``FUSED_MIN_QUBITS`` nodes form one :func:`_solve_lockstep_job`;
+        the rest, and every payload under ``thread``/``process`` (whose
+        workers share the leaves), are one :func:`_solve_subgraph_job`
+        each.  Results come back in submission order either way.
         """
         if self.service is None:
-            return map_jobs(_solve_subgraph_job, payloads, config=self.executor)
+            if self.executor.backend != "serial":
+                return map_jobs(_solve_subgraph_job, payloads, config=self.executor)
+            small = [i for i, p in enumerate(payloads)
+                     if p["graph"].n_nodes < FUSED_MIN_QUBITS]
+            large = [i for i, p in enumerate(payloads)
+                     if p["graph"].n_nodes >= FUSED_MIN_QUBITS]
+            jobs = [[payloads[i] for i in small]] if small else []
+            jobs += [payloads[i] for i in large]
+            solved = map_jobs(_solve_leaf_job, jobs, config=self.executor)
+            flat = (result for job in solved for result in job)
+            by_index = dict(zip(small + large, flat, strict=True))
+            return [by_index[i] for i in range(len(payloads))]
         if self.service_seeds not in ("request", "canonical"):
             raise ValueError(
                 f"unknown service_seeds mode {self.service_seeds!r}; "

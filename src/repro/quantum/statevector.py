@@ -142,8 +142,11 @@ def apply_phases_batch(
     """In place: ``states[b] *= exp(-1j * gammas[b] * diagonal)``.
 
     The batched QAOA cost layer — one row per parameter vector, each with
-    its own γ.  ``scratch`` is an optional ``(B, 2**n)`` complex buffer for
-    the phase table so sweep loops avoid a fresh allocation per layer.
+    its own γ.  ``diagonal`` is shared by every row, or a ``(B, 2**n)``
+    stack with row b's own diagonal; either way each phase is the scalar
+    ``(-1j * gammas[b]) * d``, as in the single-state layer.  ``scratch``
+    is an optional ``(B, 2**n)`` complex buffer for the phase table so
+    sweep loops avoid a fresh allocation per layer.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     if states.ndim != 2 or gammas.shape != (states.shape[0],):
@@ -151,13 +154,13 @@ def apply_phases_batch(
             f"expected states (B, dim) and gammas (B,), got "
             f"{states.shape} / {gammas.shape}"
         )
-    if diagonal.shape != states.shape[-1:]:
+    if diagonal.shape not in (states.shape[-1:], states.shape):
         raise ValueError("diagonal length mismatch")
     if scratch is None:
         scratch = np.empty_like(states)
     elif scratch.shape != states.shape or scratch.dtype != states.dtype:
         raise ValueError("scratch buffer shape/dtype mismatch")
-    np.multiply.outer(-1j * gammas, diagonal, out=scratch)
+    np.multiply((-1j * gammas)[:, None], diagonal, out=scratch)
     np.exp(scratch, out=scratch)
     states *= scratch
     return states

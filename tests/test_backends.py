@@ -264,6 +264,13 @@ class TestCrossBackendParity:
                 np.testing.assert_allclose(
                     fused.evolve_state(diag, mat[0]), a[0], rtol=0, atol=PARITY_ATOL
                 )
+        # A per-row stack of every weight kind runs the dense cost layer.
+        stack = np.stack([cut_diagonal(g) for g in _weight_kinds(n, seed=n).values()])
+        mat = rng.uniform(-np.pi, np.pi, (len(stack), 4))
+        np.testing.assert_allclose(
+            fused.evolve_batch(stack, mat), ref.evolve_batch(stack, mat),
+            rtol=0, atol=PARITY_ATOL,
+        )
 
     def test_fused_cost_table_keyed_on_owner_not_view(self):
         # Each evolution passes a fresh half view of the diagonal: the
@@ -318,6 +325,15 @@ class TestCrossBackendParity:
                 backend.evolve_batch(np.zeros(1), np.zeros((2, 2)))
             with pytest.raises(ValueError, match="one qubit"):
                 backend.evolve_state(np.zeros(1), np.zeros(2))
+            # A per-row stack needs one diagonal per parameter row, each
+            # of a state's width; evolve_state takes one diagonal.
+            stack = np.stack([diag, diag])
+            with pytest.raises(ValueError, match="parameter rows"):
+                backend.evolve_batch(stack, np.zeros((3, 2)))
+            with pytest.raises(ValueError, match="power of 2"):
+                backend.evolve_batch(stack[:, :12], np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="1-D"):
+                backend.evolve_state(stack, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +349,8 @@ class TestGoldenEvolvePaths:
         # seed full-space loop bit for bit on every weight kind.
         backend = NumpyBackend()
         rng = np.random.default_rng(300 + n)
-        for graph in _weight_kinds(n, seed=n).values():
-            diag = cut_diagonal(graph)
+        diags = [cut_diagonal(graph) for graph in _weight_kinds(n, seed=n).values()]
+        for diag in diags:
             mat = rng.uniform(-np.pi, np.pi, (3, 2 * int(rng.integers(1, 4))))
             batch = backend.evolve_batch(diag, mat).copy()
             for row, state in zip(mat, batch, strict=True):
@@ -344,6 +360,13 @@ class TestGoldenEvolvePaths:
                 np.testing.assert_array_equal(
                     backend.evolve_batch(diag, row[None, :])[0], golden
                 )
+        # One stack of every weight kind, each row with its own parameters:
+        # row b equals the pointwise evolution on diagonal b.
+        for p in (1, 2, 3):
+            mat = rng.uniform(-np.pi, np.pi, (len(diags), 2 * p))
+            batch = backend.evolve_batch(np.stack(diags), mat).copy()
+            for diag, row, state in zip(diags, mat, batch, strict=True):
+                np.testing.assert_array_equal(state, backend.evolve_state(diag, row))
 
     def test_energy_statevector_bit_identical_on_numpy(self):
         for graph, params in self.CASES:

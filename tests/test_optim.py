@@ -13,6 +13,7 @@ import scipy
 from repro.graphs.generators import erdos_renyi
 from repro.optim import (
     RecordingObjective,
+    cobyla_steps,
     minimize,
     minimize_cobyla,
     minimize_nelder_mead,
@@ -243,6 +244,62 @@ class TestCobylaParity:
                 maxiter=int(gen.choice([5, 20, 100, 500])),
                 tol=10.0 ** gen.uniform(-12, -2),
             )
+
+
+def assert_ask_tell_matches(fun, x0, *, rhobeg, maxiter, tol=1e-6):
+    """Drive ``cobyla_steps`` by hand: it must ask for the points
+    ``minimize_cobyla`` evaluates, in order, and return the same result."""
+    called, asked = [], []
+
+    def recording(x):
+        called.append(x.copy())
+        return fun(x)
+
+    x0 = np.asarray(x0, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # overflow on infinite objectives
+        result = minimize_cobyla(
+            recording, x0.copy(), rhobeg=rhobeg, maxiter=maxiter, tol=tol
+        )
+        steps = cobyla_steps(x0.copy(), rhobeg=rhobeg, maxiter=maxiter, tol=tol)
+        value = None
+        while True:
+            try:
+                x = steps.send(value)
+            except StopIteration as stop:
+                told = stop.value
+                break
+            asked.append(x.copy())
+            value = fun(x)
+    assert len(asked) == len(called) == result.nfev
+    for mine, ref in zip(asked, called, strict=True):
+        np.testing.assert_array_equal(mine.view(np.uint64), ref.view(np.uint64))
+    np.testing.assert_array_equal(told.x.view(np.uint64), result.x.view(np.uint64))
+    assert told.fun == result.fun
+    assert (told.nfev, told.nit, told.success, told.message) == (
+        result.nfev, result.nit, result.success, result.message
+    )
+    np.testing.assert_array_equal(told.history, result.history)
+
+
+class TestCobylaAskTell:
+    """The ask/tell generator against the driven port, on the parity cases;
+    it needs no SciPy, so it runs where ``TestCobylaParity`` skips."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_qaoa_objectives(self, seed):
+        fun, x0, rhobeg, maxiter = qaoa_case(seed)
+        assert_ask_tell_matches(fun, x0, rhobeg=rhobeg, maxiter=maxiter)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    def test_edge_cases(self, name):
+        fun, x0, rhobeg, maxiter, tol = EDGE_CASES[name]
+        assert_ask_tell_matches(fun, x0, rhobeg=rhobeg, maxiter=maxiter, tol=tol)
+
+    def test_invalid_x0_raises_on_first_ask(self):
+        steps = cobyla_steps(np.array([0.0, np.inf]))
+        with pytest.raises(ValueError, match="finite"):
+            next(steps)
 
 
 class TestCobylaPort:

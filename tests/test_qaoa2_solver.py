@@ -1,14 +1,18 @@
 """Unit tests for the QAOA² driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.graphs import cut_value, erdos_renyi, planted_partition, random_cut
+from repro.graphs import Graph, cut_value, erdos_renyi, planted_partition, random_cut
 from repro.hpc.executor import ExecutorConfig
 from repro.qaoa2 import (
     QAOA2Solver,
     expected_subproblem_count,
 )
+from repro.qaoa2.solver import _solve_lockstep_job, _solve_subgraph_job
+from repro.quantum.backend import FUSED_MIN_QUBITS, available_backends, get_backend
 
 FAST_QAOA = {"layers": 2, "maxiter": 20}
 
@@ -199,3 +203,142 @@ class TestQaoaGrid:
         # Per-subgraph best-over-grid can only help on the subgraph level;
         # allow small global slack from different merged problems.
         assert grid.cut >= single.cut - 2.0
+
+
+def _disjoint_union(*graphs, isolated=0):
+    """The graphs side by side, plus ``isolated`` nodes without edges."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [
+            (u + offset, v + offset, w)
+            for u, v, w in zip(g.u.tolist(), g.v.tolist(), g.w.tolist(), strict=True)
+        ]
+        offset += g.n_nodes
+    return Graph.from_edges(offset + isolated, edges)
+
+
+# name -> (graph, QAOA2Solver options); level-0 leaves are QAOA leaves.
+# From rhobeg 0.01, COBYLA converges after a leaf-dependent number of
+# evaluations: groups lose members mid-run, and in the grid case leaves of
+# one size run p=2 and p=3 in the same round.
+LOCKSTEP_CASES = {
+    "unweighted": (
+        erdos_renyi(40, 0.15, rng=1),
+        {"n_max_qubits": 8,
+         "qaoa_options": {"layers": 2, "maxiter": 200, "rhobeg": 0.01}},
+    ),
+    "weighted-best": (
+        erdos_renyi(40, 0.15, weighted=True, rng=1),
+        {"n_max_qubits": 8, "subgraph_method": "best",
+         "qaoa_options": {"layers": 2, "maxiter": 200, "rhobeg": 0.01}},
+    ),
+    "grid-of-layers-2-and-3": (
+        erdos_renyi(40, 0.15, weighted=True, rng=2),
+        {"n_max_qubits": 8, "qaoa_options": {"layers": 2, "maxiter": 20},
+         "qaoa_grid": [{"rhobeg": 0.01, "maxiter": 200}, {"layers": 3}]},
+    ),
+    "edgeless-leaves": (
+        _disjoint_union(
+            erdos_renyi(12, 0.4, rng=5),
+            erdos_renyi(9, 0.5, weighted=True, rng=6),
+            isolated=2,
+        ),
+        {"n_max_qubits": 8, "qaoa_options": {"layers": 2, "maxiter": 20}},
+    ),
+    "layers-1": (
+        erdos_renyi(30, 0.2, rng=3),
+        {"n_max_qubits": 8, "qaoa_options": {"layers": 1, "maxiter": 20}},
+    ),
+    "spsa": (
+        erdos_renyi(30, 0.2, rng=3),
+        {"n_max_qubits": 8,
+         "qaoa_options": {"layers": 2, "maxiter": 20, "optimizer": "spsa"}},
+    ),
+    "straddles-fused-min-qubits": (
+        _disjoint_union(
+            erdos_renyi(15, 0.5, rng=7),
+            erdos_renyi(7, 0.6, rng=8),
+            erdos_renyi(7, 0.5, rng=9),
+        ),
+        {"n_max_qubits": 16, "qaoa_options": {"layers": 2, "maxiter": 10}},
+    ),
+}
+
+
+@pytest.fixture
+def stacked_evolutions(monkeypatch):
+    """(rows, qubits) of every ``evolve_batch`` call on a per-row diagonal
+    stack, on every registered backend."""
+    calls = []
+    for name in available_backends():
+        backend = get_backend(name)
+
+        def spy(diagonal, params_matrix, *, pool=None, original=backend.evolve_batch):
+            if np.ndim(diagonal) == 2:
+                calls.append((len(diagonal), int(diagonal.shape[1]).bit_length() - 1))
+            return original(diagonal, params_matrix, pool=pool)
+
+        monkeypatch.setattr(backend, "evolve_batch", spy)
+    return calls
+
+
+class TestLockstepLeaves:
+    """Under the serial executor, small QAOA leaves step together; that must
+    equal solving each leaf alone, which the thread executor still does."""
+
+    @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
+    def test_lockstep_equals_per_leaf(self, name, stacked_evolutions):
+        graph, options = LOCKSTEP_CASES[name]
+        lockstep = QAOA2Solver(rng=3, **options).solve(graph)
+        stepped = list(stacked_evolutions)
+        stacked_evolutions.clear()
+        per_leaf = QAOA2Solver(
+            rng=3, executor=ExecutorConfig("thread", 2), **options
+        ).solve(graph)
+        assert stacked_evolutions == []
+
+        np.testing.assert_array_equal(lockstep.assignment, per_leaf.assignment)
+        assert lockstep.cut == per_leaf.cut
+
+        def fields(result):
+            return [
+                {**dataclasses.asdict(rec), "elapsed": None} for rec in result.subgraphs
+            ]
+
+        assert fields(lockstep) == fields(per_leaf)
+        leaves = [rec for rec in lockstep.subgraphs if rec.level == 0]
+        if name in ("layers-1", "spsa"):
+            assert stepped == []  # neither objective is asked for
+        else:
+            assert max(rows for rows, _ in stepped) > 1
+            assert all(n < FUSED_MIN_QUBITS for _, n in stepped)
+        if name == "edgeless-leaves":
+            assert any(rec.n_edges == 0 for rec in leaves)
+        if name == "straddles-fused-min-qubits":
+            sizes = {rec.n_nodes >= FUSED_MIN_QUBITS for rec in leaves}
+            assert sizes == {False, True}
+
+    @pytest.mark.parametrize(
+        "grid", [None, [{}, {"layers": 3}]], ids=["single", "layers-2-and-3"]
+    )
+    def test_job_equals_per_leaf_jobs(self, grid):
+        # Every output of the job, the best parameters included, equals the
+        # per-leaf job's: a row answered from another leaf's diagonal
+        # moves them even where the cut stays.
+        graphs = [
+            erdos_renyi(n, 0.6, weighted=True, rng=seed)
+            for seed, n in enumerate([7, 7, 7, 7, 5, 5, 3, 2])
+        ]
+        payloads = [
+            {"graph": g, "method": "qaoa", "seed": 11 + k, "qaoa_grid": grid,
+             "qaoa_options": {"layers": 2, "maxiter": 200, "rhobeg": 0.01},
+             "gw_options": {}}
+            for k, g in enumerate(graphs)
+        ]
+        for together, alone in zip(
+            _solve_lockstep_job(payloads),
+            [_solve_subgraph_job(payload) for payload in payloads],
+            strict=True,
+        ):
+            np.testing.assert_array_equal(together.pop("assignment"), alone.pop("assignment"))
+            assert {**together, "elapsed": None} == {**alone, "elapsed": None}
