@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.optim.base import OptimizationResult, RecordingObjective, drive
 from repro.optim.cobyla import cobyla_steps, minimize_cobyla
-from repro.optim.multi_start import multi_start_spsa, multi_start_spsa_independent
+from repro.optim.multi_start import multi_start_spsa
 from repro.optim.nelder_mead import minimize_nelder_mead
 from repro.optim.spsa import minimize_spsa, spsa_perturbation_from_rhobeg
 from repro.util.rng import RngLike
@@ -68,6 +68,5 @@ __all__ = [
     "minimize_spsa",
     "minimize_nelder_mead",
     "multi_start_spsa",
-    "multi_start_spsa_independent",
     "spsa_perturbation_from_rhobeg",
 ]

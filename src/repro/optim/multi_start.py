@@ -7,7 +7,8 @@ shallow-QAOA wall-clock.  Because SPSA only ever needs *objective values*
 (never per-point gradients), all ``S`` starts can share each iteration's
 perturbation direction and have their ``±`` pairs evaluated as **one**
 ``(2S, d)`` batch — a single :class:`repro.qaoa.engine.SweepEngine` call
-per iteration instead of ``2S`` dispatches.
+per iteration instead of ``2S`` dispatches.  This is the repo's one SPSA
+update loop: :func:`repro.optim.spsa.minimize_spsa` is its ``S = 1`` case.
 
 Determinism contract (relied on by tests and the RQAOA benchmark):
 
@@ -34,75 +35,6 @@ import numpy as np
 
 from repro.optim.base import OptimizationResult, RecordingObjective
 from repro.util.rng import RngLike, ensure_rng
-
-
-def _lockstep_spsa(
-    fun: Callable[[np.ndarray], float],
-    x0s: np.ndarray,
-    *,
-    maxiter: int,
-    a: float,
-    c: float,
-    alpha: float,
-    gamma: float,
-    A: float | None,
-    draw_delta: Callable[[int], np.ndarray],
-    batch_fun: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> tuple[List[RecordingObjective], int]:
-    """The shared lock-step SPSA loop: gain schedules, batched ± pair
-    evaluation and budget accounting in exactly one place.
-
-    ``draw_delta(dim)`` supplies each iteration's perturbation — a single
-    ``(dim,)`` vector broadcast to every start (:func:`multi_start_spsa`)
-    or a ``(S, dim)`` matrix with one row per independent job
-    (:func:`multi_start_spsa_independent`).  Returns the per-start
-    recorders plus the iteration count; callers reduce to their own
-    result shape.
-    """
-    if maxiter < 1:
-        raise ValueError("maxiter must be positive")
-    xs = np.array(x0s, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[None, :]
-    if xs.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] < 1:
-        raise ValueError(f"x0s must be a (S, d) matrix, got shape {np.shape(x0s)}")
-    n_starts, dim = xs.shape
-    recorders: List[RecordingObjective] = [
-        RecordingObjective(fun) for _ in range(n_starts)
-    ]
-
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        if batch_fun is None:
-            return np.array([float(fun(row)) for row in points], dtype=np.float64)
-        values = np.asarray(batch_fun(points), dtype=np.float64)
-        if values.shape != (points.shape[0],):
-            raise ValueError(
-                f"batch_fun returned shape {values.shape}, "
-                f"expected ({points.shape[0]},)"
-            )
-        return values
-
-    stability = float(A) if A is not None else 0.1 * maxiter
-    n_iter = maxiter // 2  # two evaluations per start per iteration
-    for k in range(n_iter):
-        ak = a / (k + 1 + stability) ** alpha
-        ck = c / (k + 1) ** gamma
-        delta = draw_delta(dim)
-        x_plus = xs + ck * delta
-        x_minus = xs - ck * delta
-        values = evaluate(np.concatenate([x_plus, x_minus], axis=0))
-        f_plus, f_minus = values[:n_starts], values[n_starts:]
-        for s in range(n_starts):
-            recorders[s].record(x_plus[s], f_plus[s])
-            recorders[s].record(x_minus[s], f_minus[s])
-        gradient = ((f_plus - f_minus) / (2.0 * ck))[:, None] * (1.0 / delta)
-        xs -= ak * gradient
-    if 2 * n_iter < maxiter:
-        # One evaluation left per start: spend it on the final iterates.
-        values = evaluate(xs)
-        for s in range(n_starts):
-            recorders[s].record(xs[s], values[s])
-    return recorders, n_iter
 
 
 def multi_start_spsa(
@@ -145,16 +77,51 @@ def multi_start_spsa(
     evaluations across the whole fleet, ``history`` is the winning start's
     trace.
     """
+    if maxiter < 1:
+        raise ValueError("maxiter must be positive")
+    xs = np.array(x0s, dtype=np.float64)
+    if xs.ndim == 1:
+        xs = xs[None, :]
+    if xs.ndim != 2 or xs.shape[0] < 1 or xs.shape[1] < 1:
+        raise ValueError(f"x0s must be a (S, d) matrix, got shape {np.shape(x0s)}")
+    n_starts, dim = xs.shape
     gen = ensure_rng(rng)
+    recorders: List[RecordingObjective] = [
+        RecordingObjective(fun) for _ in range(n_starts)
+    ]
 
-    def shared_delta(dim: int) -> np.ndarray:
-        return gen.choice((-1.0, 1.0), size=dim)  # shared across starts
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        if batch_fun is None:
+            return np.array([float(fun(row)) for row in points], dtype=np.float64)
+        values = np.asarray(batch_fun(points), dtype=np.float64)
+        if values.shape != (points.shape[0],):
+            raise ValueError(
+                f"batch_fun returned shape {values.shape}, "
+                f"expected ({points.shape[0]},)"
+            )
+        return values
 
-    recorders, n_iter = _lockstep_spsa(
-        fun, x0s, maxiter=maxiter, a=a, c=c, alpha=alpha, gamma=gamma, A=A,
-        draw_delta=shared_delta, batch_fun=batch_fun,
-    )
-    n_starts = len(recorders)
+    stability = float(A) if A is not None else 0.1 * maxiter
+    n_iter = maxiter // 2  # two evaluations per start per iteration
+    for k in range(n_iter):
+        ak = a / (k + 1 + stability) ** alpha
+        ck = c / (k + 1) ** gamma
+        delta = gen.choice((-1.0, 1.0), size=dim)  # shared across starts
+        x_plus = xs + ck * delta
+        x_minus = xs - ck * delta
+        values = evaluate(np.concatenate([x_plus, x_minus], axis=0))
+        f_plus, f_minus = values[:n_starts], values[n_starts:]
+        for s in range(n_starts):
+            recorders[s].record(x_plus[s], f_plus[s])
+            recorders[s].record(x_minus[s], f_minus[s])
+        gradient = ((f_plus - f_minus) / (2.0 * ck))[:, None] * (1.0 / delta)
+        xs -= ak * gradient
+    if 2 * n_iter < maxiter:
+        # One evaluation left per start: spend it on the final iterates.
+        values = evaluate(xs)
+        for s in range(n_starts):
+            recorders[s].record(xs[s], values[s])
+
     best = min(range(n_starts), key=lambda s: (recorders[s].best_f, s))
     winner = recorders[best]
     return OptimizationResult(
@@ -168,63 +135,4 @@ def multi_start_spsa(
     )
 
 
-def multi_start_spsa_independent(
-    fun: Callable[[np.ndarray], float],
-    x0s: np.ndarray,
-    *,
-    maxiter: int = 100,
-    a: float = 0.2,
-    c: float = 0.1,
-    alpha: float = 0.602,
-    gamma: float = 0.101,
-    A: float | None = None,
-    rngs: List[np.random.Generator],
-    batch_fun: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> List[OptimizationResult]:
-    """Advance S *independent* SPSA runs in lock-step; return one result each.
-
-    Unlike :func:`multi_start_spsa` (one problem, S starts, shared
-    perturbation, best-seen wins), every row here is its *own* job with its
-    *own* generator: job ``s`` draws its iteration-``k`` perturbation from
-    ``rngs[s]`` exactly as a solo :func:`repro.optim.spsa.minimize_spsa`
-    call with that generator would, so each returned result reproduces the
-    corresponding solo run — same evaluation points, same ``nfev``, same
-    history — while every iteration's ``±`` pairs across all jobs are
-    evaluated as **one** ``(2S, d)`` batch.
-
-    This is the dispatch primitive behind the request scheduler
-    (:mod:`repro.service.scheduler`): concurrent solver-service requests on
-    the same graph share one engine batch per iteration without giving up
-    per-request determinism.  (Batched and solo evaluations agree to
-    reduction-order float noise, exactly as documented for
-    :func:`multi_start_spsa`.)
-    """
-    n_starts = np.atleast_2d(np.asarray(x0s)).shape[0]
-    if len(rngs) != n_starts:
-        raise ValueError(
-            f"need one generator per job: got {len(rngs)} for {n_starts} rows"
-        )
-
-    def per_job_deltas(dim: int) -> np.ndarray:
-        # One draw per job, from the job's own stream (in job order).
-        return np.stack([gen.choice((-1.0, 1.0), size=dim) for gen in rngs])
-
-    recorders, n_iter = _lockstep_spsa(
-        fun, x0s, maxiter=maxiter, a=a, c=c, alpha=alpha, gamma=gamma, A=A,
-        draw_delta=per_job_deltas, batch_fun=batch_fun,
-    )
-    return [
-        OptimizationResult(
-            x=rec.best_x,
-            fun=rec.best_f,
-            nfev=rec.nfev,
-            nit=n_iter,
-            success=True,
-            message="SPSA completed",
-            history=rec.history,
-        )
-        for rec in recorders
-    ]
-
-
-__all__ = ["multi_start_spsa", "multi_start_spsa_independent"]
+__all__ = ["multi_start_spsa"]

@@ -386,9 +386,9 @@ class QAOA2Solver:
         """Solve a batch of leaf payloads, directly or through the service.
 
         The service path submits the *same* payloads (same graphs, same
-        sequentially-drawn seeds) as ``exact`` requests, so cold solves run
-        the reference :func:`_solve_subgraph_job` computation bit-for-bit;
-        only caching/coalescing/diagonal-sharing differ.
+        sequentially-drawn seeds), and its cold solves run the reference
+        :func:`_solve_subgraph_job` computation bit-for-bit; only
+        caching/coalescing/diagonal-sharing differ.
 
         Under the ``serial`` executor the payloads below
         ``FUSED_MIN_QUBITS`` nodes form one :func:`_solve_lockstep_job`;
@@ -425,7 +425,6 @@ class QAOA2Solver:
                 qaoa_grid=payload["qaoa_grid"],
                 gw_options=dict(payload["gw_options"]),
                 seed=None if canonical else payload["seed"],
-                exact=True,
             )
             for payload in payloads
         ]

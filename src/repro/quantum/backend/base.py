@@ -2,9 +2,9 @@
 
 Every QAOA evolution in the repo — the sweep engine's chunked batches,
 the solver's pointwise objective, RQAOA's per-round evolve, the QAOA²
-leaf solves, the service scheduler's lock-step SPSA batches, and the
-reference loops in ``quantum/simulator.py`` / ``quantum/noise.py`` — is
-expressed in six operations:
+leaf solves (one at a time or lock-stepped), and the reference loops in
+``quantum/simulator.py`` / ``quantum/noise.py`` — is expressed in six
+operations:
 
 * :meth:`StatevectorBackend.plus_state_batch` — the |+⟩^n initial state,
 * :meth:`StatevectorBackend.apply_cost_layer` — ``exp(-iγ H_C)`` as an

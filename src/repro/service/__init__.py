@@ -9,8 +9,8 @@ work is a *request* (graph + solver configuration) rather than a graph:
 * :mod:`repro.service.cache`       — two-tier result cache (byte-budget
   LRU + append-only, CRC-framed disk log) with knowledge-base warm-start
   export;
-* :mod:`repro.service.scheduler`   — coalesced-job dispatch: lock-step
-  SPSA batches, shared cut diagonals, executor fan-out;
+* :mod:`repro.service.scheduler`   — coalesced-job dispatch: shared cut
+  diagonals, executor fan-out;
 * :mod:`repro.service.service`     — the :class:`MaxCutService` facade
   (``solve`` / ``solve_many``);
 * :mod:`repro.service.sharding`    — fingerprint-prefix shard routing

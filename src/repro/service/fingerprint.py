@@ -326,18 +326,13 @@ def request_digest(
     qaoa_grid: Optional[Sequence[dict]] = None,
     gw_options: Optional[dict] = None,
     seed: Optional[int] = None,
-    exact: bool = False,
 ) -> str:
     """Cache key for one solve request: graph identity + full solver config.
 
     The seed is part of the key: a cached entry is only ever returned for
     a request that a from-scratch solve would answer with the very same
     deterministic computation (bit-identical for byte-equal graphs,
-    isomorphism-mapped for relabelled ones).  ``exact`` is part of the key
-    too: entries produced by the lock-step batch path agree with the
-    reference path only to reduction-order float noise, so an
-    ``exact``-flagged request (QAOA²'s bit-identical contract) must never
-    be served one of them — the two regimes get disjoint cache entries.
+    isomorphism-mapped for relabelled ones).
     """
     payload = "|".join(
         (
@@ -347,7 +342,10 @@ def request_digest(
             config_token(list(qaoa_grid) if qaoa_grid else []),
             config_token(gw_options or {}),
             "auto" if seed is None else str(int(seed)),
-            "exact" if exact else "batched",
+            # A constant now, kept so digests stay where they were: seeds
+            # of requests that carry none derive from this digest, so the
+            # zipf_http checksums and every disk-log record depend on it.
+            "batched",
         )
     )
     return hashlib.sha256(("request|" + payload).encode()).hexdigest()[:32]

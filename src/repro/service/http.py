@@ -128,8 +128,7 @@ TRACE_ROUTE_PREFIX = "/trace/"
 TRACE_HEADER = "X-Repro-Trace"
 
 _SOLVE_KEYS = frozenset(
-    {"graph", "method", "options", "qaoa_grid", "gw_options", "seed",
-     "exact", "deadline_s"}
+    {"graph", "method", "options", "qaoa_grid", "gw_options", "seed", "deadline_s"}
 )
 _GRAPH_KEYS = frozenset({"n_nodes", "edges"})
 
@@ -231,8 +230,6 @@ def request_to_wire(
         payload["gw_options"] = jsonable(request.gw_options)
     if request.seed is not None:
         payload["seed"] = int(request.seed)
-    if request.exact:
-        payload["exact"] = True
     if deadline_s is not None:
         payload["deadline_s"] = float(deadline_s)
     return payload
@@ -273,9 +270,6 @@ def request_from_wire(
     seed = payload.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise WireFormatError("'seed' must be an integer or null")
-    exact = payload.get("exact", False)
-    if not isinstance(exact, bool):
-        raise WireFormatError("'exact' must be a boolean")
     deadline_s = payload.get("deadline_s")
     if deadline_s is not None:
         if isinstance(deadline_s, bool) or not isinstance(
@@ -292,7 +286,6 @@ def request_from_wire(
         qaoa_grid=qaoa_grid,
         gw_options=dict(gw_options),
         seed=None if seed is None else int(seed),
-        exact=exact,
     )
     return request, deadline_s
 

@@ -19,8 +19,6 @@ Counter vocabulary used by the service stack (callers may add their own):
 ``solves``          cold solves executed
 ``errors``          requests answered with a captured per-request error
 ``job_errors``      scheduler jobs whose solve raised (captured mode)
-``lockstep_jobs``   jobs dispatched inside a lock-step SPSA batch
-``lockstep_batches``lock-step batches dispatched
 ``shared_diagonals``jobs that reused a batch-mate's cut diagonal
 ``evictions``       LRU entries dropped for the byte budget
 ``compactions``     disk-tier log rewrites keeping each digest's newest record

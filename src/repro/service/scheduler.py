@@ -2,27 +2,19 @@
 
 The service hands the scheduler a batch of *deduplicated* jobs (one per
 distinct request digest — coalescing happens upstream in
-:mod:`repro.service.service`).  The scheduler's task is to execute them
-with as much sharing as correctness allows:
+:mod:`repro.service.service`).  Every job runs the reference
+:func:`repro.qaoa2.solver._solve_subgraph_job`, so a service cold solve
+is bit-for-bit the solve a direct caller gets (pinned by
+``tests/test_service.py::TestBatching``).  The scheduler adds two things
+around it:
 
-1. **Shape groups.**  Jobs are grouped by byte-identical graphs
-   (``n_nodes`` plus exact edge arrays).  Each group shares one cut
-   diagonal — the dominant per-solve setup cost for statevector QAOA —
-   threaded into :func:`repro.qaoa2.solver._solve_subgraph_job` via the
-   payload, which produces bit-identical values with or without sharing.
-2. **Lock-step batches.**  Within a shape group, QAOA jobs whose
-   configuration is lock-step eligible (SPSA optimizer, exact
-   statevector/analytic objective, single start, no grid, not flagged
-   ``exact``) are advanced together by
-   :func:`repro.optim.multi_start.multi_start_spsa_independent`: every
-   optimizer iteration evaluates the ± pairs of *all* jobs as one engine
-   batch, while each job consumes its own RNG stream — so each job's
-   result reproduces its solo solve (cut/selection identical, parameters
-   to reduction-order float noise; pinned in ``tests/test_service.py``).
-3. **Heterogeneous fallback.**  Everything else — GW, grids, COBYLA,
-   sampled objectives, ``exact``-flagged jobs — is dispatched per-job
-   through :func:`repro.hpc.executor.map_jobs` (serial/thread/process),
-   running the reference ``_solve_subgraph_job`` path byte-for-byte.
+1. **Shared diagonals.**  ``qaoa`` and ``best`` jobs on byte-identical
+   graphs (``n_nodes`` plus exact edge arrays) share one cut diagonal —
+   the dominant per-solve setup cost for statevector QAOA — threaded into
+   the job via its payload, which produces bit-identical values with or
+   without sharing.
+2. **Fan-out.**  The jobs are dispatched through
+   :func:`repro.hpc.executor.map_jobs` (serial/thread/process).
 
 Results are always returned in submission order, so serial and
 concurrent scheduler runs are indistinguishable to the caller.
@@ -39,23 +31,14 @@ result dict instead of poisoning its batch-mates; with the default
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import cut_diagonal
 from repro.hpc.executor import ExecutorConfig, map_jobs
-from repro.optim import multi_start_spsa_independent, spsa_perturbation_from_rhobeg
-from repro.qaoa.energy import MaxCutEnergy
-from repro.qaoa.engine import SweepEngine
-from repro.qaoa.params import default_iterations, initial_parameters
-from repro.qaoa.solver import QAOASolver
 from repro.qaoa2.solver import _solve_subgraph_job
 from repro.service.metrics import ServiceMetrics
-from repro.util.rng import ensure_rng
 from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext, use_trace
 
 # Only graphs small enough for a statevector benefit from an eagerly
@@ -67,14 +50,12 @@ MAX_SHARED_DIAGONAL_QUBITS = 26
 class ScheduledJob:
     """One deduplicated unit of work, as seen by the scheduler."""
 
-    index: int  # submission order, also the result slot
     graph: Graph
     method: str
     options: dict
     qaoa_grid: Optional[Sequence[dict]]
     gw_options: dict
     seed: int
-    exact: bool = False  # force the reference per-job path
     # Owner request's trace (observability only — never in the payload
     # dict, so the reference job function's contract is untouched).
     trace: "TraceContext | NullTraceContext" = NO_TRACE
@@ -115,44 +96,17 @@ def _graph_key(graph: Graph) -> Tuple[int, bytes, bytes, bytes]:
     )
 
 
-def _lockstep_solver(job: ScheduledJob) -> Optional[QAOASolver]:
-    """The job's solver config, when it is lock-step eligible; else None."""
-    if job.exact or job.method != "qaoa" or job.qaoa_grid:
-        return None
-    try:
-        solver = QAOASolver(**job.options)
-    except TypeError:
-        return None  # unknown knob: let the reference path raise properly
-    if (
-        solver.optimizer != "spsa"
-        or solver.objective != "statevector"
-        or solver.noise is not None
-        or solver.n_starts != 1
-        or not solver.batched
-        or solver.engine is not None
-        or job.graph.n_nodes > solver.max_qubits
-    ):
-        # The size guard matters: the reference path raises the solver's
-        # clean too-many-qubits error instead of attempting a 2**n batch.
-        return None
-    return solver
-
-
 class BatchScheduler:
-    """Groups, batches and dispatches deduplicated solve jobs."""
+    """Dispatches deduplicated solve jobs, sharing same-graph cut diagonals."""
 
     def __init__(
         self,
         executor: Optional[ExecutorConfig] = None,
         *,
         metrics: Optional[ServiceMetrics] = None,
-        lockstep: bool = True,
-        share_diagonals: bool = True,
     ) -> None:
         self.executor = executor if executor is not None else ExecutorConfig()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.lockstep = lockstep
-        self.share_diagonals = share_diagonals
 
     # ------------------------------------------------------------------
     def run(
@@ -162,59 +116,39 @@ class BatchScheduler:
         executor: Optional[ExecutorConfig] = None,
         capture_errors: bool = False,
     ) -> List[dict]:
-        """Execute all jobs; result dicts land in submission order.
+        """Execute all jobs; result dicts come back in the order of ``jobs``.
 
-        Job indices must be dense ``0..len(jobs)-1`` (the service numbers
-        them that way); each result lands in its job's slot.  ``executor``
-        overrides the scheduler's default backend for this batch — QAOA²
-        passes its own leaf executor through so ``--backend thread`` keeps
-        its meaning on the service path.  ``capture_errors=True`` turns a
-        failing job into an ``{"error": ...}`` result dict instead of an
-        exception (see the module docs for the retry semantics).
+        ``executor`` overrides the scheduler's default backend for this
+        batch — QAOA² passes its own leaf executor through so
+        ``--backend thread`` keeps its meaning on the service path.
+        ``capture_errors=True`` turns a failing job into an
+        ``{"error": ...}`` result dict instead of an exception (see the
+        module docs for the retry semantics).
         """
         executor = executor if executor is not None else self.executor
-        results: List[Optional[dict]] = [None] * len(jobs)
-        groups: Dict[Tuple, List[ScheduledJob]] = {}
-        for job in jobs:
-            groups.setdefault(_graph_key(job.graph), []).append(job)
-
-        generic: List[ScheduledJob] = []
-        for group in groups.values():
-            leftovers = group
-            if self.lockstep:
-                leftovers = self._dispatch_lockstep(
-                    group, results, capture_errors=capture_errors
-                )
-            generic.extend(leftovers)
-
-        generic.sort(key=lambda job: job.index)  # submission order
-        if generic:
-            payloads = [job.payload() for job in generic]
-            if self.share_diagonals:
-                self._share_diagonals(generic, payloads, executor)
-            if executor.backend == "process":
-                # Spans recorded in a worker process die with it; strip
-                # traces rather than pickle span trees that never return
-                # (mirrors the diagonal-sharing skip above).
-                traces: List["TraceContext | NullTraceContext"] = [
-                    NO_TRACE for _ in generic
-                ]
-            else:
-                traces = [job.trace for job in generic]
-            solved = self._map_resilient(
-                list(zip(payloads, traces)), executor, capture_errors
-            )
-            for job, result in zip(generic, solved, strict=True):
-                results[job.index] = result
+        payloads = [job.payload() for job in jobs]
+        self._attach_shared_diagonals(jobs, payloads, executor)
+        if executor.backend == "process":
+            # Spans recorded in a worker process die with it; strip
+            # traces rather than pickle span trees that never return
+            # (mirrors the diagonal-sharing skip).
+            traces: List["TraceContext | NullTraceContext"] = [
+                NO_TRACE for _ in jobs
+            ]
+        else:
+            traces = [job.trace for job in jobs]
+        results = self._map_resilient(
+            list(zip(payloads, traces, strict=True)), executor, capture_errors
+        )
         self.metrics.increment("solves", len(jobs))
-        failed = sum(1 for r in results if r and r.get("error"))
+        failed = sum(1 for r in results if r.get("error"))
         if failed:
             self.metrics.increment("job_errors", failed)
         # Per-backend solve counters ("backend_numpy", "backend_fused",
         # ...) so the stats report shows which evolve kernels served the
         # traffic.
         for result in results:
-            name = result.get("backend") if result else None
+            name = result.get("backend")
             if name:
                 self.metrics.increment(f"backend_{name}")
         return results
@@ -257,9 +191,9 @@ class BatchScheduler:
             }
 
     # ------------------------------------------------------------------
-    def _share_diagonals(
+    def _attach_shared_diagonals(
         self,
-        jobs: List[ScheduledJob],
+        jobs: Sequence[ScheduledJob],
         payloads: List[dict],
         executor: ExecutorConfig,
     ) -> None:
@@ -287,150 +221,6 @@ class BatchScheduler:
             for slot in slots:
                 payloads[slot]["diagonal"] = diagonal
             self.metrics.increment("shared_diagonals", len(slots))
-
-    # ------------------------------------------------------------------
-    def _dispatch_lockstep(
-        self,
-        group: List[ScheduledJob],
-        results: List[Optional[dict]],
-        *,
-        capture_errors: bool = False,
-    ) -> List[ScheduledJob]:
-        """Run lock-step-eligible sub-batches of one shape group.
-
-        Returns the jobs that must take the generic path.
-        """
-        if group[0].graph.n_edges == 0:
-            return group  # the solver's edgeless shortcut handles these
-        from repro.service.fingerprint import config_token
-
-        batches: Dict[str, List[ScheduledJob]] = {}
-        solvers: Dict[str, QAOASolver] = {}
-        leftovers: List[ScheduledJob] = []
-        for job in group:
-            solver = _lockstep_solver(job)
-            if solver is None:
-                leftovers.append(job)
-                continue
-            token = config_token(job.options)
-            batches.setdefault(token, []).append(job)
-            solvers[token] = solver
-        for token, batch in batches.items():
-            if len(batch) < 2:
-                leftovers.extend(batch)
-                continue
-            owner = batch[0].trace
-            t0 = time.perf_counter()
-            try:
-                # The owner's trace hosts the engine/backend spans (set as
-                # the ambient trace for the whole batch solve); followers
-                # get a retroactive span referencing the owner below.
-                with use_trace(owner):
-                    with owner.span(
-                        "solve", method="qaoa", lockstep=True, batch=len(batch)
-                    ):
-                        solved = _solve_lockstep_batch(
-                            batch[0].graph, batch, solvers[token]
-                        )
-            except Exception:
-                if not capture_errors:
-                    raise
-                # Fall back to the generic path, whose serial retry
-                # captures the failure per job.
-                leftovers.extend(batch)
-                continue
-            t1 = time.perf_counter()
-            for job in batch[1:]:
-                job.trace.add_span(
-                    "solve",
-                    t0,
-                    t1,
-                    method="qaoa",
-                    lockstep=True,
-                    batch=len(batch),
-                    owner=owner.trace_id,
-                )
-            for job, result in zip(batch, solved, strict=True):
-                results[job.index] = result
-            self.metrics.increment("lockstep_jobs", len(batch))
-            self.metrics.increment("lockstep_batches")
-        return leftovers
-
-
-def _solve_lockstep_batch(
-    graph: Graph, jobs: List[ScheduledJob], solver: QAOASolver
-) -> List[dict]:
-    """Solve a batch of same-graph, same-config SPSA jobs in lock-step.
-
-    Mirrors :meth:`repro.qaoa.solver.QAOASolver.solve` step for step —
-    same RNG consumption order per job, same objective construction, same
-    final-state evaluation and selection — with the optimizer loop
-    replaced by :func:`multi_start_spsa_independent` so all jobs' ± pairs
-    evaluate as one engine batch per iteration.
-    """
-    start = time.perf_counter()
-    engine = SweepEngine(graph, backend=solver.backend)
-    energy = MaxCutEnergy(graph, diagonal=engine.diagonal, backend=engine.backend)
-    energy.attach_engine(engine)
-    maxiter = (
-        solver.maxiter
-        if solver.maxiter is not None
-        else default_iterations(solver.layers)
-    )
-    gens = [ensure_rng(job.seed) for job in jobs]
-    x0s = np.stack(
-        [
-            initial_parameters(
-                solver.layers, solver.init, rng=gen, warm_start=solver.warm_start
-            )
-            for gen in gens
-        ]
-    )
-    use_analytic = solver._use_analytic()  # same knob semantics as solo solves
-    if use_analytic:
-        analytic = energy.analytic
-
-        def neg_fp(params: np.ndarray) -> float:
-            return -analytic.energy(params)
-
-        def neg_fp_batch(params_matrix: np.ndarray) -> np.ndarray:
-            return -analytic.energies(params_matrix)
-    else:
-        def neg_fp(params: np.ndarray) -> float:
-            return -energy.expectation(params)
-
-        def neg_fp_batch(params_matrix: np.ndarray) -> np.ndarray:
-            return -energy.energies_batch(params_matrix)
-
-    opts = multi_start_spsa_independent(
-        neg_fp,
-        x0s,
-        maxiter=maxiter,
-        c=spsa_perturbation_from_rhobeg(solver.rhobeg),
-        rngs=gens,
-        batch_fun=neg_fp_batch,
-    )
-    states = engine.statevectors(np.stack([opt.x for opt in opts]))
-    elapsed = time.perf_counter() - start
-    out: List[dict] = []
-    for _job, opt, state, gen in zip(jobs, opts, states, gens, strict=True):
-        assignment, cut, _info = solver._select(graph, energy, state, gen)
-        out.append(
-            {
-                "method": "qaoa",
-                "qaoa_cut": cut,
-                "gw_cut": None,
-                "gw_average": None,
-                "params": [float(x) for x in opt.x],
-                "layers": int(solver.layers),
-                "rhobeg": float(solver.rhobeg),
-                "backend": engine.backend_name,
-                "assignment": assignment,
-                "cut": cut,
-                "elapsed": elapsed / len(jobs),
-            }
-        )
-    return out
 
 
 __all__ = ["BatchScheduler", "ScheduledJob", "MAX_SHARED_DIAGONAL_QUBITS"]

@@ -27,8 +27,8 @@ Request lifecycle::
                  │         failed with ServerOverloaded, newest admitted
                  ▼
            shard worker: drains a micro-batch, runs the shard's
-           MaxCutService.solve_many in a thread (coalescing, lock-step
-           batching, diagonal sharing all apply within the batch),
+           MaxCutService.solve_many in a thread (coalescing and
+           diagonal sharing apply within the batch),
            resolves the futures
 
 Determinism: every shard service is built from the same master ``seed``,
@@ -151,7 +151,6 @@ class AsyncMaxCutServer:
         max_bytes: int = DEFAULT_MAX_BYTES,
         disk_dir: Optional[str | Path] = None,
         executor: Optional[ExecutorConfig] = None,
-        lockstep: bool = True,
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
         service_factory: Optional[Callable[[int], MaxCutService]] = None,
@@ -186,7 +185,6 @@ class AsyncMaxCutServer:
                         None if base_dir is None else base_dir / f"shard-{shard:02d}"
                     ),
                     executor=executor,
-                    lockstep=lockstep,
                     use_cache=use_cache,
                     cache_cost_floor=cache_cost_floor,
                     error_mode="capture",
@@ -468,7 +466,7 @@ class AsyncMaxCutServer:
         shard_index: int = 0,
     ) -> List[ServiceResult]:
         # Runs in a worker thread: the shard's synchronous facade does
-        # coalescing / lock-step batching / diagonal sharing as usual.
+        # coalescing / diagonal sharing as usual.
         # Queue wait is recorded retroactively (admission → first dequeue)
         # so the span tree shows where p95 time went without the admission
         # path ever opening a span it could leak.

@@ -8,8 +8,8 @@ Request lifecycle (see also ``src/repro/service/README.md``)::
                                coalesce duplicates
                                     │
                                     ▼
-                           BatchScheduler (lock-step batches /
-                            shared diagonals / executor fan-out)
+                           BatchScheduler (shared diagonals /
+                            executor fan-out)
                                     │
                                     ▼
                             cache fill ─▶ return (submission order)
@@ -63,10 +63,7 @@ class SolveRequest:
     semantics of the QAOA² leaf payloads (:mod:`repro.qaoa2.solver`):
     ``options`` are :class:`repro.qaoa.solver.QAOASolver` knobs, the grid
     is a list of option overrides whose best cut wins.  ``seed=None``
-    asks the service for a derived content-addressed seed; ``exact=True``
-    pins the job to the reference per-job solve path (no lock-step
-    batching), which QAOA² uses to stay bit-identical with its direct
-    solver."""
+    asks the service for a derived content-addressed seed."""
 
     graph: Graph
     method: str = "qaoa"
@@ -74,7 +71,6 @@ class SolveRequest:
     qaoa_grid: Optional[Sequence[dict]] = None
     gw_options: dict = field(default_factory=dict)
     seed: Optional[int] = None
-    exact: bool = False
     # Observability carrier, NOT identity: excluded from equality and from
     # request_digest (which hashes explicit fields only), so tracing can
     # never change what a request computes or where it caches.
@@ -149,7 +145,6 @@ def build_request(
         seed = options.pop("seed", None)
         qaoa_grid = options.pop("qaoa_grid", None)
         gw_options = options.pop("gw_options", None) or {}
-        exact = options.pop("exact", False)
         return SolveRequest(
             graph=graph,
             method=method,
@@ -157,7 +152,6 @@ def build_request(
             qaoa_grid=qaoa_grid,
             gw_options=gw_options,
             seed=seed,
-            exact=exact,
         )
     if graph is not None or options:
         raise ValueError("pass either request= or graph+options, not both")
@@ -176,7 +170,6 @@ class MaxCutService:
         executor: Optional[ExecutorConfig] = None,
         metrics: Optional[ServiceMetrics] = None,
         seed: RngLike = 0,
-        lockstep: bool = True,
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
         error_mode: str = "raise",
@@ -203,9 +196,7 @@ class MaxCutService:
                 max_bytes=max_bytes, disk_dir=disk_dir, metrics=self.metrics
             )
         )
-        self.scheduler = BatchScheduler(
-            executor, metrics=self.metrics, lockstep=lockstep
-        )
+        self.scheduler = BatchScheduler(executor, metrics=self.metrics)
         # One integer master seed; derived per-request seeds hash it with
         # the request fingerprint so they are submission-order independent.
         self.master_seed = int(ensure_rng(seed).integers(2**63 - 1))
@@ -293,14 +284,12 @@ class MaxCutService:
             self.metrics.increment("misses")
             jobs.append(
                 ScheduledJob(
-                    index=len(jobs),
                     graph=request.graph,
                     method=request.method,
                     options=dict(request.options),
                     qaoa_grid=request.qaoa_grid,
                     gw_options=dict(request.gw_options),
                     seed=seeds[idx],
-                    exact=request.exact,
                     trace=request.trace,
                 )
             )
@@ -385,7 +374,6 @@ class MaxCutService:
                 qaoa_grid=request.qaoa_grid,
                 gw_options=request.gw_options,
                 seed=seed,
-                exact=request.exact,
             )
             span.set(fingerprint_prefix=fp.digest[:10])
         self.metrics.observe("fingerprint", time.perf_counter() - t0)
@@ -466,7 +454,6 @@ class MaxCutService:
             qaoa_grid=request.qaoa_grid,
             gw_options=request.gw_options,
             seed=None,
-            exact=request.exact,
         )
         h = hashlib.sha256(
             f"seed|{self.master_seed}|{digest_sans_seed}".encode()

@@ -16,7 +16,7 @@ key — routing is
 
 All *configurations* of one graph co-locate too (the shard key is the
 graph fingerprint, not the request digest), which preserves the
-scheduler's same-graph diagonal sharing and lock-step batching.
+scheduler's same-graph diagonal sharing.
 
 Balance bound
 -------------

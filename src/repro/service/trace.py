@@ -16,8 +16,8 @@ CORE packages can emit spans; this module is the *service-side* half:
 
 Span vocabulary emitted by the stack (see docs/observability.md):
 ``wire-parse``, ``submit``, ``shard-queue``, ``coalesced-inflight``,
-``solve``, ``fingerprint``, ``lookup``, ``store``, ``lockstep-batch``,
-``cut_diagonal``, ``evolve_chunk``, ``walsh_stage``, ``backend-evolve``.
+``solve``, ``fingerprint``, ``lookup``, ``store``, ``cut_diagonal``,
+``evolve_chunk``, ``walsh_stage``, ``backend-evolve``.
 """
 
 from __future__ import annotations

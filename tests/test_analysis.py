@@ -274,14 +274,14 @@ class TestMutations:
         )
         assert findings_for(path, "backend-seam")
 
-    def test_global_rng_in_scheduler_is_caught(self, tmp_path):
+    def test_global_rng_in_service_is_caught(self, tmp_path):
         path = self._mutate(
             tmp_path,
-            SRC / "service" / "scheduler.py",
-            "    gens = [ensure_rng(job.seed) for job in jobs]",
-            "    np.random.seed(jobs[0].seed)\n"
-            "    gens = [ensure_rng(job.seed) for job in jobs]",
-            "repro.service.scheduler",
+            SRC / "service" / "service.py",
+            "        self.master_seed = int(ensure_rng(seed).integers(2**63 - 1))",
+            "        np.random.seed(0)\n"
+            "        self.master_seed = int(ensure_rng(seed).integers(2**63 - 1))",
+            "repro.service.service",
         )
         found = findings_for(path, "rng-discipline")
         assert len(found) == 1 and "seed" in found[0].message

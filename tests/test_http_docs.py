@@ -53,7 +53,6 @@ class TestHttpApiDoc:
             "qaoa_grid",
             "gw_options",
             "seed",
-            "exact",
             "deadline_s",
         ):
             assert f"`{field}`" in text, f"request field {field} undocumented"

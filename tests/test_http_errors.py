@@ -71,16 +71,19 @@ class TestBadRequest:
         assert merged.count("requests") == 0  # no shard was touched
 
     def test_schema_violation_is_400(self):
-        with HttpServerThread(n_shards=1, seed=0) as handle:
-            with HttpMaxCutClient(handle.host, handle.port) as client:
-                status, payload = client.request(
-                    "POST",
-                    "/solve",
-                    {"graph": {"n_nodes": 4, "edges": []}, "surprise": 1},
-                )
-            merged = handle.merged_metrics()
-        assert (status, payload["code"]) == (400, "bad-request")
-        assert merged.count("requests") == 0
+        # A removed request key ("exact") is refused like any unknown key.
+        for extra in ({"surprise": 1}, {"exact": True}):
+            with HttpServerThread(n_shards=1, seed=0) as handle:
+                with HttpMaxCutClient(handle.host, handle.port) as client:
+                    status, payload = client.request(
+                        "POST",
+                        "/solve",
+                        {"graph": {"n_nodes": 4, "edges": []}, **extra},
+                    )
+                merged = handle.merged_metrics()
+            assert (status, payload["code"]) == (400, "bad-request")
+            assert "unknown request keys" in payload["error"]
+            assert merged.count("requests") == 0
 
     def test_oversized_graph_is_400(self):
         with HttpServerThread(

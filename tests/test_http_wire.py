@@ -127,7 +127,6 @@ class TestRequestWire:
         assert back.method == request.method
         assert back.options == request.options
         assert back.seed == request.seed
-        assert back.exact == request.exact
         # Identical digests: the wire hop is invisible to the cache.
         probe = MaxCutService(seed=0)
         assert probe.describe(back).digest == probe.describe(request).digest
@@ -159,7 +158,7 @@ class TestRequestWire:
             {"graph": {"n_nodes": 2, "edges": []}, "gw_options": 0},
             {"graph": {"n_nodes": 2, "edges": []}, "seed": "5"},
             {"graph": {"n_nodes": 2, "edges": []}, "seed": True},
-            {"graph": {"n_nodes": 2, "edges": []}, "exact": "yes"},
+            {"graph": {"n_nodes": 2, "edges": []}, "exact": True},  # removed key
             {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": "soon"},
             {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": 0},
             {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": -1.0},

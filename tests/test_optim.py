@@ -19,7 +19,6 @@ from repro.optim import (
     minimize_nelder_mead,
     minimize_spsa,
     multi_start_spsa,
-    multi_start_spsa_independent,
 )
 from repro.qaoa.energy import MaxCutEnergy
 from repro.qaoa.params import initial_parameters
@@ -483,59 +482,3 @@ class TestDispatcher:
     def test_alias_nm(self):
         result = minimize(quadratic, np.zeros(2), method="nm", maxiter=100)
         assert result.fun < 1.0
-
-
-class TestMultiStartSPSAIndependent:
-    """Lock-step batching of independent jobs (the service scheduler's
-    primitive): every row must reproduce its solo run."""
-
-    def quadratic_batch(self, matrix):
-        return np.array([quadratic(row) for row in matrix])
-
-    def test_each_row_matches_solo_run(self):
-        x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(4, 3))
-        for maxiter in (7, 40, 61):
-            results = multi_start_spsa_independent(
-                quadratic, x0s, maxiter=maxiter,
-                rngs=[np.random.default_rng(100 + s) for s in range(4)],
-            )
-            for s, got in enumerate(results):
-                solo = minimize_spsa(
-                    quadratic, x0s[s], maxiter=maxiter,
-                    rng=np.random.default_rng(100 + s),
-                )
-                assert got.fun == solo.fun
-                np.testing.assert_array_equal(got.x, solo.x)
-                assert got.history == solo.history
-                assert got.nfev == solo.nfev
-
-    def test_batch_fun_same_points_same_order(self):
-        x0s = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2))
-
-        def rngs():
-            return [np.random.default_rng(s) for s in range(3)]
-
-        point = multi_start_spsa_independent(
-            quadratic, x0s, maxiter=30, rngs=rngs()
-        )
-        batched = multi_start_spsa_independent(
-            quadratic, x0s, maxiter=30, rngs=rngs(),
-            batch_fun=self.quadratic_batch,
-        )
-        for a, b in zip(point, batched, strict=True):
-            assert a.history == b.history
-            np.testing.assert_array_equal(a.x, b.x)
-
-    def test_rng_count_validated(self):
-        with pytest.raises(ValueError, match="one generator per job"):
-            multi_start_spsa_independent(
-                quadratic, np.zeros((2, 3)), maxiter=10,
-                rngs=[np.random.default_rng(0)],
-            )
-
-    def test_bad_maxiter(self):
-        with pytest.raises(ValueError, match="maxiter"):
-            multi_start_spsa_independent(
-                quadratic, np.zeros((1, 2)), maxiter=0,
-                rngs=[np.random.default_rng(0)],
-            )

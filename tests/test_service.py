@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import ClassVar
-
 import numpy as np
 import pytest
 
@@ -145,47 +143,69 @@ class TestCacheCorrectness:
 
 
 # ---------------------------------------------------------------------------
-# Lock-step batching
+# Batching: a service cold solve is the reference job
 # ---------------------------------------------------------------------------
-class TestLockstepBatching:
-    SPSA: ClassVar[dict] = {"layers": 2, "maxiter": 40, "optimizer": "spsa"}
+SPSA = {"layers": 2, "maxiter": 40, "optimizer": "spsa"}
 
-    def test_lockstep_matches_solo_solves(self, graph):
-        service = MaxCutService(seed=0)
+
+class TestBatching:
+    @pytest.mark.parametrize(
+        "executor",
+        [ExecutorConfig("serial"), ExecutorConfig("thread", 2)],
+        ids=["serial", "thread"],
+    )
+    @pytest.mark.parametrize(
+        ("method", "options", "grid"),
+        [
+            pytest.param("qaoa", SPSA, None, id="spsa"),
+            pytest.param("qaoa", OPTIONS, None, id="cobyla-p2"),
+            pytest.param("qaoa", {"layers": 1, "maxiter": 25}, None,
+                         id="p1-analytic"),
+            pytest.param("qaoa", {**SPSA, "n_starts": 2}, None,
+                         id="spsa-2-starts"),
+            pytest.param("qaoa", OPTIONS, [{"rhobeg": 0.3}, {"rhobeg": 0.8}],
+                         id="grid"),
+            pytest.param("best", OPTIONS, None, id="best"),
+        ],
+    )
+    def test_batched_solves_equal_solo_bit_for_bit(
+        self, graph, method, options, grid, executor
+    ):
+        """Same-graph requests solved in one batch (sharing a diagonal)
+        each equal the unshared reference job, parameters included."""
+        service = MaxCutService(seed=0, executor=executor)
         requests = [
-            SolveRequest(graph=graph, options=self.SPSA, seed=s)
+            SolveRequest(graph=graph, method=method, options=options,
+                         qaoa_grid=grid, seed=s)
             for s in (1, 2, 3)
         ]
         batched = service.solve_many(requests)
-        assert service.metrics.count("lockstep_batches") == 1
-        assert service.metrics.count("lockstep_jobs") == 3
+        assert service.metrics.count("solves") == 3
+        assert service.metrics.count("shared_diagonals") == 3
         for req, res in zip(requests, batched, strict=True):
-            solo = _solve_subgraph_job(payload(graph, req.seed, options=self.SPSA))
+            solo = _solve_subgraph_job(
+                payload(graph, req.seed, method, options, grid)
+            )
+            assert res.status == "solved"
+            assert res.method == solo["method"]
             assert res.cut == solo["cut"]
             assert np.array_equal(res.assignment, solo["assignment"])
-            np.testing.assert_allclose(res.params, solo["params"], atol=1e-9)
-
-    def test_exact_flag_bypasses_lockstep(self, graph):
-        service = MaxCutService(seed=0)
-        requests = [
-            SolveRequest(graph=graph, options=self.SPSA, seed=s, exact=True)
-            for s in (1, 2)
-        ]
-        service.solve_many(requests)
-        assert service.metrics.count("lockstep_batches") == 0
+            assert res.params == solo["params"]
 
     def test_mixed_batch_routes_correctly(self, graph):
-        """SPSA pairs lock-step; the COBYLA job takes the generic path."""
+        """SPSA and COBYLA jobs in one batch each get their own solve."""
         service = MaxCutService(seed=0)
         requests = [
-            SolveRequest(graph=graph, options=self.SPSA, seed=1),
-            SolveRequest(graph=graph, options=self.SPSA, seed=2),
+            SolveRequest(graph=graph, options=SPSA, seed=1),
+            SolveRequest(graph=graph, options=SPSA, seed=2),
             SolveRequest(graph=graph, options=OPTIONS, seed=3),
         ]
         out = service.solve_many(requests)
-        assert service.metrics.count("lockstep_jobs") == 2
-        solo = _solve_subgraph_job(payload(graph, 3))
-        assert out[2].cut == solo["cut"]
+        assert service.metrics.count("solves") == 3
+        for req, res in zip(requests, out, strict=True):
+            solo = _solve_subgraph_job(payload(graph, req.seed, options=req.options))
+            assert res.cut == solo["cut"]
+            assert res.params == solo["params"]
 
     def test_shared_diagonal_jobs_bit_identical(self, graph):
         """Same-graph generic jobs share one cut diagonal; results match
@@ -360,8 +380,8 @@ class TestServiceSeedModes:
 
 class TestSchedulerGuards:
     def test_lockstep_respects_max_qubits(self):
-        """Oversized graphs must fall through to the solver's clean error,
-        not attempt a 2**n lock-step batch."""
+        """Oversized same-graph SPSA batches raise the solver's clean
+        error, never attempting a 2**n evolution."""
         graph = erdos_renyi(30, 0.1, rng=0)
         service = MaxCutService(seed=0)
         options = {"layers": 1, "maxiter": 10, "optimizer": "spsa",
@@ -371,7 +391,6 @@ class TestSchedulerGuards:
         ]
         with pytest.raises(ValueError, match="max_qubits"):
             service.solve_many(requests)
-        assert service.metrics.count("lockstep_batches") == 0
 
     def test_fingerprint_memoised_on_graph(self):
         from repro.service import canonical_fingerprint
@@ -386,28 +405,8 @@ class TestSchedulerGuards:
 
 
 class TestReviewRegressions:
-    """Pins for review findings: exact/batched cache isolation, result
-    immutability, bounded ticket retention."""
-
-    SPSA: ClassVar[dict] = {"layers": 2, "maxiter": 40, "optimizer": "spsa"}
-
-    def test_exact_requests_never_served_lockstep_entries(self, graph):
-        service = MaxCutService(seed=0)
-        # Populate the cache through a lock-step batch...
-        service.solve_many(
-            [SolveRequest(graph=graph, options=self.SPSA, seed=s)
-             for s in (1, 2, 3)]
-        )
-        # ...then ask for seed 1 under the bit-identical contract.
-        exact = service.solve_many(
-            [SolveRequest(graph=graph, options=self.SPSA, seed=1, exact=True)]
-        )[0]
-        assert exact.status == "solved"  # disjoint cache namespace
-        reference = _solve_subgraph_job(
-            payload(graph, 1, options=self.SPSA)
-        )
-        assert exact.cut == reference["cut"]
-        assert exact.params == reference["params"]  # bitwise, not just close
+    """Pins for review findings: result immutability, bounded ticket
+    retention."""
 
     def test_result_mutation_does_not_corrupt_cache(self, graph):
         service = MaxCutService(seed=0)

@@ -237,7 +237,7 @@ class TestExecutorFaults:
             return real_map_jobs(fn, payloads, config=config)
 
         monkeypatch.setattr(sched, "map_jobs", dying_map_jobs)
-        service = MaxCutService(seed=0, lockstep=False)
+        service = MaxCutService(seed=0)
         result = service.solve(graph, seed=2, **OPTIONS)
         assert service.metrics.count("executor_retries") == 1
         assert result.cut == ref.cut

@@ -115,6 +115,22 @@ class TestRequestDigest:
         b = request_digest("g", method="qaoa", options={"maxiter": 30, "layers": 2})
         assert a == b
 
+    def test_golden_digest_and_derived_seed(self):
+        """Seedless requests derive their seed from this digest, so moving
+        it moves every zipf_http checksum and orphans every disk-log
+        record (e.g. by dropping the constant "batched" field)."""
+        from repro.service import MaxCutService, SolveRequest
+
+        g = erdos_renyi(12, 0.3, weighted=True, rng=7)
+        options = {"layers": 2, "maxiter": 30}
+        key = MaxCutService(seed=0).describe(SolveRequest(graph=g, options=options))
+        assert key.digest == "b5a991c98db7fcad983603f13aea4702"
+        assert key.seed == 1743642096
+        digest = request_digest(
+            canonical_fingerprint(g).digest, method="qaoa", options=options, seed=None
+        )
+        assert digest == "bc3f35d5171e34862b4afdd497ff11c8"
+
     def test_config_token_handles_numpy(self):
         token = config_token({"warm": np.array([0.1, 0.2]), "n": np.int64(3)})
         assert "0.1" in token and '"n":3' in token
