@@ -1,11 +1,6 @@
 """Classical MaxCut solvers: Goemans-Williamson (with from-scratch SDP
 solvers), simulated annealing, exact baselines."""
 
-from repro.classical.exact import (
-    exact_maxcut,
-    exact_maxcut_branch_and_bound,
-    exact_maxcut_bruteforce,
-)
 from repro.classical.gw import (
     DEFAULT_SLICES,
     GW_APPROX_RATIO,
@@ -23,6 +18,11 @@ from repro.classical.qubo import (
     SimulatedAnnealerSampler,
 )
 from repro.classical.sdp import SDPResult, solve_sdp, solve_sdp_admm, solve_sdp_mixing
+from repro.graphs.maxcut import (
+    exact_maxcut,
+    exact_maxcut_branch_and_bound,
+    exact_maxcut_bruteforce,
+)
 
 __all__ = [
     "GW_APPROX_RATIO",

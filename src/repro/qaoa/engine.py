@@ -83,7 +83,6 @@ from repro.quantum.backend import (
     resolve_backend,
     shared_pool,
 )
-from repro.quantum.backend.base import CHUNK_BUDGET_BYTES, DEFAULT_CHUNK_SIZE
 from repro.util.tracing import current_trace
 
 # Cap on the spectral angle-grid path's per-chunk working set (two
@@ -426,8 +425,4 @@ class SweepEngine:
         return out
 
 
-__all__ = [
-    "CHUNK_BUDGET_BYTES",
-    "DEFAULT_CHUNK_SIZE",
-    "SweepEngine",
-]
+__all__ = ["SweepEngine"]

@@ -124,8 +124,6 @@ class AsyncMaxCutServer:
     ``admission``         ``"reject"`` (refuse when full) or ``"shed"``
                           (drop the oldest queued request for the newest)
     ``max_batch``         micro-batch size a shard worker drains per solve
-    ``batch_window``      seconds a worker waits after the first dequeue
-                          for batch-mates to arrive (0 = drain-what's-there)
     ``cache_cost_floor``  per-shard cache admission: only store solves
                           costlier than this many seconds ("auto" =
                           measured fingerprint+store cost; None = always)
@@ -147,7 +145,6 @@ class AsyncMaxCutServer:
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
         admission: str = "reject",
         max_batch: int = DEFAULT_MAX_BATCH,
-        batch_window: float = 0.0,
         max_bytes: int = DEFAULT_MAX_BYTES,
         disk_dir: Optional[str | Path] = None,
         executor: Optional[ExecutorConfig] = None,
@@ -169,7 +166,6 @@ class AsyncMaxCutServer:
         self.admission = admission
         self.queue_depth = queue_depth
         self.max_batch = max_batch
-        self.batch_window = float(batch_window)
 
         if service_factory is None:
             base_dir = Path(disk_dir) if disk_dir is not None else None
@@ -481,8 +477,6 @@ class AsyncMaxCutServer:
         while True:
             submission: _Submission = await queue.get()
             batch = [submission]
-            if self.batch_window > 0 and queue.empty():
-                await asyncio.sleep(self.batch_window)
             while len(batch) < self.max_batch:
                 try:
                     batch.append(queue.get_nowait())

@@ -15,8 +15,8 @@ CORE packages can emit spans; this module is the *service-side* half:
   queue wait, cut-diagonal build, backend evolve, or cache I/O.
 
 Span vocabulary emitted by the stack (see docs/observability.md):
-``wire-parse``, ``submit``, ``shard-queue``, ``coalesced-inflight``,
-``solve``, ``fingerprint``, ``lookup``, ``store``, ``cut_diagonal``,
+``wire-parse``, ``shard-queue``, ``coalesced-inflight``, ``solve``,
+``fingerprint``, ``lookup``, ``store``, ``cut_diagonal``,
 ``evolve_chunk``, ``walsh_stage``, ``backend-evolve``.
 """
 
@@ -28,24 +28,9 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.util.tracing import (
-    NO_TRACE,
-    NullTraceContext,
-    Span,
-    TraceContext,
-    current_trace,
-    use_trace,
-)
+from repro.util.tracing import NullTraceContext, TraceContext
 
-__all__ = [
-    "NO_TRACE",
-    "NullTraceContext",
-    "Span",
-    "TraceContext",
-    "TraceRecorder",
-    "current_trace",
-    "use_trace",
-]
+__all__ = ["TraceRecorder"]
 
 logger = logging.getLogger("repro.service.trace")
 
@@ -75,7 +60,6 @@ class TraceRecorder:
         *,
         jsonl_path: Optional[str] = None,
         slow_threshold_s: Optional[float] = None,
-        slow_capacity: int = DEFAULT_SLOW_CAPACITY,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -83,7 +67,7 @@ class TraceRecorder:
         self.jsonl_path = jsonl_path
         self.slow_threshold_s = slow_threshold_s
         self._traces: Deque[TraceContext] = deque(maxlen=capacity)
-        self._slow: Deque[TraceContext] = deque(maxlen=max(1, slow_capacity))
+        self._slow: Deque[TraceContext] = deque(maxlen=DEFAULT_SLOW_CAPACITY)
         self._recorded = 0
         self._lock = threading.Lock()
 

@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, timing, validation, tracing primitives."""
+"""Shared utilities: RNG handling, validation, tracing primitives."""
 
 from repro.util.rng import ensure_rng, spawn_rngs
-from repro.util.timing import Timer, timed
 from repro.util.tracing import (
     NO_TRACE,
     Span,
@@ -14,8 +13,6 @@ from repro.util.validation import check_probability, check_positive_int
 __all__ = [
     "ensure_rng",
     "spawn_rngs",
-    "Timer",
-    "timed",
     "check_probability",
     "check_positive_int",
     "NO_TRACE",

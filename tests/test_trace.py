@@ -277,6 +277,11 @@ class TestTraceRecorder:
         assert "trace stage breakdown" in table
         for stage in ("request", "solve", "store"):
             assert stage in table
+        # The summary covers only what the ring still holds.
+        ring = TraceRecorder(capacity=2)
+        for trace_id in ("r1", "r2", "r3"):
+            ring.record(_finished_trace(trace_id))
+        assert ring.stage_summary()["request"]["count"] == 2
 
     def test_to_dicts_round_trip(self):
         recorder = TraceRecorder()

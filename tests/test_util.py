@@ -1,17 +1,13 @@
 """Unit tests for repro.util."""
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.util import (
-    Timer,
     check_positive_int,
     check_probability,
     ensure_rng,
     spawn_rngs,
-    timed,
 )
 from repro.util.validation import check_nonnegative_int
 
@@ -49,29 +45,6 @@ class TestRng:
 
     def test_spawn_rngs_zero(self):
         assert spawn_rngs(0, 0) == []
-
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t.section("a"):
-            pass
-        with t.section("a"):
-            pass
-        assert t.counts["a"] == 2
-        assert t.total("a") >= 0.0
-        assert t.total("missing") == 0.0
-
-    def test_timer_report(self):
-        t = Timer()
-        with t.section("step"):
-            time.sleep(0.001)
-        assert "step" in t.report()
-
-    def test_timed_contextmanager(self):
-        with timed() as box:
-            time.sleep(0.001)
-        assert box["elapsed"] >= 0.001
 
 
 class TestValidation:
