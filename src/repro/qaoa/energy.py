@@ -17,54 +17,48 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import cut_diagonal
-from repro.quantum.backend import resolve_backend
+from repro.qaoa.engine import SweepEngine
 from repro.quantum.statevector import probabilities
 from repro.util.rng import RngLike, ensure_rng
 
 
 class MaxCutEnergy:
-    """Caches the cut diagonal of a graph and evaluates QAOA states/energies.
+    """Pointwise QAOA states and energies over one graph's sweep engine.
 
     Parameters are packed ``[γ_1..γ_p, β_1..β_p]`` (gammas first), matching
     :func:`repro.synth.synthesis.qaoa_ansatz`.
 
-    ``backend`` selects the statevector-evolution backend for both the
-    pointwise path and the lazily built sweep engine (``"auto"``, a
-    registered name, or an instance — see :mod:`repro.quantum.backend`).
-    ``None`` (the default) pins the bit-identical ``numpy`` reference, so
-    a bare ``MaxCutEnergy(graph)`` reproduces the seed implementation
-    exactly at any size.
+    The :class:`~repro.qaoa.engine.SweepEngine` owns the graph's
+    evaluation state: the cut diagonal, the resolved backend, the analytic
+    p=1 tier and the batched paths (``energy.engine``).  ``engine`` shares
+    a caller's engine, whose backend then wins.  Without one, an engine is
+    built over the cut diagonal with ``backend`` (``"auto"``, a registered
+    name, or an instance — see :mod:`repro.quantum.backend`).  ``None``
+    (the default) pins the bit-identical ``numpy`` reference, so a bare
+    ``MaxCutEnergy(graph)`` reproduces the seed implementation exactly at
+    any size, on the pointwise and the batched paths alike.
     """
 
     def __init__(
         self,
         graph: Graph,
         *,
-        diagonal: Optional[np.ndarray] = None,
+        engine: Optional[SweepEngine] = None,
         backend: Optional[object] = None,
     ) -> None:
-        if graph.n_nodes < 1:
-            raise ValueError("graph must have at least one node")
+        if engine is None:
+            engine = SweepEngine(
+                graph,
+                diagonal=cut_diagonal(graph),
+                backend="numpy" if backend is None else backend,
+            )
+        elif engine.graph is not graph:
+            raise ValueError("engine was built for a different graph")
         self.graph = graph
         self.n_qubits = graph.n_nodes
-        # ``diagonal`` lets a caller that already built the cut diagonal
-        # (e.g. a SweepEngine solving the same graph repeatedly) share it —
-        # constructing it is the dominant per-solve setup cost.
-        if diagonal is None:
-            diagonal = cut_diagonal(graph)
-        elif diagonal.shape != (1 << self.n_qubits,):
-            raise ValueError("diagonal length does not match the graph")
-        elif not np.array_equal(diagonal, diagonal[::-1]):
-            # The backends evolve only the top-bit-0 half of the state,
-            # which is exact only for a complement-symmetric diagonal.
-            raise ValueError("diagonal is not complement-symmetric (d[x] != d[~x])")
-        self.diagonal = diagonal
-        self._backend_spec = backend
-        self.backend = resolve_backend(
-            "numpy" if backend is None else backend, n_qubits=self.n_qubits
-        )
-        self._engine = None  # lazy SweepEngine for the batch path
-        self._analytic = None  # lazy AnalyticP1Energy for the p=1 fast path
+        self.engine = engine
+        self.diagonal = engine.diagonal
+        self.backend = engine.backend
 
     # ------------------------------------------------------------------
     def split_params(self, params: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -97,80 +91,6 @@ class MaxCutEnergy:
 
     def expectation_from_state(self, state: np.ndarray) -> float:
         return float(np.dot(probabilities(state), self.diagonal))
-
-    # ------------------------------------------------------------------
-    def attach_engine(self, engine) -> None:
-        """Back the batch path with a caller-provided SweepEngine (so its
-        chunk_size/pool configuration is honoured, not just its diagonal)."""
-        if engine.graph is not self.graph:
-            raise ValueError("engine was built for a different graph")
-        self._engine = engine
-
-    def engine(self, **engine_kwargs) -> "SweepEngine":
-        """The batched evaluator for this graph (built lazily, shares the
-        cached diagonal and the backend spec).  See
-        :class:`repro.qaoa.engine.SweepEngine`."""
-        from repro.qaoa.engine import SweepEngine
-
-        if self._engine is None or engine_kwargs:
-            transient = bool(engine_kwargs)
-            # The default spec (None) pins numpy for the engine too, so a
-            # bare MaxCutEnergy keeps its seed-identical contract on both
-            # the pointwise and batched paths; auto/fused arrive only via
-            # an explicit backend= (as QAOASolver passes).
-            engine_kwargs.setdefault(
-                "backend",
-                "numpy" if self._backend_spec is None else self._backend_spec,
-            )
-            engine = SweepEngine(self.graph, diagonal=self.diagonal, **engine_kwargs)
-            if transient:
-                return engine
-            self._engine = engine
-        return self._engine
-
-    def energies_batch(self, params_matrix: np.ndarray) -> np.ndarray:
-        """F_p for every row of a ``(B, 2p)`` parameter matrix at once.
-
-        Delegates to the chunked :class:`~repro.qaoa.engine.SweepEngine`;
-        agrees elementwise with :meth:`expectation` per row (property-tested
-        in ``tests/test_batched_statevector.py``).
-        """
-        return self.engine().energies(params_matrix)
-
-    def statevectors_batch(self, params_matrix: np.ndarray) -> np.ndarray:
-        """|ψ_p⟩ for every row of a ``(B, 2p)`` parameter matrix."""
-        return self.engine().statevectors(params_matrix)
-
-    # ------------------------------------------------------------------
-    @property
-    def analytic(self):
-        """Closed-form p=1 evaluator for this graph (lazy; shares the
-        attached engine's instance when one is present).  See
-        :class:`repro.qaoa.analytic.AnalyticP1Energy`."""
-        if self._engine is not None:
-            return self._engine.analytic
-        if self._analytic is None:
-            from repro.qaoa.analytic import AnalyticP1Energy
-
-            self._analytic = AnalyticP1Energy(self.graph)
-        return self._analytic
-
-    def analytic_expectation(self, params: np.ndarray) -> float:
-        """Exact F_1(γ, β) via the closed form — O(E·n), no statevector.
-
-        p=1 only; agrees with :meth:`expectation` to ~1e-13 (pinned in
-        ``tests/test_analytic_p1.py``).
-        """
-        return self.analytic.energy(params)
-
-    def analytic_energies(self, params_matrix: np.ndarray) -> np.ndarray:
-        """Closed-form F_1 for every ``[γ, β]`` row of a ``(B, 2)`` matrix."""
-        return self.analytic.energies(params_matrix)
-
-    # ------------------------------------------------------------------
-    def max_cut_upper_bound(self) -> float:
-        """max over the diagonal — the exact optimum (used in tests)."""
-        return float(self.diagonal.max())
 
 
 __all__ = ["MaxCutEnergy"]

@@ -99,9 +99,11 @@ def spectral_row_bytes(n_qubits: int) -> int:
 class SweepEngine:
     """Evaluates QAOA energies/states for batches of parameter vectors.
 
-    Caches the graph's cut diagonal once (the dominant setup cost for
-    repeated solves) and bounds peak memory with ``chunk_size`` — see the
-    module docstring for the layout and memory model.
+    Owns one graph's evaluation state: the cut diagonal, built once (the
+    dominant setup cost for repeated solves), the resolved backend and the
+    analytic tier; :class:`repro.qaoa.energy.MaxCutEnergy` is its pointwise
+    face.  Bounds peak memory with ``chunk_size`` — see the module
+    docstring for the layout and memory model.
     """
 
     def __init__(
@@ -169,14 +171,6 @@ class SweepEngine:
             self._analytic = AnalyticP1Energy(self.graph)
         return self._analytic
 
-    def energies_analytic(self, params_matrix: np.ndarray) -> np.ndarray:
-        """Closed-form F_1 for every ``[γ, β]`` row of a ``(B, 2)`` matrix.
-
-        Statevector-free; raises for p ≥ 2 rows (those go through
-        :meth:`energies`).  Agrees with :meth:`energies` to ~1e-13.
-        """
-        return self.analytic.energies(params_matrix)
-
     # ------------------------------------------------------------------
     def chunk_rows(self, batch: int) -> int:
         """The chunk width for a sweep of ``batch`` parameter rows.
@@ -232,10 +226,6 @@ class SweepEngine:
             states = self._evolve_chunk(mat[start:stop])
             out[start:stop] = self.backend.expectations_batch(states, self.diagonal)
         return out
-
-    def energy(self, params: np.ndarray) -> float:
-        """Single-vector convenience wrapper over :meth:`energies`."""
-        return float(self.energies(np.asarray(params))[0])
 
     def statevectors(self, params_matrix: np.ndarray) -> np.ndarray:
         """|ψ_p⟩ for every row, as a freshly-allocated ``(B, 2**n)`` array.

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult, bitstring_to_assignment
-from repro.hpc.executor import map_jobs
 from repro.optim import (
     cobyla_steps,
     drive,
@@ -90,8 +89,7 @@ class QAOASolver:
         untouched.  With SPSA the starts advance in lock-step and every
         iteration evaluates all ± pairs as one ``(2*n_starts, 2p)`` engine
         batch (:func:`repro.optim.multi_start.multi_start_spsa`); the
-        sequential optimizers fall back to one restart per start (see
-        ``starts_executor`` to fan those restarts out in parallel).
+        sequential optimizers fall back to one restart per start.
     batched:
         When True (default) exact-statevector objectives hand the optimizer
         a vectorised ``(B, 2p) -> (B,)`` batch objective backed by the
@@ -132,22 +130,6 @@ class QAOASolver:
         reference below.  When ``engine`` is supplied its backend wins,
         keeping the objective and the attached engine consistent.  The
         resolved name is recorded in ``result.extra["backend"]``.
-    starts_executor:
-        Optional :class:`repro.hpc.executor.ExecutorConfig` (or backend
-        name string) for the sequential-optimizer multi-start fallback:
-        COBYLA / Nelder–Mead restarts fan out through
-        :func:`repro.hpc.executor.map_jobs` instead of running one after
-        another.  Restarts are independent by construction — every start's
-        initial point is drawn up front and each restart gets its own
-        pre-spawned child generator — and results are reduced in
-        submission order, so parallel runs are bit-identical to serial
-        ones.  Only the ``thread`` backend is supported for parallelism
-        (the objective closes over the engine's pooled buffers, which
-        cannot pickle to a process pool); NumPy kernels release the GIL,
-        so statevector-heavy restarts scale.  Objectives that consume RNG
-        state per evaluation (``sampled`` / noisy) stay sequential to
-        preserve their stream order.  Ignored for SPSA multi-start, which
-        is already one lock-step batch.
     """
 
     layers: int = 3
@@ -168,7 +150,6 @@ class QAOASolver:
     noise_trajectories: int = 8
     engine: Optional[object] = None  # repro.qaoa.engine.SweepEngine
     backend: object = "auto"  # statevector backend spec (repro.quantum.backend)
-    starts_executor: Optional[object] = None  # executor config | backend name
     rng: RngLike = None
     max_qubits: int = 26
 
@@ -188,15 +169,12 @@ class QAOASolver:
                 "partition it first (QAOA²) or raise the cap"
             )
         gen = ensure_rng(self.rng)
-        if self.engine is not None and self.engine.graph is graph:
-            # The engine's backend wins so the pointwise objective, the
-            # batched objective and the final evolve all agree.
-            energy = MaxCutEnergy(
-                graph, diagonal=self.engine.diagonal, backend=self.engine.backend
-            )
-            energy.attach_engine(self.engine)
-        else:
-            energy = MaxCutEnergy(graph, backend=self.backend)
+        engine = self.engine
+        if engine is not None and engine.graph is not graph:
+            engine = None
+        # A given engine's backend wins, so the pointwise objective, the
+        # batched objective and the final evolve all agree.
+        energy = MaxCutEnergy(graph, engine=engine, backend=self.backend)
         backend_name = energy.backend.name
         if graph.n_edges == 0:
             assignment = np.zeros(graph.n_nodes, dtype=np.uint8)
@@ -230,7 +208,7 @@ class QAOASolver:
                 # p=1 closed form: exact energies with no statevector at
                 # all.  Both the point and batch objectives go through it,
                 # so the batched=False parity path stays bit-identical.
-                analytic = energy.analytic
+                analytic = energy.engine.analytic
 
                 def neg_fp(params: np.ndarray) -> float:
                     return -analytic.energy(params)
@@ -250,7 +228,7 @@ class QAOASolver:
                 # consumes generator state.
                 if self.batched:
                     def neg_fp_batch(params_matrix: np.ndarray) -> np.ndarray:
-                        return -energy.energies_batch(params_matrix)
+                        return -energy.engine.energies(params_matrix)
         elif self.objective == "sampled":
             def neg_fp(params: np.ndarray) -> float:
                 return -energy.sampled_expectation(params, self.shots, rng=gen)
@@ -268,10 +246,10 @@ class QAOASolver:
             )
         else:
             opt = self._optimize(neg_fp, neg_fp_batch, x0, maxiter, gen)
-        if self.engine is not None and self.engine.graph is graph:
+        if engine is not None:
             # Bitwise-identical to the per-point evolve (pinned in tests),
             # but through the pooled batch kernels.
-            state = self.engine.statevectors(np.asarray(opt.x))[0]
+            state = engine.statevectors(np.asarray(opt.x))[0]
         else:
             state = energy.statevector(opt.x)
         assignment, cut, selection_info = self._select(graph, energy, state, gen)
@@ -354,17 +332,12 @@ class QAOASolver:
                 batch_fun=neg_fp_batch,
             )
         # Sequential optimizers (COBYLA / Nelder-Mead): one restart per
-        # start, best-seen result wins, nfev accumulated fleet-wide.
-        # Restarts are independent — initial points were all drawn above
-        # and each restart gets its own pre-spawned generator — so they
-        # fan out through map_jobs when a starts_executor is configured,
-        # and the submission-order reduction keeps parallel runs
-        # bit-identical to serial ones.
-        start_rngs = child.spawn(len(x0s))
-
-        def run_restart(job) -> object:
-            row, start_rng = job
-            return minimize(
+        # start, each with its own pre-spawned generator; best-seen result
+        # wins, nfev accumulated fleet-wide.
+        best = None
+        nfev = 0
+        for row, start_rng in zip(x0s, child.spawn(len(x0s)), strict=True):
+            result = minimize(
                 neg_fp,
                 row,
                 method=self.optimizer,
@@ -373,45 +346,11 @@ class QAOASolver:
                 rng=start_rng,
                 batch_fun=neg_fp_batch,
             )
-
-        results = map_jobs(
-            run_restart,
-            list(zip(x0s, start_rngs, strict=True)),
-            config=self._starts_executor_config(),
-        )
-        best = None
-        nfev = 0
-        for result in results:
             nfev += result.nfev
             if best is None or result.fun < best.fun:
                 best = result
         best.nfev = nfev
         return best
-
-    def _starts_executor_config(self):
-        """Executor for the sequential multi-start fallback (validated)."""
-        from repro.hpc.executor import ExecutorConfig
-
-        config = self.starts_executor
-        if config is None:
-            return ExecutorConfig()  # serial
-        if isinstance(config, str):
-            config = ExecutorConfig(backend=config)
-        if config.backend == "process":
-            raise ValueError(
-                "starts_executor cannot use the 'process' backend: the "
-                "objective closes over unpicklable engine buffers; use "
-                "'thread' (NumPy kernels release the GIL)"
-            )
-        if (
-            config.backend != "serial"
-            and (self.objective != "statevector"
-                 or (self.noise is not None and not self.noise.is_trivial()))
-        ):
-            # Shot-sampled / noisy objectives consume generator state per
-            # evaluation; keep their stream order serial.
-            return ExecutorConfig()
-        return config
 
     # ------------------------------------------------------------------
     def _select(

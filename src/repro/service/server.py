@@ -316,12 +316,13 @@ class AsyncMaxCutServer:
             )
 
         # Inline cache probe on the owning shard (cheap; the cache is
-        # thread-safe against the shard worker).  Counted exactly like a
-        # solve_many hit; queued requests are counted by solve_many
+        # thread-safe against the shard worker).  Counted and timed exactly
+        # like a solve_many hit; queued requests are counted by solve_many
         # itself, preserving requests == hits + coalesced + misses.
         hit = service.lookup(key, trace=trace)
         if hit is not None:
             service.metrics.increment("requests")
+            service.metrics.observe("request", hit.elapsed)
             done: asyncio.Future = loop.create_future()
             done.set_result(hit)
             self._finish_owned(trace, owns_trace)
@@ -427,6 +428,8 @@ class AsyncMaxCutServer:
         with trace.span("coalesced-inflight", owner=inflight.trace_id):
             owner: ServiceResult = await asyncio.shield(inflight.future)
         self._finish_owned(trace, owns_trace)
+        elapsed = time.perf_counter() - t0
+        service.metrics.observe("request", elapsed)
         if owner.failed:
             service.metrics.increment("errors")
             return ServiceResult(
@@ -438,7 +441,7 @@ class AsyncMaxCutServer:
                 cut=owner.cut,
                 method=owner.method,
                 seed=key.seed,
-                elapsed=time.perf_counter() - t0,
+                elapsed=elapsed,
                 params=None,
                 extra=dict(owner.extra),
             )
@@ -450,7 +453,7 @@ class AsyncMaxCutServer:
             cut=owner.cut,
             method=owner.method,
             seed=key.seed,
-            elapsed=time.perf_counter() - t0,
+            elapsed=elapsed,
             params=list(owner.params) if owner.params else None,
             extra=dict(owner.extra),
         )

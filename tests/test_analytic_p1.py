@@ -129,10 +129,11 @@ class TestAnalyticAgainstStatevector:
         energy = MaxCutEnergy(er_small)
         engine = SweepEngine(er_small)
         reference = AnalyticP1Energy(er_small).energies(params)
-        np.testing.assert_array_equal(energy.analytic_energies(params), reference)
-        np.testing.assert_array_equal(engine.energies_analytic(params), reference)
-        assert energy.analytic_expectation(params[0]) == reference[0]
-        assert energy.analytic_expectation(params[0]) == pytest.approx(
+        analytic = energy.engine.analytic
+        np.testing.assert_array_equal(analytic.energies(params), reference)
+        np.testing.assert_array_equal(engine.analytic.energies(params), reference)
+        assert analytic.energy(params[0]) == reference[0]
+        assert analytic.energy(params[0]) == pytest.approx(
             energy.expectation(params[0]), abs=ATOL
         )
 
@@ -272,9 +273,8 @@ class TestSolverAnalyticTier:
 
     def test_engine_attached_shares_analytic_instance(self, er_small):
         engine = SweepEngine(er_small)
-        energy = MaxCutEnergy(er_small, diagonal=engine.diagonal)
-        energy.attach_engine(engine)
-        assert energy.analytic is engine.analytic
+        energy = MaxCutEnergy(er_small, engine=engine)
+        assert energy.engine.analytic is engine.analytic
 
 
 class TestRqaoaAngleSeeding:

@@ -630,6 +630,6 @@ class TestDefaultBackendContract:
         graph = erdos_renyi(FUSED_MIN_QUBITS + 1, 0.3, rng=8)
         energy = MaxCutEnergy(graph)
         assert energy.backend.name == "numpy"
-        assert energy.engine().backend_name == "numpy"
+        assert energy.engine.backend_name == "numpy"
         engine_auto = SweepEngine(graph)
         assert engine_auto.backend_name == "fused"  # engines default to auto

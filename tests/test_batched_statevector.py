@@ -166,7 +166,7 @@ class TestAgainstSinglePath:
         # while still covering all 50).
         for graph, params in self.CASES[case : case + 5]:
             energy = MaxCutEnergy(graph)
-            batched = energy.statevectors_batch(params[None, :])[0]
+            batched = energy.engine.statevectors(params[None, :])[0]
             single = energy.statevector(params)
             np.testing.assert_allclose(batched, single, atol=ATOL)
 
@@ -176,7 +176,7 @@ class TestAgainstSinglePath:
             energy = MaxCutEnergy(graph)
             extra = rng.uniform(-np.pi, np.pi, size=(3, len(params)))
             matrix = np.vstack([params[None, :], extra])
-            batched = energy.energies_batch(matrix)
+            batched = energy.engine.energies(matrix)
             singles = np.array([energy.expectation(row) for row in matrix])
             np.testing.assert_allclose(batched, singles, atol=ATOL)
 
@@ -202,7 +202,7 @@ class TestAgainstCircuitSimulator:
             n, 0.5, weighted=bool(seed % 2), rng=int(rng.integers(2**31))
         )
         params = rng.uniform(-np.pi, np.pi, size=2 * p)
-        batched = MaxCutEnergy(graph).statevectors_batch(params[None, :])[0]
+        batched = MaxCutEnergy(graph).engine.statevectors(params[None, :])[0]
         model = CombinatorialModel.maxcut(graph, layers=p)
         circuit_state = StatevectorSimulator().statevector(
             qaoa_ansatz(model).bind(params)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.graphs import Graph, cut_value, erdos_renyi, planted_partition, random_cut
 from repro.hpc.executor import ExecutorConfig
+from repro.qaoa import MaxCutEnergy
 from repro.qaoa2 import (
     QAOA2Solver,
     expected_subproblem_count,
@@ -342,3 +343,63 @@ class TestLockstepLeaves:
         ):
             np.testing.assert_array_equal(together.pop("assignment"), alone.pop("assignment"))
             assert {**together, "elapsed": None} == {**alone, "elapsed": None}
+
+
+@pytest.fixture
+def evaluator_builds(monkeypatch):
+    """Cut diagonals built, per module that builds them, and every
+    MaxCutEnergy constructed."""
+    import repro.qaoa.energy as energy_module
+    import repro.qaoa.engine as engine_module
+
+    diagonals = {"engine": 0, "energy": 0}
+    energies = []
+    for name, module in (("engine", engine_module), ("energy", energy_module)):
+
+        def counted(graph, name=name, original=module.cut_diagonal):
+            diagonals[name] += 1
+            return original(graph)
+
+        monkeypatch.setattr(module, "cut_diagonal", counted)
+
+    def spy(self, *args, original=MaxCutEnergy.__init__, **kwargs):
+        original(self, *args, **kwargs)
+        energies.append(self)
+
+    monkeypatch.setattr(MaxCutEnergy, "__init__", spy)
+    return diagonals, energies
+
+
+class TestOneDiagonalPerLeaf:
+    """A leaf job builds its sub-graph's cut diagonal once, in the engine,
+    and every objective of its option grid evaluates over that engine."""
+
+    @staticmethod
+    def payload(graph, seed):
+        return {"graph": graph, "method": "qaoa", "seed": seed,
+                "qaoa_grid": [{}, {"layers": 1}, {"layers": 3}],
+                "qaoa_options": {"layers": 2, "maxiter": 20}, "gw_options": {}}
+
+    def test_subgraph_job(self, evaluator_builds):
+        diagonals, energies = evaluator_builds
+        graph = erdos_renyi(8, 0.5, rng=4)
+        _solve_subgraph_job(self.payload(graph, 1))
+        assert diagonals == {"engine": 1, "energy": 0}
+        assert len(energies) == 3
+        assert energies[0].engine.graph is graph
+        assert all(energy.engine is energies[0].engine for energy in energies)
+
+    def test_lockstep_job(self, evaluator_builds):
+        diagonals, energies = evaluator_builds
+        graphs = [erdos_renyi(8, 0.5, rng=4), erdos_renyi(7, 0.5, rng=5)]
+        _solve_lockstep_job([self.payload(g, k) for k, g in enumerate(graphs)])
+        assert diagonals == {"engine": 2, "energy": 0}
+        assert len(energies) == 6
+        engines = []
+        for graph in graphs:
+            own = [energy for energy in energies if energy.graph is graph]
+            assert len(own) == 3
+            assert own[0].engine.graph is graph
+            assert all(energy.engine is own[0].engine for energy in own)
+            engines.append(own[0].engine)
+        assert engines[0] is not engines[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs import Graph, cut_diagonal, erdos_renyi
-from repro.qaoa import MaxCutEnergy
+from repro.qaoa import MaxCutEnergy, SweepEngine
 from repro.quantum import StatevectorSimulator, run_qaoa_reference
 from repro.quantum.statevector import fidelity, plus_state
 from repro.synth import CombinatorialModel, qaoa_ansatz
@@ -61,7 +61,7 @@ class TestExpectation:
         for _ in range(10):
             params = rng.uniform(-np.pi, np.pi, 4)
             f = energy.expectation(params)
-            assert 0.0 - 1e-9 <= f <= energy.max_cut_upper_bound() + 1e-9
+            assert 0.0 - 1e-9 <= f <= energy.diagonal.max() + 1e-9
 
     def test_sampled_expectation_close_to_exact(self, er_small):
         energy = MaxCutEnergy(er_small)
@@ -81,6 +81,11 @@ class TestExpectation:
     def test_empty_node_graph_rejected(self):
         with pytest.raises(ValueError):
             MaxCutEnergy(Graph.from_edges(0, []))
+
+    def test_engine_of_another_graph_rejected(self, er_small):
+        engine = SweepEngine(erdos_renyi(10, 0.4, rng=8))
+        with pytest.raises(ValueError, match="different graph"):
+            MaxCutEnergy(er_small, engine=engine)
 
     def test_periodicity_unweighted_gamma_2pi(self):
         # Integer-weight cut diagonal: gamma has period 2π.

@@ -170,6 +170,43 @@ class TestMultiStart:
         assert multi.energy >= single.energy - 1e-12
         assert multi.nfev > single.nfev  # fleet-wide evaluation count
 
+    # Restart results pinned bit for bit: three restarts per solve, each
+    # with its own spawned generator, reduced to the best-seen iterate.
+    @pytest.mark.parametrize(
+        ("options", "params", "energy", "nfev"),
+        [
+            (
+                {"optimizer": "cobyla"},
+                [0.36247423433014275, 0.7177229630503683,
+                 0.4454961050897121, 0.24073011462400395],
+                12.12302183324168,
+                75,
+            ),
+            (
+                {"optimizer": "nelder-mead"},
+                [0.36517082772479625, 0.7928827341165743,
+                 0.32377165919024264, 0.2562940411444288],
+                11.922723854399674,
+                77,
+            ),
+            (
+                {"objective": "sampled", "shots": 256},
+                [0.40431986686735655, 0.6240790755625766,
+                 0.47994334683453954, 0.2711088887906853],
+                12.18359375,
+                75,
+            ),
+        ],
+        ids=["cobyla", "nelder-mead", "sampled"],
+    )
+    def test_sequential_restarts_golden(self, er_small, options, params, energy, nfev):
+        result = QAOASolver(
+            layers=2, rng=0, maxiter=25, n_starts=3, **options
+        ).solve(er_small)
+        np.testing.assert_array_equal(result.params, params)
+        assert result.energy == energy
+        assert result.nfev == nfev
+
     def test_invalid_n_starts(self, er_small):
         with pytest.raises(ValueError, match="n_starts"):
             QAOASolver(layers=2, rng=0, n_starts=0).solve(er_small)
@@ -190,50 +227,3 @@ class TestMultiStart:
         state = result.extra["final_state"]
         # No cost layer, zero angles: the state is still |+>^n.
         np.testing.assert_allclose(state, np.full(8, 1 / np.sqrt(8)), atol=1e-15)
-
-
-class TestParallelSequentialStarts:
-    """COBYLA/NM multi-start fans out through map_jobs (ISSUE 4 satellite)."""
-
-    @pytest.mark.parametrize("optimizer", ["cobyla", "nelder-mead"])
-    def test_thread_backend_bit_identical_to_serial(self, er_small, optimizer):
-        serial = QAOASolver(
-            layers=2, optimizer=optimizer, rng=0, maxiter=25, n_starts=4
-        ).solve(er_small)
-        threaded = QAOASolver(
-            layers=2, optimizer=optimizer, rng=0, maxiter=25, n_starts=4,
-            starts_executor="thread",
-        ).solve(er_small)
-        assert threaded.cut == serial.cut
-        assert threaded.energy == serial.energy
-        np.testing.assert_array_equal(threaded.params, serial.params)
-        assert threaded.nfev == serial.nfev
-
-    def test_executor_config_accepted(self, er_small):
-        from repro.hpc.executor import ExecutorConfig
-
-        result = QAOASolver(
-            layers=2, rng=0, maxiter=20, n_starts=3,
-            starts_executor=ExecutorConfig(backend="thread", max_workers=2),
-        ).solve(er_small)
-        reference = QAOASolver(
-            layers=2, rng=0, maxiter=20, n_starts=3
-        ).solve(er_small)
-        assert result.cut == reference.cut
-
-    def test_process_backend_rejected(self, er_small):
-        with pytest.raises(ValueError, match="process"):
-            QAOASolver(
-                layers=2, rng=0, n_starts=2, starts_executor="process"
-            ).solve(er_small)
-
-    def test_sampled_objective_stays_deterministic(self, er_small):
-        serial = QAOASolver(
-            layers=2, rng=0, maxiter=15, n_starts=3, objective="sampled"
-        ).solve(er_small)
-        threaded = QAOASolver(
-            layers=2, rng=0, maxiter=15, n_starts=3, objective="sampled",
-            starts_executor="thread",  # silently serialised: RNG-consuming
-        ).solve(er_small)
-        assert threaded.cut == serial.cut
-        assert threaded.nfev == serial.nfev

@@ -140,6 +140,29 @@ class TestConcurrentClients:
             + merged.count("misses")
         )
 
+    def test_request_histogram_counts_every_answer(self):
+        # solve_many answers misses, submit answers inline hits and
+        # _follow answers in-flight followers: each adds one sample.
+        graph = erdos_renyi(10, 0.4, weighted=True, rng=2)
+        other = erdos_renyi(10, 0.4, weighted=True, rng=3)
+
+        async def main():
+            async with AsyncMaxCutServer(seed=0, n_shards=2) as server:
+                owner = server.submit(graph, seed=4, **OPTIONS)
+                follower = server.submit(graph, seed=4, **OPTIONS)
+                results = list(await asyncio.gather(owner, follower))
+                for g in (graph, other, other):
+                    results.append(await server.solve(g, seed=4, **OPTIONS))
+                return server, [r.status for r in results]
+
+        server, statuses = asyncio.run(main())
+        assert statuses == [
+            "solved", "coalesced-inflight", "hit-memory", "solved", "hit-memory"
+        ]
+        merged = server.merged_metrics()
+        assert merged.count("requests") == 5
+        assert merged.latencies["request"].count == 5
+
     def test_router_loads_count_admissions_only(self):
         # Only queued (cold) submissions are admissions; inline hits and
         # in-flight followers never enter a queue.

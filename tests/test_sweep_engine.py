@@ -82,7 +82,6 @@ class TestChunking:
         assert engine.energies(matrix[:1]) == pytest.approx(
             reference[:1], abs=1e-10
         )
-        assert engine.energy(matrix[0]) == pytest.approx(reference[0], abs=1e-10)
 
     def test_batch_not_divisible_by_chunk(self, setup):
         graph, matrix, reference = setup
@@ -119,13 +118,10 @@ class TestChunking:
         graph, _, _ = setup
         diagonal = cut_diagonal(graph)
         SweepEngine(graph, diagonal=diagonal)
-        MaxCutEnergy(graph, diagonal=diagonal)
         skewed = diagonal.copy()
         skewed[0] += 1.0
         with pytest.raises(ValueError, match="complement-symmetric"):
             SweepEngine(graph, diagonal=skewed)
-        with pytest.raises(ValueError, match="complement-symmetric"):
-            MaxCutEnergy(graph, diagonal=skewed)
 
 
 class TestScratchPool:
