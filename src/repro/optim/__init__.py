@@ -5,8 +5,9 @@
 that evaluates the same points as SciPy's (see :mod:`repro.optim.cobyla`),
 so no optimizer here imports ``scipy.optimize``; ``cobyla_steps`` is the
 same loop as an ask/tell generator, which ``drive`` runs against a
-function.  SPSA and Nelder–Mead are from-scratch implementations used in
-the optimizer ablation.
+function, and ``cobyla_batch_steps`` steps many such runs as one array
+program (see :mod:`repro.optim.cobyla_batch`).  SPSA and Nelder–Mead are
+from-scratch implementations used in the optimizer ablation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.optim.base import OptimizationResult, RecordingObjective, drive
 from repro.optim.cobyla import cobyla_steps, minimize_cobyla
+from repro.optim.cobyla_batch import cobyla_batch_steps
 from repro.optim.multi_start import multi_start_spsa
 from repro.optim.nelder_mead import minimize_nelder_mead
 from repro.optim.spsa import minimize_spsa, spsa_perturbation_from_rhobeg
@@ -61,6 +63,7 @@ def minimize(
 __all__ = [
     "OptimizationResult",
     "RecordingObjective",
+    "cobyla_batch_steps",
     "cobyla_steps",
     "drive",
     "minimize",

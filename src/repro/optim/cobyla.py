@@ -113,13 +113,7 @@ def _cobylb(
 ) -> Generator[np.ndarray, float, int]:
     """PRIMA's ``cobylb`` without constraints: yields each point, books its
     value with ``record(x, value)`` and returns the exit flag."""
-    # PRIMA's preproc: repair an invalid or nearly equal RHOBEG/RHOEND.
-    if abs(rhobeg - rhoend) < 1e2 * _EPS * max(abs(rhobeg), 1):
-        rhoend = rhobeg
-    if not 0 < rhobeg < math.inf:
-        rhobeg = max(10 * rhoend, 1) if 0 < rhoend < math.inf else 1
-    if not 0 < rhoend < math.inf or rhobeg < rhoend:
-        rhoend = max(_EPS, min(0.1 * rhobeg, 1e-6))
+    rhobeg, rhoend = _preproc(rhobeg, rhoend)
     try:
         s = _Simplex(record, x0, rhobeg, rhoend, maxfun)
         yield from s.initxfc(x0, rhobeg)
@@ -173,6 +167,17 @@ def _cobylb(
     return info
 
 
+def _preproc(rhobeg: float, rhoend: float) -> tuple:
+    """PRIMA's preproc: repair an invalid or nearly equal RHOBEG/RHOEND."""
+    if abs(rhobeg - rhoend) < 1e2 * _EPS * max(abs(rhobeg), 1):
+        rhoend = rhobeg
+    if not 0 < rhobeg < math.inf:
+        rhobeg = max(10 * rhoend, 1) if 0 < rhoend < math.inf else 1
+    if not 0 < rhoend < math.inf or rhobeg < rhoend:
+        rhoend = max(_EPS, min(0.1 * rhobeg, 1e-6))
+    return rhobeg, rhoend
+
+
 class _Simplex:
     """PRIMA's interpolation set, first built by ``initxfc``: SIM[:, n] is the
     pole (best vertex), SIM[:, j] vertex j's offset from it, SIMI =
@@ -203,10 +208,11 @@ class _Simplex:
         self.simi = np.linalg.inv(sim[:, :n])
 
     def evaluate(self, x: np.ndarray):
-        """f(x) behind PRIMA's extreme barrier; the caller gets its own copy."""
+        """f(x) behind PRIMA's extreme barrier.  The caller gets a copy, so
+        what it does to its array cannot reach the point recorded."""
         self.nf += 1
         x = np.clip(x, -_REALMAX, _REALMAX)
-        f = self.record(x, (yield x))
+        f = self.record(x, (yield x.copy()))
         return _FUNCMAX if f != f else min(max(f, -_REALMAX), _FUNCMAX)
 
     def trial(self, d: np.ndarray):

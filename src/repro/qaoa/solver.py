@@ -12,12 +12,16 @@ Pipeline per solve:
    paper suggests in §3.2/§5), or
    ``sampled`` — best cut among ``shots`` sampled bitstrings (hardware-like).
 
-:meth:`QAOASolver.steps` is the pipeline as a generator.  In lock-step it
-yields ``(energy, params)`` at each evaluation of a single-start COBYLA run
-on the exact statevector objective and expects ``energy.expectation(params)``
-back, so a caller can evaluate many solves' points in one batched evolution
-(the QAOA² leaf stage does).  :meth:`QAOASolver.solve` runs it pointwise,
-with the optimizer calling its objective itself.
+:meth:`QAOASolver.steps` is the pipeline as a generator.  In lock-step, a
+single-start COBYLA run on the exact statevector objective is not run but
+requested: the generator yields ``(energy, x0, rhobeg, maxiter)`` once and
+expects back the :class:`repro.optim.OptimizationResult` of minimising
+-F_p = ``-energy.expectation(params)`` from ``x0``, as ``minimize`` would
+return it.  A caller can then step many solves' runs together and evaluate
+their points in one batched evolution (the QAOA² leaf stage does, with
+:func:`repro.optim.cobyla_batch.cobyla_batch_steps`).
+:meth:`QAOASolver.solve` runs it pointwise, with the optimizer calling its
+objective itself.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult, bitstring_to_assignment
 from repro.optim import (
-    cobyla_steps,
+    OptimizationResult,
     drive,
     minimize,
     multi_start_spsa,
@@ -159,10 +163,14 @@ class QAOASolver:
 
     def steps(
         self, graph: Graph, *, lockstep: bool
-    ) -> Generator[Tuple[MaxCutEnergy, np.ndarray], float, QAOAResult]:
+    ) -> Generator[
+        Tuple[MaxCutEnergy, np.ndarray, float, int], OptimizationResult, QAOAResult
+    ]:
         """The solve as a generator (see the module docstring); yields only
         with ``lockstep``, and only for single-start COBYLA on the exact
-        statevector objective.  Every other objective evaluates inline."""
+        statevector objective: one ``(energy, x0, rhobeg, maxiter)`` request
+        for the COBYLA run, answered with its result.  Every other optimizer
+        and objective runs inline."""
         if graph.n_nodes > self.max_qubits:
             raise ValueError(
                 f"graph has {graph.n_nodes} nodes > max_qubits={self.max_qubits}; "
@@ -241,9 +249,7 @@ class QAOASolver:
             and self.n_starts == 1
             and self.optimizer.lower() == "cobyla"
         ):
-            opt = yield from _ask_expectations(
-                energy, cobyla_steps(x0, rhobeg=self.rhobeg, maxiter=maxiter)
-            )
+            opt = yield energy, x0, self.rhobeg, maxiter
         else:
             opt = self._optimize(neg_fp, neg_fp_batch, x0, maxiter, gen)
         if engine is not None:
@@ -387,18 +393,6 @@ class QAOASolver:
                 {"bitstring": best, "distinct_sampled": int(len(unique))},
             )
         raise ValueError(f"unknown selection {self.selection!r}")
-
-
-def _ask_expectations(energy: MaxCutEnergy, steps: Generator):
-    """Relay a minimizer's points as ``(energy, params)`` requests and tell
-    it each reply negated: the minimizer's objective is -F_p."""
-    reply = None
-    while True:
-        try:
-            params = steps.send(reply)
-        except StopIteration as stop:
-            return stop.value
-        reply = -(yield energy, params)
 
 
 def solve_maxcut_qaoa(graph: Graph, **kwargs) -> QAOAResult:

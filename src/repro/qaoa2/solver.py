@@ -7,11 +7,12 @@ Steps, matching the paper's enumeration:
    any community exceeding the budget (:mod:`repro.graphs.partition`).
 3. Solve all sub-graphs *in parallel* (configurable executor backend) with
    QAOA, GW, the better of the two, or a run-time selection policy —
-   the hybrid resource-mix idea of §3.6.  Under the ``serial`` executor
-   the sub-graphs below ``FUSED_MIN_QUBITS`` nodes advance together
-   instead: each round evolves the pending COBYLA points of all of them
-   as one batch per (backend, qubits, layers), with the same values a
-   solve of each alone computes.
+   the hybrid resource-mix idea of §3.6.  Under the ``serial`` executor,
+   a level with at least ``LOCKSTEP_MIN_LEAVES`` sub-graphs below
+   ``FUSED_MIN_QUBITS`` nodes advances them together instead: their
+   COBYLA runs step as one array program, and each round evolves all
+   their pending points as one batch per (backend, qubits, layers), with
+   the same values a solve of each alone computes.
 4. Build the merged graph with sign-flipped cut edges
    (:mod:`repro.qaoa2.merge`).
 5. Solve the merged graph (recursively if it still exceeds the budget;
@@ -36,7 +37,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult, cut_value
 from repro.graphs.partition import partition_with_cap
 from repro.hpc.executor import ExecutorConfig, map_jobs
-from repro.optim import drive
+from repro.optim import OptimizationResult, cobyla_batch_steps, drive
 from repro.qaoa.engine import SweepEngine
 from repro.qaoa.solver import QAOASolver
 from repro.qaoa2.merge import (
@@ -48,6 +49,15 @@ from repro.quantum.backend import FUSED_MIN_QUBITS
 from repro.util.rng import RngLike, ensure_rng
 
 MethodPolicy = Union[str, Callable[[Graph], str]]
+
+# The fewest small leaves a level lock-steps under the serial executor.  A
+# batched COBYLA round costs about as much for one run as for several, so
+# below this one job per leaf is faster.  Measured break-even: the whole
+# job's time over one _solve_subgraph_job per leaf, median of 5 alternating
+# repetitions, K ER(6-12, 0.35) leaves at p=2, maxiter=40: 1.58 at K=2,
+# 1.32 at 3, 1.15 at 4, 0.96 at 6, 0.86 at 8, 0.73 at 12, 0.73 at 16 and
+# 0.44 at 48; with 9 repetitions, 1.01 at 5 and 0.94 at 6 and 7.
+LOCKSTEP_MIN_LEAVES = 6
 
 
 @dataclass
@@ -125,52 +135,89 @@ def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
     """Solve small sub-graphs together; equal, bit for bit, to solving each
     with :func:`_solve_subgraph_job` (``elapsed`` apart).
 
-    Each round takes every leaf's pending ``(energy, params)`` request,
-    evolves each (backend, qubits, layers) group as one ``evolve_batch``
-    over the stack of its members' diagonals, and answers each leaf with
-    ``energy.expectation_from_state`` of its own row: the pointwise
-    expression on a bit-identical state.  A group's stack is built once
-    and re-indexed only when its members change.
+    Each leaf runs as :func:`_subgraph_steps`, which requests its QAOA
+    solves' COBYLA runs.  A wave takes every pending request and runs them
+    all to their results (:func:`_step_wave`); each leaf is then sent its
+    result, and a leaf with an option grid requests its next run for the
+    next wave.  A leaf's result does not depend on which runs share its
+    waves or rounds.
     """
     start = time.perf_counter()
     leaves = [_subgraph_steps(payload, lockstep=True) for payload in payloads]
     results: List[Optional[dict]] = [None] * len(leaves)
-    pending: Dict[int, tuple] = {}  # leaf -> its (energy, params) request
+    requests: Dict[int, tuple] = {}  # leaf -> its (energy, x0, rhobeg, maxiter)
     stacks: Dict[tuple, tuple] = {}  # group -> (members, diagonal stack)
 
-    def advance(leaf: int, reply: Optional[float]) -> None:
+    def advance(leaf: int, reply: Optional[OptimizationResult]) -> None:
         try:
-            pending[leaf] = leaves[leaf].send(reply)
+            requests[leaf] = leaves[leaf].send(reply)
         except StopIteration as stop:
             results[leaf] = stop.value
-            pending.pop(leaf, None)
 
     for leaf in range(len(leaves)):
         advance(leaf, None)
-    while pending:
-        groups: Dict[tuple, List[int]] = {}
-        for leaf, (energy, params) in pending.items():
-            key = (energy.backend, energy.n_qubits, len(params) // 2)
-            groups.setdefault(key, []).append(leaf)
-        replies = {}
-        for key, members in groups.items():
-            old_members, stack = stacks.get(key, ((), None))
-            if members != old_members:
-                if set(members) <= set(old_members):
-                    stack = stack[[old_members.index(leaf) for leaf in members]]
-                else:
-                    stack = np.stack([pending[leaf][0].diagonal for leaf in members])
-                stacks[key] = (members, stack)
-            params = np.stack([pending[leaf][1] for leaf in members])
-            states = key[0].evolve_batch(stack, params)
-            for row, leaf in enumerate(members):
-                replies[leaf] = pending[leaf][0].expectation_from_state(states[row])
-        for leaf, reply in replies.items():
-            advance(leaf, reply)
+    while requests:
+        wave = dict(requests)
+        requests.clear()
+        for leaf, opt in _step_wave(wave, stacks).items():
+            advance(leaf, opt)
     elapsed = (time.perf_counter() - start) / len(payloads)
     for result in results:
         result["elapsed"] = elapsed
     return results
+
+
+def _step_wave(
+    wave: Dict[int, tuple], stacks: Dict[tuple, tuple]
+) -> Dict[int, OptimizationResult]:
+    """Run each leaf's requested COBYLA run, minimising -F_p, to its result.
+
+    One :func:`cobyla_batch_steps` steps the runs of each (dimension,
+    rhobeg, maxiter).  Each round takes the points all steppers ask for,
+    evolves each (backend, qubits, layers) group as one ``evolve_batch``
+    over the stack of its members' diagonals, and answers each point with
+    ``-energy.expectation_from_state`` of its own row: the pointwise
+    objective on a bit-identical state.  A group's stack is built once and
+    re-indexed only when its members change.
+    """
+    by_options: Dict[tuple, List[int]] = {}
+    for leaf, (_, x0, rhobeg, maxiter) in wave.items():
+        by_options.setdefault((len(x0), rhobeg, maxiter), []).append(leaf)
+    runs = []  # (its leaves, a stepper)
+    for (_, rhobeg, maxiter), members in by_options.items():
+        x0s = np.stack([wave[leaf][1] for leaf in members])
+        runs.append((members, cobyla_batch_steps(x0s, rhobeg=rhobeg, maxiter=maxiter)))
+    replies: Dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
+    done: Dict[int, OptimizationResult] = {}
+    while replies:
+        groups: Dict[tuple, list] = {}  # group -> [(stepper, position, leaf, point)]
+        for stepper in list(replies):
+            members, steps = runs[stepper]
+            try:
+                rows, points = steps.send(replies[stepper])
+            except StopIteration as stop:
+                done.update(zip(members, stop.value, strict=True))
+                del replies[stepper]
+                continue
+            replies[stepper] = [None] * len(rows)
+            for position, (row, point) in enumerate(zip(rows, points, strict=True)):
+                energy = wave[members[row]][0]
+                key = (energy.backend, energy.n_qubits, len(point) // 2)
+                groups.setdefault(key, []).append((stepper, position, members[row], point))
+        for key, asked in groups.items():
+            members = [leaf for _, _, leaf, _ in asked]
+            old_members, stack = stacks.get(key, ((), None))
+            if members != old_members:
+                if set(members) <= set(old_members):
+                    where = {leaf: row for row, leaf in enumerate(old_members)}
+                    stack = stack[[where[leaf] for leaf in members]]
+                else:
+                    stack = np.stack([wave[leaf][0].diagonal for leaf in members])
+                stacks[key] = (members, stack)
+            states = key[0].evolve_batch(stack, np.stack([point for *_, point in asked]))
+            for (stepper, position, leaf, _), state in zip(asked, states, strict=True):
+                replies[stepper][position] = -wave[leaf][0].expectation_from_state(state)
+    return done
 
 
 def _solve_leaf_job(job: Union[dict, List[dict]]) -> List[dict]:
@@ -183,8 +230,9 @@ def _solve_leaf_job(job: Union[dict, List[dict]]) -> List[dict]:
 
 def _subgraph_steps(payload: dict, *, lockstep: bool) -> Generator:
     """:func:`_solve_subgraph_job` as a generator: with ``lockstep``, its
-    QAOA solves run as :meth:`QAOASolver.steps`, yielding their
-    ``(energy, params)`` requests; otherwise nothing is yielded."""
+    QAOA solves run as :meth:`QAOASolver.steps`, yielding their COBYLA
+    runs' ``(energy, x0, rhobeg, maxiter)`` requests; otherwise nothing is
+    yielded."""
     graph: Graph = payload["graph"]
     method: str = payload["method"]
     seed: int = payload["seed"]
@@ -390,20 +438,21 @@ class QAOA2Solver:
         :func:`_solve_subgraph_job` computation bit-for-bit; only
         caching/coalescing/diagonal-sharing differ.
 
-        Under the ``serial`` executor the payloads below
-        ``FUSED_MIN_QUBITS`` nodes form one :func:`_solve_lockstep_job`;
-        the rest, and every payload under ``thread``/``process`` (whose
-        workers share the leaves), are one :func:`_solve_subgraph_job`
-        each.  Results come back in submission order either way.
+        Under the ``serial`` executor, when at least
+        ``LOCKSTEP_MIN_LEAVES`` payloads are below ``FUSED_MIN_QUBITS``
+        nodes, those form one :func:`_solve_lockstep_job`; the rest, and
+        every payload under ``thread``/``process`` (whose workers share the
+        leaves), are one :func:`_solve_subgraph_job` each.  Results come
+        back in submission order either way.
         """
         if self.service is None:
-            if self.executor.backend != "serial":
-                return map_jobs(_solve_subgraph_job, payloads, config=self.executor)
             small = [i for i, p in enumerate(payloads)
                      if p["graph"].n_nodes < FUSED_MIN_QUBITS]
+            if self.executor.backend != "serial" or len(small) < LOCKSTEP_MIN_LEAVES:
+                return map_jobs(_solve_subgraph_job, payloads, config=self.executor)
             large = [i for i, p in enumerate(payloads)
                      if p["graph"].n_nodes >= FUSED_MIN_QUBITS]
-            jobs = [[payloads[i] for i in small]] if small else []
+            jobs = [[payloads[i] for i in small]]
             jobs += [payloads[i] for i in large]
             solved = map_jobs(_solve_leaf_job, jobs, config=self.executor)
             flat = (result for job in solved for result in job)

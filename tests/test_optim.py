@@ -311,6 +311,34 @@ class TestCobylaPort:
         with pytest.raises(ValueError, match="finite"):
             minimize_cobyla(quadratic, np.array([0.0, np.nan]))
 
+    @pytest.mark.parametrize("driven", ["minimize_cobyla", "by-hand"])
+    def test_best_point_survives_an_overwriting_objective(self, driven):
+        # The objective overwrites its argument after computing its value:
+        # the point returned must still be the point that value belongs to.
+        fun, x0, rhobeg, maxiter, tol = EDGE_CASES["overwrites-argument"]
+        points = []
+
+        def recording(x):
+            points.append(x.copy())
+            return fun(x)
+
+        if driven == "minimize_cobyla":
+            result = minimize_cobyla(
+                recording, x0, rhobeg=rhobeg, maxiter=maxiter, tol=tol
+            )
+        else:
+            steps = cobyla_steps(x0, rhobeg=rhobeg, maxiter=maxiter, tol=tol)
+            value = None
+            while True:
+                try:
+                    x = steps.send(value)
+                except StopIteration as stop:
+                    result = stop.value
+                    break
+                value = recording(x)
+        best = points[result.history.index(result.fun)]
+        np.testing.assert_array_equal(result.x.view(np.uint64), best.view(np.uint64))
+
     def test_no_finite_value_returns_x0(self):
         result = minimize_cobyla(lambda x: float("nan"), np.ones(2), maxiter=20)
         np.testing.assert_array_equal(result.x, np.ones(2))

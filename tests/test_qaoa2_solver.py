@@ -12,7 +12,12 @@ from repro.qaoa2 import (
     QAOA2Solver,
     expected_subproblem_count,
 )
-from repro.qaoa2.solver import _solve_lockstep_job, _solve_subgraph_job
+from repro.qaoa2 import solver as solver_module
+from repro.qaoa2.solver import (
+    LOCKSTEP_MIN_LEAVES,
+    _solve_lockstep_job,
+    _solve_subgraph_job,
+)
 from repro.quantum.backend import FUSED_MIN_QUBITS, available_backends, get_backend
 
 FAST_QAOA = {"layers": 2, "maxiter": 20}
@@ -218,8 +223,9 @@ def _disjoint_union(*graphs, isolated=0):
     return Graph.from_edges(offset + isolated, edges)
 
 
-# name -> (graph, QAOA2Solver options); level-0 leaves are QAOA leaves.
-# From rhobeg 0.01, COBYLA converges after a leaf-dependent number of
+# name -> (graph, QAOA2Solver options); level-0 leaves are QAOA leaves, at
+# least LOCKSTEP_MIN_LEAVES of them below FUSED_MIN_QUBITS nodes.  From
+# rhobeg 0.01, COBYLA converges after a leaf-dependent number of
 # evaluations: groups lose members mid-run, and in the grid case leaves of
 # one size run p=2 and p=3 in the same round.
 LOCKSTEP_CASES = {
@@ -260,6 +266,7 @@ LOCKSTEP_CASES = {
             erdos_renyi(15, 0.5, rng=7),
             erdos_renyi(7, 0.6, rng=8),
             erdos_renyi(7, 0.5, rng=9),
+            *(erdos_renyi(7, 0.5, rng=seed) for seed in range(10, 14)),
         ),
         {"n_max_qubits": 16, "qaoa_options": {"layers": 2, "maxiter": 10}},
     ),
@@ -283,30 +290,50 @@ def stacked_evolutions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lockstep_jobs(monkeypatch):
+    """The payload count of every lock-step job run."""
+    jobs = []
+
+    def spy(payloads, original=solver_module._solve_lockstep_job):
+        jobs.append(len(payloads))
+        return original(payloads)
+
+    monkeypatch.setattr(solver_module, "_solve_lockstep_job", spy)
+    return jobs
+
+
+def _same_solution(result, reference):
+    np.testing.assert_array_equal(result.assignment, reference.assignment)
+    assert result.cut == reference.cut
+
+    def fields(result):
+        return [
+            {**dataclasses.asdict(rec), "elapsed": None} for rec in result.subgraphs
+        ]
+
+    assert fields(result) == fields(reference)
+
+
 class TestLockstepLeaves:
-    """Under the serial executor, small QAOA leaves step together; that must
-    equal solving each leaf alone, which the thread executor still does."""
+    """Under the serial executor, a level's small QAOA leaves step together
+    when there are at least LOCKSTEP_MIN_LEAVES of them; that must equal
+    solving each leaf alone, which the thread executor still does."""
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-    def test_lockstep_equals_per_leaf(self, name, stacked_evolutions):
+    def test_lockstep_equals_per_leaf(self, name, stacked_evolutions, lockstep_jobs):
         graph, options = LOCKSTEP_CASES[name]
         lockstep = QAOA2Solver(rng=3, **options).solve(graph)
         stepped = list(stacked_evolutions)
         stacked_evolutions.clear()
+        assert lockstep_jobs and min(lockstep_jobs) >= LOCKSTEP_MIN_LEAVES
+        lockstep_jobs.clear()
         per_leaf = QAOA2Solver(
             rng=3, executor=ExecutorConfig("thread", 2), **options
         ).solve(graph)
-        assert stacked_evolutions == []
+        assert stacked_evolutions == [] and lockstep_jobs == []
 
-        np.testing.assert_array_equal(lockstep.assignment, per_leaf.assignment)
-        assert lockstep.cut == per_leaf.cut
-
-        def fields(result):
-            return [
-                {**dataclasses.asdict(rec), "elapsed": None} for rec in result.subgraphs
-            ]
-
-        assert fields(lockstep) == fields(per_leaf)
+        _same_solution(lockstep, per_leaf)
         leaves = [rec for rec in lockstep.subgraphs if rec.level == 0]
         if name in ("layers-1", "spsa"):
             assert stepped == []  # neither objective is asked for
@@ -318,6 +345,25 @@ class TestLockstepLeaves:
         if name == "straddles-fused-min-qubits":
             sizes = {rec.n_nodes >= FUSED_MIN_QUBITS for rec in leaves}
             assert sizes == {False, True}
+
+    def test_too_few_small_leaves_run_alone(self, stacked_evolutions, lockstep_jobs):
+        graph = _disjoint_union(
+            erdos_renyi(15, 0.5, rng=7),
+            erdos_renyi(7, 0.6, rng=8),
+            erdos_renyi(7, 0.5, rng=9),
+        )
+        options = {"n_max_qubits": 16, "qaoa_options": {"layers": 2, "maxiter": 10}}
+        serial = QAOA2Solver(rng=3, **options).solve(graph)
+        small = [
+            rec for rec in serial.subgraphs
+            if rec.level == 0 and rec.n_nodes < FUSED_MIN_QUBITS
+        ]
+        assert 1 < len(small) < LOCKSTEP_MIN_LEAVES
+        assert lockstep_jobs == [] and stacked_evolutions == []
+        per_leaf = QAOA2Solver(
+            rng=3, executor=ExecutorConfig("thread", 2), **options
+        ).solve(graph)
+        _same_solution(serial, per_leaf)
 
     @pytest.mark.parametrize(
         "grid", [None, [{}, {"layers": 3}]], ids=["single", "layers-2-and-3"]
