@@ -358,8 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--layers", type=int, default=3)
     p_scale.add_argument("--maxiter", type=int, default=40)
     p_scale.add_argument("--gw-fail-above", type=int, default=None)
+    # serial is the fastest executor here: it lock-steps each QAOA² level's
+    # small leaves, which threads only contend over for the interpreter lock.
     p_scale.add_argument("--backend", choices=("serial", "thread", "process"),
-                         default="thread")
+                         default="serial")
     p_scale.add_argument("--use-service", action="store_true",
                          help="route leaf solves through a shared MaxCutService "
                               "(cache + coalescing) and print its stats")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.service import ResultCache
 
 
@@ -68,6 +68,12 @@ class TestExperiments:
         from repro.ml import KnowledgeBase
 
         assert len(KnowledgeBase.load(kb_path)) == 2  # 2 weightings x 1 point
+
+    def test_scaling_defaults_to_the_serial_executor(self):
+        # serial lock-steps each QAOA² level's small leaves, which makes it
+        # the fastest executor for the Fig4 experiment.
+        args = build_parser().parse_args(["scaling"])
+        assert args.backend == "serial"
 
     def test_scaling(self, capsys):
         code = main([

@@ -1,5 +1,8 @@
 """Unit + property tests for repro.graphs.partition."""
 
+import heapq
+from typing import List, Optional
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,8 @@ from repro.graphs import (
     random_balanced_partition,
     spectral_bisection,
 )
+from repro.graphs import partition as partition_module
+from repro.qaoa2 import build_merge_problem
 
 
 def membership_of(communities, n):
@@ -168,3 +173,342 @@ class TestPartitionWithCap:
         nodes = np.sort(np.concatenate(result.parts))
         assert nodes.tolist() == list(range(n))
         assert result.sizes().max() <= cap
+
+
+# ---------------------------------------------------------------------------
+# Parity with the heap-based CNM
+# ---------------------------------------------------------------------------
+def heap_greedy_modularity_communities(
+    graph: Graph,
+    *,
+    resolution: float = 1.0,
+    min_communities: int = 1,
+) -> List[np.ndarray]:
+    """CNM on a lazily invalidated heap: the parity reference, kept verbatim.
+
+    This is how ``greedy_modularity_communities`` merged before it moved to
+    a dense gain matrix; the two must return the same communities, in the
+    same order, bit for bit.
+    """
+    n = graph.n_nodes
+    if n == 0:
+        return []
+    two_m = 2.0 * float(np.abs(graph.w).sum())
+    if graph.n_edges == 0 or two_m == 0.0:
+        return [np.array([i], dtype=np.int64) for i in range(n)]
+
+    # For modularity on possibly negative weights (merge graphs), use |w|;
+    # standard instances have positive weights so this is a no-op.
+    w_eff = np.abs(graph.w)
+    deg = np.zeros(n)
+    np.add.at(deg, graph.u, w_eff)
+    np.add.at(deg, graph.v, w_eff)
+    a = deg / two_m
+
+    # Community adjacency: dq[i][j] = modularity gain of merging i and j.
+    dq: List[dict] = [dict() for _ in range(n)]
+    for uu, vv, ww in zip(graph.u.tolist(), graph.v.tolist(), w_eff.tolist(), strict=True):
+        gain = 2.0 * (ww / two_m - resolution * a[uu] * a[vv])
+        dq[uu][vv] = gain
+        dq[vv][uu] = gain
+
+    heap: list[tuple[float, int, int]] = []
+    for i in range(n):
+        for j, gain in dq[i].items():
+            if i < j:
+                heapq.heappush(heap, (-gain, i, j))
+
+    alive = np.ones(n, dtype=bool)
+    members: List[Optional[list]] = [[i] for i in range(n)]
+    n_comm = n
+
+    while heap and n_comm > min_communities:
+        neg_gain, i, j = heapq.heappop(heap)
+        gain = -neg_gain
+        if not (alive[i] and alive[j]):
+            continue
+        current = dq[i].get(j)
+        if current is None or abs(current - gain) > 1e-12:
+            continue  # stale heap entry
+        if gain <= 1e-15:
+            break  # no improving merge remains
+        # Merge j into i (keep the larger community label for fewer updates).
+        if len(members[j]) > len(members[i]):
+            i, j = j, i
+        neighbors = set(dq[i]) | set(dq[j])
+        neighbors.discard(i)
+        neighbors.discard(j)
+        for k in neighbors:
+            in_i = k in dq[i]
+            in_j = k in dq[j]
+            if in_i and in_j:
+                new_gain = dq[i][k] + dq[j][k]
+            elif in_i:
+                new_gain = dq[i][k] - 2.0 * resolution * a[j] * a[k]
+            else:
+                new_gain = dq[j][k] - 2.0 * resolution * a[i] * a[k]
+            dq[i][k] = new_gain
+            dq[k][i] = new_gain
+            dq[k].pop(j, None)
+            heapq.heappush(heap, (-new_gain, min(i, k), max(i, k)))
+        dq[i].pop(j, None)
+        dq[j].clear()
+        a[i] += a[j]
+        members[i].extend(members[j])
+        members[j] = None
+        alive[j] = False
+        n_comm -= 1
+
+    communities = [
+        np.array(sorted(m), dtype=np.int64) for m in members if m is not None
+    ]
+    communities.sort(key=lambda c: (-len(c), int(c[0])))
+    return communities
+
+
+RESOLUTIONS = (-0.5, 0.0, 1.0, 1.7)
+MIN_COMMUNITIES = (1, 3, 10)
+METHODS = ("greedy_modularity", "networkx", "spectral", "random")
+
+
+def _cycle(gen):
+    n = int(gen.integers(3, 40))
+    return Graph.from_edges(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
+
+
+def _grid(gen):
+    rows, cols = int(gen.integers(1, 8)), int(gen.integers(2, 8))
+    node = np.arange(rows * cols).reshape(rows, cols)
+    pairs = [*zip(node[:, :-1].ravel(), node[:, 1:].ravel(), strict=True)]
+    pairs += [*zip(node[:-1].ravel(), node[1:].ravel(), strict=True)]
+    edges = [(int(a), int(b), 1.0) for a, b in pairs]
+    return Graph.from_edges(rows * cols, edges)
+
+
+def _cliques(gen):
+    size, count = int(gen.integers(2, 10)), int(gen.integers(1, 5))
+    edges = [
+        (b * size + i, b * size + j, 1.0)
+        for b in range(count)
+        for i in range(size)
+        for j in range(i + 1, size)
+    ]
+    edges += [(b * size, (b + 1) * size, 1.0) for b in range(count - 1)]
+    return Graph.from_edges(count * size, edges)
+
+
+def _zero_weights_isolated_nodes(gen):
+    g = erdos_renyi(int(gen.integers(4, 40)), float(gen.uniform(0.1, 0.5)), rng=gen)
+    w = np.where(gen.random(g.n_edges) < 0.3, 0.0, g.w)
+    return Graph(g.n_nodes + int(gen.integers(1, 4)), g.u, g.v, w)
+
+
+def _merge_graph(gen):
+    """A QAOA² merged graph: summed signed cross edges between parts."""
+    n, p = int(gen.integers(8, 80)), float(gen.uniform(0.1, 0.5))
+    g = erdos_renyi(n, p, weighted=bool(gen.integers(2)), rng=gen)
+    parts = random_balanced_partition(g, int(gen.integers(1, 5)), rng=gen)
+    membership = np.empty(g.n_nodes, dtype=np.int64)
+    for part_id, part in enumerate(parts):
+        membership[part] = part_id
+    x = gen.integers(0, 2, g.n_nodes)
+    return build_merge_problem(g, parts, membership, x).merged_graph
+
+
+def _er(gen, weighted=False):
+    n, p = int(gen.integers(2, 60)), float(gen.uniform(0.05, 0.6))
+    return erdos_renyi(n, p, weighted=weighted, rng=gen)
+
+
+def _planted(gen):
+    n = 4 * int(gen.integers(2, 12))
+    p_in, p_out = float(gen.uniform(0.5, 1.0)), float(gen.uniform(0.0, 0.1))
+    return planted_partition(n, 4, p_in, p_out, rng=gen)
+
+
+FAMILIES = {
+    "er": _er,
+    "weighted_er": lambda gen: _er(gen, weighted=True),
+    "planted": _planted,
+    "merge": _merge_graph,
+    "cycle": _cycle,
+    "grid": _grid,
+    "cliques": _cliques,
+    "zero_weights_isolated": _zero_weights_isolated_nodes,
+}
+
+
+def assert_same_communities(ours, reference, context):
+    assert [c.tolist() for c in ours] == [c.tolist() for c in reference], context
+    assert all(c.dtype == np.int64 for c in ours), context
+
+
+def assert_heap_parity(graph, resolution, min_communities, context):
+    ours = greedy_modularity_communities(
+        graph, resolution=resolution, min_communities=min_communities
+    )
+    reference = heap_greedy_modularity_communities(
+        graph, resolution=resolution, min_communities=min_communities
+    )
+    assert_same_communities(ours, reference, context)
+
+
+def heap_partition_with_cap(monkeypatch, graph, cap, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            partition_module,
+            "greedy_modularity_communities",
+            heap_greedy_modularity_communities,
+        )
+        return partition_with_cap(graph, cap, **kwargs)
+
+
+class TestHeapParity:
+    """The dense gain matrix merges exactly as the heap-based CNM did."""
+
+    @pytest.mark.parametrize("resolution", RESOLUTIONS)
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families(self, family, resolution):
+        for index in range(2):
+            for min_communities in MIN_COMMUNITIES:
+                context = (family, index, resolution, min_communities)
+                seed = [index, min_communities, RESOLUTIONS.index(resolution)]
+                graph = FAMILIES[family](np.random.default_rng(seed))
+                assert_heap_parity(graph, resolution, min_communities, context)
+
+    @pytest.mark.parametrize("seed", [1, 3, 9])
+    def test_benchmark_graphs(self, seed, monkeypatch):
+        """The small- and large-leaf benchmark graphs split into the same parts."""
+        stream = [seed, 0, 0]  # the benchmark's graph 0
+        small = erdos_renyi(240, 0.1, rng=np.random.default_rng(stream))
+        large = planted_partition(72, 4, 0.9, 0.01, rng=np.random.default_rng(stream))
+        for graph, cap in ((small, 12), (large, 18)):
+            ours = partition_with_cap(graph, cap, rng=seed).parts
+            reference = heap_partition_with_cap(monkeypatch, graph, cap, rng=seed).parts
+            assert_same_communities(ours, reference, (seed, graph.n_nodes))
+
+    @pytest.mark.parametrize("seed", [44, 48])
+    def test_stale_entry_ranks_its_pair(self, seed, monkeypatch):
+        """Graphs on which the heap ranked a pair by an entry above its current gain.
+
+        Unweighted gains recur and tie exactly, so a pair whose gain came
+        back to one ulp below an entry still in the heap was merged ahead of
+        an exact tie.  The dense matrix must rank that pair the same way.
+        """
+        graph = erdos_renyi(240, 0.1, rng=np.random.default_rng([seed, 0, 0]))
+        raised = []
+        key = partition_module._HeapOrder.key
+
+        def spy(order, p, q, current, step, hits):
+            ranked = key(order, p, q, current, step, hits)
+            raised.append(ranked > current)
+            return ranked
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partition_module._HeapOrder, "key", spy)
+            ours = partition_with_cap(graph, 12, rng=0).parts
+        assert any(raised)
+        reference = heap_partition_with_cap(monkeypatch, graph, 12, rng=0).parts
+        assert_same_communities(ours, reference, seed)
+
+    def test_dropped_entry_stays_dropped(self, monkeypatch):
+        """A graph on which the heap had dropped an entry that later came back in reach.
+
+        Its pair's gain returned to within 1e-12 below the entry after the
+        heap had popped the entry as stale, so the entry must not rank it.
+        """
+        graph = erdos_renyi(80, 0.15, rng=1419)
+        verdicts = []
+        held = partition_module._HeapOrder.held
+
+        def spy(order, *args):
+            verdicts.append(held(order, *args))
+            return verdicts[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(partition_module._HeapOrder, "held", spy)
+            ours = greedy_modularity_communities(graph)
+        assert False in verdicts
+        reference = heap_greedy_modularity_communities(graph)
+        assert_same_communities(ours, reference, "dropped")
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_sweep(self, chunk):
+        """300 random cases per chunk, 2,400 in all."""
+        gen = np.random.default_rng([2406, chunk])
+        names = sorted(FAMILIES)
+        for case in range(300):
+            family = names[int(gen.integers(len(names)))]
+            resolution = RESOLUTIONS[int(gen.integers(len(RESOLUTIONS)))]
+            min_communities = MIN_COMMUNITIES[int(gen.integers(len(MIN_COMMUNITIES)))]
+            context = (chunk, case, family, resolution, min_communities)
+            graph = FAMILIES[family](gen)
+            assert_heap_parity(graph, resolution, min_communities, context)
+
+
+class TestHeapOrder:
+    """The heap's drop rule on hand-made logs; real merges rarely reach it.
+
+    Each log holds the start gains of edges (0, 1) and (2, 3), and step 0
+    merged (2, 3).  Pair (0, 1) has since come back to one ulp below its
+    logged gain, so that entry ranks it only if the heap still held it.
+    """
+
+    @staticmethod
+    def key_of_01(gain_01, gain_23, top, key):
+        order = partition_module._HeapOrder(
+            np.array([0, 2]), np.array([1, 3]), np.array([gain_01, gain_23])
+        )
+        order.ranked(2, 3, top, key)
+        current = float(np.nextafter(gain_01, 0.0))
+        return order.key(0, 1, current, 1, order.window(current, current)), current
+
+    def test_entry_behind_the_merged_pair_is_held(self):
+        assert self.key_of_01(0.5, 0.6, 0.6, 0.6)[0] == 0.5
+
+    def test_entry_ahead_of_the_merged_pair_was_dropped(self):
+        key, current = self.key_of_01(0.5, 0.4, 0.4, 0.4)
+        assert key == current
+
+    def test_equal_gain_smaller_pair_was_dropped(self):
+        key, current = self.key_of_01(0.5, 0.5, 0.5, 0.5)
+        assert key == current
+
+    def test_unrecorded_key_is_worked_out(self):
+        """Step 0 recorded only (2, 3)'s gain, 1e-13 below its logged 0.6.
+
+        Its key was that 0.6, above (0, 1)'s entry, so the heap still held
+        the entry; its gain alone would have put the entry ahead.
+        """
+        assert self.key_of_01(0.6 - 5e-14, 0.6, 0.6 - 1e-13, None)[0] == 0.6 - 5e-14
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite weight raises instead of returning a partition."""
+
+    @staticmethod
+    def six_cycle(bad):
+        edges = [(i, (i + 1) % 6, bad if i == 2 else 1.0) for i in range(6)]
+        return Graph.from_edges(6, edges)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_greedy_modularity_rejects_weight(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            greedy_modularity_communities(self.six_cycle(bad))
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_partition_with_cap_rejects_weight(self, bad, method):
+        with pytest.raises(ValueError, match="finite"):
+            partition_with_cap(self.six_cycle(bad), 3, method=method, rng=0)
+
+    def test_overflowing_total_rejected(self):
+        graph = Graph.from_edges(3, [(0, 1, 1e308), (1, 2, 1e308), (0, 2, 1e308)])
+        with pytest.raises(ValueError, match="finite"):
+            greedy_modularity_communities(graph)
+
+    @pytest.mark.parametrize("resolution", [np.nan, np.inf])
+    def test_non_finite_resolution_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            greedy_modularity_communities(self.six_cycle(1.0), resolution=resolution)
