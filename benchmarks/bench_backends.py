@@ -6,11 +6,13 @@ n ∈ {12, 16}:
 
 * **numpy** — the bit-identical reference over the seed kernels
   (per-qubit mixer passes, dense cost exponential),
-* **fused** — the Walsh–Hadamard-diagonalised mixer as ``⌈n/5⌉`` GEMM
-  stages (every qubit in a stage; matrices from cached
-  popcount-eigenphase tables) plus the quantised cost-phase gather;
-  weighted diagonals go through the bucketed-quantisation +
-  Taylor-residual-GEMM path (:mod:`repro.quantum.backend.fused`).
+* **fused** — the mixer as ``⌈n/5⌉`` GEMM stages (every qubit in a
+  stage): the lowest a complex ``RX(2β)^{⊗s}``, every higher one a real
+  ``R(β)^{⊗s}`` in the diag(1, i) basis between two exact phase passes,
+  all gathered from cached (distance, sign) tables; plus the quantised
+  cost-phase gather, with weighted diagonals on the
+  bucketed-quantisation + Taylor-residual-GEMM path
+  (:mod:`repro.quantum.backend.fused`).
 
 Acceptance bars, enforced on every ``--quick`` run:
 

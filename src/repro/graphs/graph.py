@@ -22,6 +22,13 @@ except ImportError:  # pragma: no cover - networkx is always installed here
     nx = None
 
 
+def _check_finite(weights: np.ndarray) -> None:
+    """Raise ``ValueError`` on a NaN or infinite edge weight: every cut,
+    diagonal and relaxation built from it would be NaN or meaningless."""
+    if not np.isfinite(weights).all():
+        raise ValueError("edge weights must be finite")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph with nodes ``0..n_nodes-1``.
@@ -35,7 +42,8 @@ class Graph:
         and edges sorted lexicographically.  No self loops, no duplicates.
     w:
         Edge weights (``float64``).  Negative weights are allowed — the
-        QAOA² merge step (paper §3.3 step 4) produces them.
+        QAOA² merge step (paper §3.3 step 4) produces them — but every
+        weight must be finite (construction raises ``ValueError``).
     """
 
     n_nodes: int
@@ -105,9 +113,12 @@ class Graph:
                 group = np.cumsum(boundary) - 1
                 n_groups = group[-1] + 1
                 wsum = np.zeros(n_groups)
-                np.add.at(wsum, group, ww)
+                with np.errstate(over="ignore"):  # rejected just below
+                    np.add.at(wsum, group, ww)
                 keep = np.flatnonzero(boundary)
                 lo, hi, ww = lo[keep], hi[keep], wsum
+        # After the duplicate sums: two finite duplicates can overflow.
+        _check_finite(ww)
         return Graph(int(n_nodes), lo, hi, ww)
 
     @staticmethod
@@ -258,6 +269,7 @@ class Graph:
         new_w = np.asarray(new_w, dtype=np.float64)
         if new_w.shape != self.w.shape:
             raise ValueError("weight array shape mismatch")
+        _check_finite(new_w)
         return Graph(self.n_nodes, self.u, self.v, new_w)
 
     # ------------------------------------------------------------------

@@ -65,21 +65,33 @@ def cut_diagonal(graph: Graph, dtype=np.float64) -> np.ndarray:
     ``H_C = ½ Σ w (1 − Z_i Z_j)`` (paper Eq. 1) and is the workhorse of the
     fast QAOA simulator and the brute-force exact solver.
 
-    Each edge ``(u, v)`` (``u < v``) adds its weight in place to the two
-    strided quarters of the ``(2**(n-1-v), 2, 2**(v-u-1), 2, 2**u)`` view
-    where bits ``u`` and ``v`` differ, so no temporaries are allocated and
-    memory stays at ``8 * 2**n`` bytes.  Every entry receives its edges'
-    weights in edge order, so the result is bit-identical to accumulating
-    ``w * (bit_u XOR bit_v)`` edge by edge.
+    Every cut diagonal is complement-symmetric (``d[x] == d[~x]``), so only
+    the top-bit-0 half ``d[:2**(n-1)]`` is accumulated and the upper half
+    is its mirror ``half[::-1]``.  In the half, bit ``n-1`` is 0: an edge
+    ``(u, n-1)`` adds its weight where bit ``u`` is 1, and every other edge
+    ``(u, v)`` (``u < v``) adds it in place to the two strided quarters of
+    the ``(2**(n-2-v), 2, 2**(v-u-1), 2, 2**u)`` view where bits ``u`` and
+    ``v`` differ.  No temporaries are allocated and memory stays at
+    ``8 * 2**n`` bytes.  Every entry receives its cut edges' weights in
+    edge order, so the result is bit-identical to accumulating
+    ``w * (bit_u XOR bit_v)`` edge by edge over all ``2**n`` entries.
     """
     n = graph.n_nodes
     if n > 28:
         raise ValueError(f"cut_diagonal infeasible for n={n} (2**n entries)")
     diag = np.zeros(1 << n, dtype=dtype)
+    if n == 0:
+        return diag
+    top = n - 1
+    half = diag[: 1 << top]
     for a, b, weight in zip(graph.u.tolist(), graph.v.tolist(), graph.w, strict=True):
-        view = diag.reshape(1 << (n - 1 - b), 2, 1 << (b - a - 1), 2, 1 << a)
-        view[:, 0, :, 1] += weight
-        view[:, 1, :, 0] += weight
+        if b == top:
+            half.reshape(1 << (top - 1 - a), 2, 1 << a)[:, 1] += weight
+        else:
+            view = half.reshape(1 << (top - 1 - b), 2, 1 << (b - a - 1), 2, 1 << a)
+            view[:, 0, :, 1] += weight
+            view[:, 1, :, 0] += weight
+    diag[1 << top :] = half[::-1]
     return diag
 
 

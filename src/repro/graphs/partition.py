@@ -65,7 +65,9 @@ def _check_finite_weights(graph: Graph) -> None:
     """Raise ``ValueError`` unless every edge weight, and their total, is finite.
 
     One NaN or infinite weight (or a total that overflows) turns the
-    modularity gains into NaN, and the partition into nonsense.
+    modularity gains into NaN, and the partition into nonsense.  A
+    :class:`Graph` already refuses non-finite weights; the total can still
+    overflow.
     """
     with np.errstate(over="ignore"):
         total = 2.0 * np.abs(graph.w).sum()

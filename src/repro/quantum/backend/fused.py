@@ -1,33 +1,47 @@
-"""Fused-mixer backend: the uniform-β mixer via Walsh–Hadamard diagonalisation.
+"""Fused-mixer backend: the uniform-β mixer as a few blocked GEMM stages.
 
-The QAOA mixer ``exp(-iβ Σ_q X_q)`` is diagonal in the Walsh–Hadamard
-basis: ``H X H = Z``, so
+The QAOA mixer ``exp(-iβ Σ_q X_q) = RX(2β)^{⊗n}`` is a tensor product over
+qubits, so for any split ``n = s₀ + s₁ + …`` it factors into *stages*
+``RX(2β)^{⊗s_j}``, each acting on its own block of qubits.  Entry (j, k)
+of ``RX(2β)^{⊗s}`` depends only on the Hamming distance
+``d = popcount(j ⊕ k)``: it is ``c^{s−d}·(−i·sn)^d`` with ``c = cos β``,
+``sn = sin β``.
 
-    exp(-iβ ΣX) = H^{⊗n} · D_β · H^{⊗n},
-    D_β|x⟩ = exp(-iβ·(n − 2·popcount(x)))|x⟩,
+The reference backend walks qubit by qubit: 3n full-array complex ufunc
+passes per layer.  This backend instead splits the qubits into
+``⌈n/MAX_STAGE_QUBITS⌉`` near-equal stages, narrowest first (four of 4–5
+qubits at n=17), and runs each stage as one BLAS matmul pass over the
+state.
 
-and — crucially — both ``H^{⊗n}`` and ``D_β`` are tensor products over
-qubits, so the diagonalisation *factors*: for any split
-``n = s₁ + s₂ + …``,
+Real upper stages.  On one qubit ``S = diag(1, i)`` gives ``S·X·S⁻¹ = Y``,
+so ``S·RX(2β)·S⁻¹ = exp(-iβY) = [[c, −sn], [sn, c]] = R(β)`` is real, and
+``R(β)^{⊗s}`` has entries ``c^{s−d}·sn^d·(−1)^popcount(~j & k)``.  One
+layer therefore runs:
 
-    exp(-iβ ΣX) = ⊗_j ( H^{⊗s_j} · D_β^{(s_j)} · H^{⊗s_j} / 2^{s_j} ).
+1. the lowest stage (bits ``0…s₀−1``, unit-stride runs of ``2^{s₀}``
+   amplitudes) as the complex ``RX(2β)^{⊗s₀}``, a realified GEMM on the
+   interleaved re/im row view.  It stays complex: it absorbs ``scale``,
+   and on interleaved re/im rows a real stage matrix would be a
+   ``2^{s₀+1}``-wide matrix that is half zeros, so it would save nothing;
+2. φ times ``i^popcount(y >> s₀)``, the basis change over every higher
+   qubit, from a cached table over the high bits;
+3. every higher stage as one real GEMM of ``R(β)^{⊗s}`` over its axis of
+   the float64 ``(batch, outer, 2^s, 2·inner)`` view, whose re and im
+   columns it multiplies alike;
+4. φ times ``(−i)^popcount(y >> s₀)``, written into the caller's rows.
 
-The reference backend walks qubit by qubit (``s_j ≡ 1``): 3n full-array
-complex ufunc passes per layer.  This backend instead splits the qubits
-into ``⌈n/MAX_STAGE_QUBITS⌉`` near-equal *blocked stages* (four of 4–5
-qubits at n=18): every stage is one pass over the state — a BLAS matmul
-against the stage's fused ``H·diag(eigenphases)·H`` matrix, built from
-eigenphase tables indexed by a cached per-stage popcount vector — so a
-whole layer costs ``⌈n/5⌉`` GEMM passes instead of 3n elementwise ones.
-The lowest stage (contiguous runs of ``2^s`` amplitudes) is a realified
-GEMM on the interleaved re/im row view; every higher stage is one complex
-GEMM over its axis of the ``(batch, outer, 2^s, inner)`` view.
+Steps 2 and 4 are exact: every table entry is ±1 or ±i, so each component
+just becomes ±re or ±im.  They cost one elementwise pass each, far less
+than what the real stages save: a complex stage costs ``4·2^s`` real
+multiply-adds per amplitude and a real one ``2·2^s``.  At n=17 (the half
+state of an 18-node leaf, stages [4, 4, 4, 5]) a layer costs
+64 + 32 + 32 + 64 = 192 multiply-adds per amplitude instead of 320.
 
-Elementwise fusion: the ``1/2^s`` transform normalisations, the caller's
-optional ``scale`` factor (used by :meth:`evolve_batch` to absorb the
-|+⟩^n amplitude adjacent to the first cost diagonal), all fold into the
-tiny stage matrices — none costs a pass over the state.  Hadamard,
-popcount and ΣZ-eigenvalue tables are cached per stage size on the
+The caller's optional ``scale`` factor (used by :meth:`evolve_batch` to
+absorb the |+⟩^n amplitude adjacent to the first cost diagonal) folds into
+the lowest stage matrix, so it costs no pass over the state.  One
+(distance, sign) table per stage width, from which both matrix kinds are
+gathered, and the phase tables per count of high qubits are cached on the
 backend instance (a registry singleton, so process-wide); full-size
 scratch comes from the shared
 :class:`~repro.quantum.backend.scratch.ScratchPool`.
@@ -56,14 +70,20 @@ from repro.quantum.statevector import n_qubits_for_dim
 from repro.util.tracing import current_trace
 
 # Stage width cap: the mixer runs ⌈n/MAX⌉ near-equal GEMM stages.  A wider
-# stage saves a pass over the state but costs 2^s complex multiply-adds
-# per amplitude.  Per-call time, one row, OPENBLAS_NUM_THREADS=1, best of
-# 5 rounds on a 2-core Intel Xeon VM (stage widths in brackets):
-#   cap 4: n=16 [4,4,4,4] 1.05 ms  n=18 [3,3,4,4,4] 6.06 ms  n=20 [4]*5 29.7 ms
-#   cap 5: n=16 [4,4,4,4] 1.10 ms  n=18 [4,4,5,5]   5.28 ms  n=20 [5]*4 34.0 ms
-#   cap 6: n=16 [5,5,6]   1.45 ms  n=18 [6,6,6]     7.97 ms  n=20 [5]*4 29.7 ms
-# 5 is fastest at the 18-qubit leaf cap.  Equal splits run the same code,
-# so the n=20 gap between caps 5 and 6 is run-to-run noise.
+# stage saves a pass over the state but costs 2^s more multiply-adds per
+# amplitude (4·2^s for the complex lowest stage, 2·2^s for a real one).
+# Per-call time, one row, OPENBLAS_NUM_THREADS=1, best of 15 rounds with
+# the caps alternating, two sessions, on a 2-core Intel Xeon VM (stage
+# widths in brackets; n=17 is the half state of an 18-node leaf):
+#   cap 4: n=16 [4]*4 0.85–0.87 ms  n=17 [3,3,3,4,4] 1.94–2.04 ms
+#          n=18 [3,3,4,4,4] 3.75–4.18 ms  n=20 [4]*5 17.7 ms
+#   cap 5: n=16 [4]*4 0.83–0.84 ms  n=17 [4,4,4,5] 1.85–1.86 ms
+#          n=18 [4,4,5,5] 3.89–4.29 ms  n=20 [5]*4 18.8 ms
+#   cap 6: n=16 [5,5,6] 1.04–1.10 ms  n=17 [5,6,6] 2.39–2.51 ms
+#          n=18 [6,6,6] 5.93–6.49 ms  n=20 [5]*4 18.8 ms
+# Caps 4 and 5 tie at n=18 and 5 is fastest at n=17, where the 18-node
+# leaves run their mixer.  Equal splits run the same code, so the n=20
+# gap between caps 5 and 6 is run-to-run noise.
 MAX_STAGE_QUBITS = 5
 # Cost diagonals with at most this many distinct values (and at most a
 # quarter of the state dimension) get the quantised-phase gather path:
@@ -95,20 +115,33 @@ COST_RESIDUAL_X_MAX = 0.1
 # measured sweet spot on the n=16 batched p=2 bench (wider chunks start
 # spilling the shared cache and the weighted-gather win shrinks).
 FUSED_CHUNK_BUDGET_BYTES = 16 * 1024 * 1024
+# (−i)^k for k = 0…3: exact in complex128, so multiplying by an entry only
+# swaps and negates the real and imaginary parts.
+_MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
+
+
+def _popcounts(bits: int) -> np.ndarray:
+    """``popcount(x)`` for every ``x < 2^bits`` (intp, gather-ready)."""
+    idx = np.arange(1 << bits, dtype=np.intp)
+    pc = np.zeros(1 << bits, dtype=np.intp)
+    for q in range(bits):
+        pc += (idx >> q) & 1
+    return pc
 
 
 class FusedBackend(NumpyBackend):
-    """Blocked Walsh–Hadamard-diagonalised mixer with cached eigenphase
-    tables."""
+    """Blocked-stage mixer, real above the lowest stage, and quantised
+    cost layers."""
 
     name = "fused"
 
     def __init__(self) -> None:
-        # Per stage size s: Hadamard matrix H_s, popcount index (intp,
-        # gather-ready) and ΣZ eigenvalues s − 2k.
-        self._hadamards: Dict[int, np.ndarray] = {}
-        self._popcounts: Dict[int, np.ndarray] = {}
-        self._eigenvalues: Dict[int, np.ndarray] = {}
+        # Per stage width s: the (distance, sign) entry tables both stage
+        # matrix kinds are gathered from.
+        self._stage_tables: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # Per count of qubits above the lowest stage: the diag(1, i) basis
+        # change over them and its inverse.
+        self._phase_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         # Per cost diagonal view (see _cost_table for the key):
         # ("exact", values, inverse) for few-valued diagonals,
         # ("bucket", reps, idx, residual, rmax) for value-rich (weighted)
@@ -116,34 +149,51 @@ class FusedBackend(NumpyBackend):
         self._cost_cache: Dict[Tuple, Tuple] = {}
 
     # -- cached stage tables --------------------------------------------
-    def _stage_tables(self, s: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        H = self._hadamards.get(s)
-        if H is None:
-            H = np.ones((1, 1), dtype=np.float64)
-            for _ in range(s):
-                H = np.kron(H, np.array([[1.0, 1.0], [1.0, -1.0]]))
-            idx = np.arange(1 << s, dtype=np.uint64)
-            pc = np.zeros(1 << s, dtype=np.intp)
-            for q in range(s):
-                pc += ((idx >> np.uint64(q)) & np.uint64(1)).astype(np.intp)
-            eig = s - 2.0 * np.arange(s + 1, dtype=np.float64)
-            # Publish the dependents first; the Hadamard last (its
-            # presence is the "built" flag read above).
-            self._eigenvalues[s] = eig
-            self._popcounts[s] = pc
-            self._hadamards[s] = H
-        return self._hadamards[s], self._popcounts[s], self._eigenvalues[s]
+    def _stage_table(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Per entry (j, k) of a width-``s`` stage matrix: the Hamming
+        distance ``popcount(j ⊕ k)`` and the sign
+        ``(−1)^popcount(~j & k)``."""
+        table = self._stage_tables.get(s)
+        if table is None:
+            idx = np.arange(1 << s, dtype=np.intp)
+            pc = _popcounts(s)
+            dist = pc[idx[:, None] ^ idx]
+            sign = 1.0 - 2.0 * (pc[~idx[:, None] & idx] & 1)
+            table = self._stage_tables[s] = (dist, sign)
+        return table
 
-    def _stage_matrix(self, s: int, beta_arr: np.ndarray, scale: float) -> np.ndarray:
-        """``scale · RX(2β)^{⊗s}`` as ``H_s · D_β · H_s / 2^s``.
+    def _stage_matrix(
+        self, s: int, beta_arr: np.ndarray, scale: float, *, real: bool
+    ) -> np.ndarray:
+        """``scale · RX(2β)^{⊗s}`` (complex128), or with ``real`` the same
+        stage in the diag(1, i) basis, ``scale · R(β)^{⊗s}`` (float64).
 
-        ``beta_arr`` is 0-d (one ``(2^s, 2^s)`` matrix) or ``(B,)``
-        (a ``(B, 2^s, 2^s)`` stack, one per batch row).
+        Entry (j, k) at distance ``d = popcount(j ⊕ k)`` is
+        ``c^{s−d}·(−i·sn)^d``, or ``c^{s−d}·sn^d`` times the table's sign
+        (``c = cos β``, ``sn = sin β``).  ``beta_arr`` is 0-d (one
+        ``(2^s, 2^s)`` matrix) or ``(B,)`` (a ``(B, 2^s, 2^s)`` stack, one
+        per batch row).
         """
-        H, pc, eig = self._stage_tables(s)
-        # exp(-iβ·(s − 2·popcount)) gathered from the (s+1)-entry table.
-        phases = np.exp(np.multiply.outer(-1j * beta_arr, eig))[..., pc]
-        return (H * phases[..., None, :]) @ H * (scale / (1 << s))
+        dist, sign = self._stage_table(s)
+        k = np.arange(s + 1)
+        c = np.cos(beta_arr)[..., None]
+        sn = np.sin(beta_arr)[..., None]
+        coef = scale * c ** (s - k) * sn**k
+        if real:
+            return coef[..., dist] * sign
+        return (coef * _MINUS_I_POWERS[k & 3])[..., dist]
+
+    def _phase_tables(self, bits: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``i^popcount(h)`` and ``(−i)^popcount(h)`` for h < 2^bits: the
+        diag(1, i) basis change over the high qubits and its inverse."""
+        tables = self._phase_cache.get(bits)
+        if tables is None:
+            pc = _popcounts(bits)
+            tables = self._phase_cache[bits] = (
+                _MINUS_I_POWERS[-pc & 3],
+                _MINUS_I_POWERS[pc & 3],
+            )
+        return tables
 
     @staticmethod
     def _realify(matrices: np.ndarray) -> np.ndarray:
@@ -387,27 +437,33 @@ class FusedBackend(NumpyBackend):
         # ⌈n/MAX⌉ near-equal stages, narrowest first; a dim-1 state still
         # gets one (width-0) stage so ``scale`` applies.
         n_stages = max(1, -(-n // MAX_STAGE_QUBITS))
-        low = 0
-        for j in range(n_stages):
+        low = n // n_stages
+        # Lowest stage: realified complex GEMM on the interleaved re/im
+        # row view (unit-stride rows of 2^low complex amplitudes).
+        mat = self._realify(self._stage_matrix(low, beta_arr, factor, real=False))
+        xv = src.view(np.float64).reshape(batch, -1, 2 << low)
+        np.matmul(xv, mat, out=dst.view(np.float64).reshape(xv.shape))
+        src, dst = dst, src
+        # Higher stages run in the diag(1, i) basis of the qubits above
+        # the lowest stage, where RX(2β) is the real rotation R(β): one
+        # real GEMM over each stage's axis of the float64
+        # (batch, outer, 2^s, 2·inner) view, re and im alike.  With one
+        # stage the tables are [1] and only copy φ back.
+        to_real, from_real = self._phase_tables(n - low)
+        rows = (batch, -1, 1 << low)
+        np.multiply(src.reshape(rows), to_real[:, None], out=src.reshape(rows))
+        span = low
+        for j in range(1, n_stages):
             s = (n + j) // n_stages
-            if j == 0:
-                # Lowest stage: realified GEMM on the interleaved re/im
-                # row view (unit-stride rows of 2^s complex amplitudes).
-                mat = self._realify(self._stage_matrix(s, beta_arr, factor))
-                xv = src.view(np.float64).reshape(batch, -1, (1 << s) * 2)
-                np.matmul(xv, mat, out=dst.view(np.float64).reshape(xv.shape))
-            else:
-                # Higher stage: one GEMM over its axis of the
-                # (batch, outer, 2^s, inner) view.
-                mat = self._stage_matrix(s, beta_arr, 1.0)
-                if mat.ndim == 3:
-                    mat = mat[:, None]
-                xv = src.reshape(batch, -1, 1 << s, 1 << low)
-                np.matmul(mat, xv, out=dst.reshape(xv.shape))
-            low += s
+            mat = self._stage_matrix(s, beta_arr, 1.0, real=True)
+            if mat.ndim == 3:
+                mat = mat[:, None]
+            xv = src.view(np.float64).reshape(batch, -1, 1 << s, 2 << span)
+            np.matmul(mat, xv, out=dst.view(np.float64).reshape(xv.shape))
+            span += s
             src, dst = dst, src
-        if src is not work:
-            work[...] = src
+        # Back to the computational basis, written into the caller's rows.
+        np.multiply(src.reshape(rows), from_real[:, None], out=work.reshape(rows))
         return states
 
     # -- layer-fused batched evolution ------------------------------------

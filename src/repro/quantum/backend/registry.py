@@ -4,7 +4,7 @@ Backends register under a short name; :func:`resolve_backend` turns a
 user-facing spec — ``"auto"``, a registered name, or an already-built
 :class:`~repro.quantum.backend.base.StatevectorBackend` instance — into
 a process-wide singleton instance.  Singletons matter: backends cache
-per-``n`` tables (popcount/eigenvalue vectors) that should be built once
+per-size tables (mixer stage and phase tables) that should be built once
 per process, not once per solve.
 
 Auto policy
@@ -48,7 +48,13 @@ from repro.quantum.backend.numpy_backend import NumpyBackend
 # Qubit count from which the fused GEMM-stage mixer replaces the numpy
 # per-qubit passes.  Set when the fused backend was introduced, before
 # its all-GEMM stages and the half-space evolution; re-deriving it from a
-# sweep over n is an open ROADMAP item.
+# sweep over n is an open ROADMAP item.  Where fused now overtakes numpy,
+# pointwise evolve_state at p=2 on ER(n, 0.5) (median of 15 alternating
+# rounds, two sessions, one BLAS thread, 2-core Intel Xeon VM): from
+# n=10 unweighted (1.12–1.25× at 10, 3.0× at 14); weighted 0.91–1.00× at
+# 10, 0.74–0.75× at 11 (where the bucketed cost path starts), 1.03–1.15×
+# at 12, 1.16–1.24× at 13, 1.28–1.31× at 14.  Moving the threshold moves
+# the rounding, and so the digests, of every leaf it reassigns.
 FUSED_MIN_QUBITS = 14
 
 BackendSpec = Union[str, StatevectorBackend, None]

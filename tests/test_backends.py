@@ -337,6 +337,72 @@ class TestCrossBackendParity:
 
 
 # ---------------------------------------------------------------------------
+# The fused mixer's real upper stages
+# ---------------------------------------------------------------------------
+def _kron_power(one_qubit: np.ndarray, s: int) -> np.ndarray:
+    out = np.ones((1, 1), dtype=one_qubit.dtype)
+    for _ in range(s):
+        out = np.kron(out, one_qubit)
+    return out
+
+
+class TestRealStages:
+    """Above its lowest stage the fused mixer runs R(β)^{⊗s} =
+    S·RX(2β)^{⊗s}·S⁻¹ (S = diag(1, i) per qubit) as real GEMMs, between
+    two exact multiplications by i^popcount and (−i)^popcount."""
+
+    S = np.diag([1.0, 1j])
+    S_INV = np.diag([1.0, -1j])
+
+    @staticmethod
+    def rx(beta):
+        c, s = np.cos(beta), np.sin(beta)
+        return np.array([[c, -1j * s], [-1j * s, c]])
+
+    @pytest.mark.parametrize("s", range(7))
+    @pytest.mark.parametrize("betas", [0.7, np.array([0.3, -1.1, 2.9])])
+    def test_stage_matrices_match_kron(self, s, betas):
+        fused = FusedBackend()
+        beta_arr = np.asarray(betas, dtype=np.float64)
+        real = fused._stage_matrix(s, beta_arr, 1.0, real=True)
+        cplx = fused._stage_matrix(s, beta_arr, 1.0, real=False)
+        assert real.dtype == np.float64 and cplx.dtype == np.complex128
+        assert real.shape == cplx.shape == beta_arr.shape + (1 << s, 1 << s)
+        stacks = zip(
+            np.atleast_1d(beta_arr),
+            real.reshape(-1, 1 << s, 1 << s),
+            cplx.reshape(-1, 1 << s, 1 << s),
+            strict=True,
+        )
+        for beta, got_real, got_cplx in stacks:
+            rotated = _kron_power(self.S @ self.rx(beta) @ self.S_INV, s)
+            np.testing.assert_array_equal(rotated.imag, 0.0)
+            np.testing.assert_allclose(got_real, rotated.real, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                got_cplx, _kron_power(self.rx(beta), s), rtol=0, atol=1e-15
+            )
+
+    @pytest.mark.parametrize("bits", [0, 1, 4, 13])
+    def test_basis_change_round_trip_is_exact(self, bits):
+        to_real, from_real = FusedBackend()._phase_tables(bits)
+        rng = np.random.default_rng(bits)
+        state = rng.standard_normal((2, 1 << bits, 3)) + 1j * rng.standard_normal(
+            (2, 1 << bits, 3)
+        )
+        state[..., 1] *= 1e300
+        state[..., 2] *= 1e-310  # subnormal components
+        rotated = state * to_real[:, None]
+        # i^k only swaps and negates components: k = popcount mod 4.
+        k = np.array([bin(h).count("1") % 4 for h in range(1 << bits)])[:, None]
+        re, im = state.real, state.imag
+        want_re = np.choose(k, [re, -im, -re, im])
+        want_im = np.choose(k, [im, re, -im, -re])
+        np.testing.assert_array_equal(rotated.real, want_re)
+        np.testing.assert_array_equal(rotated.imag, want_im)
+        np.testing.assert_array_equal(rotated * from_real[:, None], state)
+
+
+# ---------------------------------------------------------------------------
 # Golden (pre-refactor) regressions
 # ---------------------------------------------------------------------------
 class TestGoldenEvolvePaths:

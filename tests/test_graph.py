@@ -1,5 +1,7 @@
 """Unit tests for repro.graphs.graph.Graph."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,29 @@ class TestConstruction:
         assert g.n_edges == 0
         assert g.total_weight == 0.0
         assert g.density == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # A 6-cycle with one bad weight: every cut of it would be NaN or
+        # infinite, so it must not be built at all.
+        edges = [(i, (i + 1) % 6, bad if i == 2 else 1.0) for i in range(6)]
+        with pytest.raises(ValueError, match="finite"):
+            Graph.from_edges(6, edges)
+
+    def test_overflowing_duplicate_sum_rejected(self):
+        # Each weight is finite, their sum is not; no overflow warning
+        # escapes ahead of the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                Graph.from_edges(2, [(0, 1, 1e308), (1, 0, 1e308)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_weights_rejects_non_finite(self, bad):
+        g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            g.with_weights(np.array([1.0, bad]))
+        assert g.with_weights(np.array([-1e308, 1e308])).n_edges == 2
 
 
 class TestProperties:

@@ -136,11 +136,13 @@ class TestCutDiagonal:
         assert diag[0] == 0.0
         assert diag[-1] == 0.0
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 11, 16])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 16, 18])
     @pytest.mark.parametrize("kind", ["unweighted", "weighted", "signed", "edgeless"])
     def test_bit_identical_to_per_edge_loop(self, n, kind):
+        # The diagonal is built on its top-bit-0 half and mirrored; every
+        # entry must still get its cut edges' weights in edge order.
         rng = np.random.default_rng(n)
-        if kind == "edgeless":
+        if kind == "edgeless" or n == 0:
             graph = Graph.from_edges(n, [])
         else:
             graph = erdos_renyi(n, 0.5, weighted=kind != "unweighted", rng=n)
