@@ -1,7 +1,7 @@
 """E7 — Fig. 2: coordinator/worker distribution of QAOA² sub-graphs.
 
-Runs the coordinator scheme (rank 0 partitions/merges, workers solve
-sub-graphs, dynamic first-free dispatch) at several worker counts and
+Runs the coordinator scheme (rank 0 partitions/merges, workers solve every
+level's sub-graphs, dynamic first-free dispatch) at several worker counts and
 reports speedup, efficiency and coordination overhead.  The paper reports
 the coordination overhead "is minimal and overall an almost ideal scaling
 is achieved".
@@ -34,6 +34,7 @@ def test_fig2_coordinator_scaling(once):
     emit_report("fig2_coordinator_scaling", result.format_table())
     # Overhead should be small (the paper: "minimal").
     assert all(o < 0.5 for o in result.overheads())
-    # Same solution quality regardless of worker count (same work, same seeds).
+    # The same solution at every worker count: rank 0 drives the in-process
+    # solver's level loop, so the work and the seeds are the same.
     cuts = [r.cut for r in result.results]
-    assert max(cuts) - min(cuts) <= 0.15 * max(cuts)
+    assert len(set(cuts)) == 1, cuts

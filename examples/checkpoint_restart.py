@@ -1,86 +1,76 @@
 #!/usr/bin/env python
-"""Checkpoint/restart of a QAOA² level (Fig. 2 caption).
+"""Checkpoint/restart of a QAOA² solve (Fig. 2 caption).
 
 The paper notes that aligning classical and quantum resource consumption
 "can be achieved by splitting, checkpointing, and restarting the classical
 part appropriately".  This example journals sub-graph results as they
-complete, simulates an interruption halfway through, and restarts —
-the second run resumes from the journal and only computes the missing
-sub-problems, finishing the merge step with identical results.
+complete, abandons the solve halfway through level 0 (a node failure), and
+restarts: the second run resumes from the journal, computes only the
+missing sub-problems and the merged levels, and must return exactly the
+result of an uninterrupted solve.
 
 Run:  python examples/checkpoint_restart.py          (~2 seconds)
+Exits 1 if the resumed result differs from the uninterrupted one.
 """
 
 from __future__ import annotations
 
+import sys
 import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.graphs import cut_value, erdos_renyi, partition_with_cap
-from repro.hpc.checkpoint import CheckpointStore, checkpointed_qaoa2_level
-from repro.qaoa2 import apply_flips, assemble_global_assignment, build_merge_problem
-from repro.qaoa2.solver import QAOA2Solver
+from repro.graphs import erdos_renyi
+from repro.hpc.checkpoint import CheckpointStore, checkpointed_qaoa2, solve_journaled
+from repro.qaoa2 import QAOA2Solver
 
 
-def main() -> None:
+def main() -> int:
     graph = erdos_renyi(80, 0.1, rng=21)
-    partition = partition_with_cap(graph, 10, rng=0)
-    subgraphs = [graph.subgraph(part)[0] for part in partition.parts]
-    print(f"instance: {graph}, partitioned into {partition.n_parts} sub-graphs")
-
-    def payload_for(part_id: int) -> dict:
-        return {
-            "graph": subgraphs[part_id],
-            "method": "qaoa",
-            "seed": 9000 + part_id,
-            "qaoa_options": {"layers": 3, "maxiter": 40},
-            "qaoa_grid": None,
-            "gw_options": {},
-        }
+    solver = QAOA2Solver(
+        n_max_qubits=10, qaoa_options={"layers": 3, "maxiter": 40}, rng=0
+    )
+    print(f"instance: {graph}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CheckpointStore(Path(tmp) / "level0.jsonl")
+        store = CheckpointStore(Path(tmp) / "qaoa2.jsonl")
 
-        # --- First run: the job dies after half the sub-graphs ----------
-        # (modelled by running the level on a truncated part list — the
-        # journal keys are identical, so the restart below resumes them)
-        half = partition.n_parts // 2
-        print(f"\nrun 1: solving, node fails after {half} sub-graphs...")
+        # --- First run: the node fails after half of level 0 -------------
+        steps = solver.steps(graph)
+        level0 = next(steps)
+        half = len(level0) // 2
+        print(f"\nrun 1: level 0 has {len(level0)} sub-graphs, node fails after {half}")
         t0 = time.perf_counter()
-        checkpointed_qaoa2_level(
-            graph, partition.parts[:half], payload_for, store
-        )
-        print(f"  'crash' after {time.perf_counter()-t0:.1f}s")
+        solve_journaled(level0[:half], store)
+        steps.close()
+        print(f"  'crash' after {time.perf_counter() - t0:.1f}s")
         journaled = len(store.load())
         print(f"  journal holds {journaled} committed sub-graph results")
 
         # --- Restart: resumes from the journal ---------------------------
         print("\nrun 2: restarting from the journal...")
         t0 = time.perf_counter()
-        results = checkpointed_qaoa2_level(graph, partition.parts, payload_for, store)
+        resumed = checkpointed_qaoa2(solver, graph, store)
         print(
-            f"  completed {len(results)} sub-graphs in {time.perf_counter()-t0:.1f}s "
-            f"({journaled} resumed from disk, {len(results)-journaled} computed)"
+            f"  completed {resumed.n_subproblems} sub-problems over "
+            f"{len(resumed.levels) + 1} levels in {time.perf_counter() - t0:.1f}s "
+            f"({journaled} resumed from disk, "
+            f"{resumed.n_subproblems - journaled} computed)"
         )
 
-        # --- Merge as usual ----------------------------------------------
-        x = assemble_global_assignment(
-            graph.n_nodes, partition.parts, [r["assignment"] for r in results]
-        )
-        merge = build_merge_problem(graph, partition.parts, partition.membership, x)
-        merged = QAOA2Solver(n_max_qubits=10, subgraph_method="gw", rng=1).solve(
-            merge.merged_graph
-        )
-        merged_assignment = merged.assignment
-        if cut_value(merge.merged_graph, merged_assignment) < 0:
-            merged_assignment = np.zeros(merge.merged_graph.n_nodes, dtype=np.uint8)
-        final = apply_flips(x, partition.parts, merged_assignment)
-        print(f"\nfinal QAOA² cut after merge: {cut_value(graph, final):.1f}")
-        print(f"(baseline before merge flips: {merge.baseline_total_cut:.1f})")
+    reference = solver.solve(graph)
+    print(f"\nresumed QAOA² cut: {resumed.cut:.1f}")
+    print(f"uninterrupted cut: {reference.cut:.1f}")
+    if resumed.cut != reference.cut or not np.array_equal(
+        resumed.assignment, reference.assignment
+    ):
+        print("FAIL: the resumed solve differs from the uninterrupted one")
+        return 1
+    print("resumed solve equals the uninterrupted one")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

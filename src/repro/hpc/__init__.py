@@ -10,8 +10,9 @@ from repro.hpc.coordinator import (
 )
 from repro.hpc.checkpoint import (
     CheckpointStore,
-    checkpointed_qaoa2_level,
+    checkpointed_qaoa2,
     run_with_checkpoints,
+    solve_journaled,
 )
 from repro.hpc.executor import BACKENDS, ExecutorConfig, map_jobs
 from repro.hpc.slurm import (
@@ -56,5 +57,6 @@ __all__ = [
     "run_coordinated_qaoa2",
     "CheckpointStore",
     "run_with_checkpoints",
-    "checkpointed_qaoa2_level",
+    "solve_journaled",
+    "checkpointed_qaoa2",
 ]

@@ -1,24 +1,39 @@
-"""Checkpoint/restart for long-running QAOA² sweeps.
+"""Checkpoint/restart for long-running QAOA² solves.
 
 The Fig. 2 caption notes that aligning classical and quantum resource
 consumption "can be achieved by splitting, checkpointing, and restarting
 the classical part appropriately".  This module provides exactly that for
-the batch of sub-graph solves: completed sub-problem results are journaled
-to disk as they finish, and a restarted run resumes from the journal
-instead of recomputing.
+a whole QAOA² solve: :func:`checkpointed_qaoa2` drives
+:meth:`repro.qaoa2.QAOA2Solver.steps` and journals each leaf's result to
+disk as it finishes, at every level.  A restarted run re-draws the same
+partitions and seeds, answers every journaled leaf from the journal, and
+so resumes wherever the last run stopped and returns the uninterrupted
+result.
+
+A leaf's journal key is :func:`repro.service.fingerprint.request_digest`
+over a sha256 of the leaf graph's ``n_nodes``, ``u``, ``v`` and ``w`` and
+the payload's method, QAOA options, option grid, GW options and seed:
+everything :func:`repro.qaoa2.solver._solve_subgraph_job` reads, so a
+changed option or seed solves again instead of reusing a stale result.
 
 Format: one JSON object per line (append-only journal), so a crash between
-writes loses at most the in-flight record.
+writes loses at most the in-flight record: the next append first cuts a
+torn last line back to the newline before it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
+
+from repro.graphs.graph import Graph
+from repro.optim import drive
 
 
 @dataclass
@@ -47,8 +62,16 @@ class CheckpointStore:
         return records
 
     def append(self, key: str, value: dict) -> None:
-        with self.path.open("a") as fh:
-            fh.write(json.dumps({"key": key, "value": value}) + "\n")
+        record = (json.dumps({"key": key, "value": value}) + "\n").encode()
+        with self.path.open("a+b") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - 1, 0))
+            if size and fh.read(1) != b"\n":
+                # A crash tore the last record; appending to its line would
+                # make this record unreadable too.
+                fh.seek(0)
+                fh.truncate(fh.read().rfind(b"\n") + 1)
+            fh.write(record)
 
     def clear(self) -> None:
         if self.path.exists():
@@ -82,53 +105,66 @@ def run_with_checkpoints(
     if len(jobs) != len(keys):
         raise ValueError("jobs and keys must align")
     done = store.load()
-    results: List[Optional[dict]] = [None] * len(jobs)
-    n_resumed = 0
-    for idx, (job, key) in enumerate(zip(jobs, keys, strict=True)):
+    results: List[dict] = []
+    for job, key in zip(jobs, keys, strict=True):
         if key in done:
-            results[idx] = _decode_result(done[key])
-            n_resumed += 1
+            results.append(_decode_result(done[key]))
             continue
         result = solve(job)
         store.append(key, _encode_result(result))
-        results[idx] = result
-    for r in results:
-        assert r is not None
+        results.append(result)
     return results
 
 
-def checkpointed_qaoa2_level(
-    graph,
-    parts,
-    payload_for: Callable[[int], dict],
-    store: CheckpointStore,
-) -> List[dict]:
-    """Checkpoint one QAOA² level: solve each part's sub-graph resumably.
+def solve_journaled(payloads: List[dict], store: CheckpointStore) -> List[dict]:
+    """Answer a batch of QAOA² leaf payloads from ``store``.
 
-    ``payload_for(part_id)`` must return the sub-graph job payload (see
-    :func:`repro.qaoa2.solver._solve_subgraph_job`).  The journal key
-    includes the part id, node count and seed, so changed partitions do
-    not silently reuse stale results.
+    A leaf whose key (see the module docstring) is journaled is read back;
+    every other one is solved with
+    :func:`repro.qaoa2.solver._solve_subgraph_job` and journaled.
+    :func:`checkpointed_qaoa2` answers every batch of
+    :meth:`repro.qaoa2.QAOA2Solver.steps` with it.
     """
     from repro.qaoa2.solver import _solve_subgraph_job
+    from repro.service.fingerprint import request_digest
 
-    payloads = [payload_for(part_id) for part_id in range(len(parts))]
-    keys = [
-        f"part{part_id}/n{p['graph'].n_nodes}/m{p['graph'].n_edges}/"
-        f"seed{p['seed']}/{p['method']}"
-        for part_id, p in enumerate(payloads)
-    ]
+    keys = []
+    for payload in payloads:
+        graph = payload["graph"]
+        leaf = hashlib.sha256(f"leaf|{graph.n_nodes}|".encode())
+        for edges in (graph.u, graph.v, graph.w):
+            leaf.update(edges.tobytes())
+        keys.append(
+            request_digest(
+                leaf.hexdigest(),
+                method=payload["method"],
+                options=payload["qaoa_options"],
+                qaoa_grid=payload["qaoa_grid"],
+                gw_options=payload["gw_options"],
+                seed=payload["seed"],
+            )
+        )
+    return run_with_checkpoints(payloads, keys, _solve_subgraph_job, store)
 
-    def solve(payload: dict) -> dict:
-        result = _solve_subgraph_job(payload)
-        return {
-            "assignment": result["assignment"],
-            "cut": result["cut"],
-            "method": result["method"],
-            "elapsed": result["elapsed"],
-        }
 
-    return run_with_checkpoints(payloads, keys, solve, store)
+def checkpointed_qaoa2(solver, graph: Graph, store: CheckpointStore):
+    """``solver.solve(graph)`` with every leaf journaled in ``store``.
+
+    Each leaf the journal already holds is read back instead of solved, so
+    a run restarted after an interruption at any level resumes there and
+    returns the uninterrupted :class:`repro.qaoa2.QAOA2Result` (cut and
+    assignment bit for bit; journaled leaves keep their first ``elapsed``).
+    ``solver.rng`` must be an integer seed, not ``None`` or a shared
+    generator, for a restart to re-draw the same partitions and seeds.
+    """
+    return drive(
+        solver.steps(graph), lambda payloads: solve_journaled(payloads, store)
+    )
 
 
-__all__ = ["CheckpointStore", "run_with_checkpoints", "checkpointed_qaoa2_level"]
+__all__ = [
+    "CheckpointStore",
+    "run_with_checkpoints",
+    "solve_journaled",
+    "checkpointed_qaoa2",
+]

@@ -7,6 +7,14 @@ module implements exactly that scheme on the in-process MPI substrate
 (:mod:`repro.hpc.comm`) with dynamic (first-free-worker) dispatch, and
 measures the coordination overhead behind the paper's "almost ideal
 scaling" observation.
+
+Rank 0 drives :meth:`repro.qaoa2.QAOA2Solver.steps`, which partitions,
+draws the seeds, merges and flips; every level's batch of leaves (level
+0's parts, then each merged graph or its parts) goes to the worker ranks,
+which run :func:`repro.qaoa2.solver._solve_subgraph_job` per leaf.  So a
+coordinated solve returns the in-process ``QAOA2Solver.solve`` answer bit
+for bit at any worker count.  A leaf that raises on a worker is sent back
+and re-raised on rank 0, which stops every worker on its way out.
 """
 
 from __future__ import annotations
@@ -18,10 +26,9 @@ from typing import Callable, Dict, List, Optional, Union
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.maxcut import cut_value
-from repro.graphs.partition import partition_with_cap
-from repro.hpc.comm import ANY_SOURCE, Communicator, run_parallel
-from repro.util.rng import RngLike, ensure_rng
+from repro.hpc.comm import ANY_SOURCE, ANY_TAG, Communicator, run_parallel
+from repro.optim import drive
+from repro.util.rng import RngLike
 
 # NOTE: repro.qaoa2 imports are deferred to function bodies: qaoa2.solver
 # uses repro.hpc.executor, so importing it here would create a package-level
@@ -47,7 +54,7 @@ class CoordinatorResult:
     cut: float
     wall_time: float
     worker_stats: List[WorkerStats]
-    coordinator_time: float  # partition + merge + merged-solve time on rank 0
+    coordinator_time: float  # rank 0's partition, merge and flip time
     n_jobs: int
 
     @property
@@ -82,112 +89,62 @@ def _worker_loop(comm: Communicator) -> WorkerStats:
     stats = WorkerStats(rank=comm.rank)
     while True:
         status: dict = {}
-        message = comm.recv(source=0, tag=ANY_SOURCE, status=status)
+        message = comm.recv(source=0, tag=ANY_TAG, status=status)
         if status["tag"] == _TAG_STOP:
             return stats
         job_id, payload = message
         start = time.perf_counter()
-        result = _solve_subgraph_job(payload)
+        try:
+            result = _solve_subgraph_job(payload)
+        except Exception as exc:  # sent to rank 0, which re-raises it
+            result = exc
         stats.busy_time += time.perf_counter() - start
         stats.jobs += 1
         comm.send((job_id, result), dest=0, tag=_TAG_RESULT)
 
 
-def _coordinator_loop(
-    comm: Communicator,
-    graph: Graph,
-    n_max_qubits: int,
-    method: Union[str, Callable[[Graph], str]],
-    qaoa_options: dict,
-    gw_options: dict,
-    merged_method: str,
-    partition_method: str,
-    seed: int,
-) -> CoordinatorResult:
-    from repro.qaoa2.merge import (
-        apply_flips,
-        assemble_global_assignment,
-        build_merge_problem,
-    )
-    from repro.qaoa2.solver import QAOA2Solver
-
-    gen = ensure_rng(seed)
+def _coordinator_loop(comm: Communicator, solver, graph: Graph) -> CoordinatorResult:
     wall_start = time.perf_counter()
-    coord_time = 0.0
+    waited = 0.0  # rank 0's time with a batch out at the workers
 
-    t0 = time.perf_counter()
-    partition = partition_with_cap(
-        graph, n_max_qubits, method=partition_method, rng=gen
-    )
-    subgraphs = [graph.subgraph(part)[0] for part in partition.parts]
-    payloads = []
-    for sub in subgraphs:
-        chosen = method(sub) if callable(method) else method
-        payloads.append(
-            {
-                "graph": sub,
-                "method": chosen,
-                "seed": int(gen.integers(2**31)),
-                "qaoa_options": dict(qaoa_options),
-                "qaoa_grid": None,
-                "gw_options": dict(gw_options),
-            }
-        )
-    coord_time += time.perf_counter() - t0
-
-    n_workers = comm.size - 1
-    results: Dict[int, dict] = {}
-    next_job = 0
-    in_flight = 0
-    # Prime every worker, then dynamic dispatch on completion (Fig. 2's
-    # "consumption of resources does not start at the same time" is handled
-    # naturally: idle workers immediately receive the next sub-graph).
-    for worker in range(1, comm.size):
-        if next_job < len(payloads):
-            comm.send((next_job, payloads[next_job]), dest=worker, tag=_TAG_JOB)
-            next_job += 1
-            in_flight += 1
-    while in_flight > 0:
-        status: dict = {}
-        job_id, result = comm.recv(source=ANY_SOURCE, tag=_TAG_RESULT, status=status)
-        results[job_id] = result
-        in_flight -= 1
-        if next_job < len(payloads):
-            comm.send(
-                (next_job, payloads[next_job]), dest=status["source"], tag=_TAG_JOB
+    def dispatch(payloads: List[dict]) -> List[dict]:
+        nonlocal waited
+        start = time.perf_counter()
+        jobs = enumerate(payloads)
+        results: Dict[int, dict] = {}
+        # Prime every worker, then dynamic dispatch on completion (Fig. 2's
+        # "consumption of resources does not start at the same time" is
+        # handled naturally: idle workers immediately receive the next
+        # sub-graph).
+        for worker, job in zip(range(1, comm.size), jobs, strict=False):
+            comm.send(job, dest=worker, tag=_TAG_JOB)
+        while len(results) < len(payloads):
+            status: dict = {}
+            job_id, result = comm.recv(
+                source=ANY_SOURCE, tag=_TAG_RESULT, status=status
             )
-            next_job += 1
-            in_flight += 1
-    for worker in range(1, comm.size):
-        comm.send(None, dest=worker, tag=_TAG_STOP)
+            if isinstance(result, Exception):
+                raise result
+            results[job_id] = result
+            job = next(jobs, None)
+            if job is not None:
+                comm.send(job, dest=status["source"], tag=_TAG_JOB)
+        waited += time.perf_counter() - start
+        return [results[job_id] for job_id in range(len(payloads))]
 
-    t0 = time.perf_counter()
-    local_assignments = [results[k]["assignment"] for k in range(len(payloads))]
-    x = assemble_global_assignment(graph.n_nodes, partition.parts, local_assignments)
-    merge = build_merge_problem(graph, partition.parts, partition.membership, x)
-    merged_solver = QAOA2Solver(
-        n_max_qubits=n_max_qubits,
-        subgraph_method=merged_method,
-        merged_method=merged_method,
-        qaoa_options=qaoa_options,
-        gw_options=gw_options,
-        partition_method=partition_method,
-        rng=int(gen.integers(2**31)),
-    )
-    merged_result = merged_solver.solve(merge.merged_graph)
-    merged_assignment = merged_result.assignment
-    if cut_value(merge.merged_graph, merged_assignment) < 0.0:
-        merged_assignment = np.zeros(merge.merged_graph.n_nodes, dtype=np.uint8)
-    final = apply_flips(x, partition.parts, merged_assignment)
-    coord_time += time.perf_counter() - t0
-
+    try:
+        solved = drive(solver.steps(graph), dispatch)
+    finally:
+        for worker in range(1, comm.size):
+            comm.send(None, dest=worker, tag=_TAG_STOP)
+    wall_time = time.perf_counter() - wall_start
     return CoordinatorResult(
-        assignment=final,
-        cut=cut_value(graph, final),
-        wall_time=time.perf_counter() - wall_start,
+        assignment=solved.assignment,
+        cut=solved.cut,
+        wall_time=wall_time,
         worker_stats=[],  # filled by run_coordinated_qaoa2
-        coordinator_time=coord_time,
-        n_jobs=len(payloads),
+        coordinator_time=wall_time - waited,
+        n_jobs=solved.n_subproblems,
     )
 
 
@@ -203,28 +160,30 @@ def run_coordinated_qaoa2(
     partition_method: str = "greedy_modularity",
     rng: RngLike = None,
 ) -> CoordinatorResult:
-    """Run one level of QAOA² through the coordinator/worker scheme.
+    """Run QAOA² through the coordinator/worker scheme.
 
-    Rank 0 partitions and merges; ranks 1..n_workers solve sub-graphs.
-    Returns the global solution with per-worker utilisation statistics.
+    Rank 0 partitions and merges; ranks 1..n_workers solve every level's
+    sub-graphs.  The answer equals ``QAOA2Solver(...).solve(graph)`` with
+    the same options and ``rng`` (``method`` is its ``subgraph_method``);
+    the result adds per-worker utilisation statistics.
     """
+    from repro.qaoa2.solver import QAOA2Solver
+
     if n_workers < 1:
         raise ValueError("need at least one worker rank")
-    seed = int(ensure_rng(rng).integers(2**31))
+    solver = QAOA2Solver(
+        n_max_qubits=n_max_qubits,
+        subgraph_method=method,
+        merged_method=merged_method,
+        qaoa_options=qaoa_options or {},
+        gw_options=gw_options or {},
+        partition_method=partition_method,
+        rng=rng,
+    )
 
     def entry(comm: Communicator):
         if comm.rank == 0:
-            return _coordinator_loop(
-                comm,
-                graph,
-                n_max_qubits,
-                method,
-                qaoa_options or {},
-                gw_options or {},
-                merged_method,
-                partition_method,
-                seed,
-            )
+            return _coordinator_loop(comm, solver, graph)
         return _worker_loop(comm)
 
     outputs = run_parallel(n_workers + 1, entry)

@@ -253,8 +253,12 @@ class QAOASolver:
         else:
             opt = self._optimize(neg_fp, neg_fp_batch, x0, maxiter, gen)
         if engine is not None:
-            # Bitwise-identical to the per-point evolve (pinned in tests),
-            # but through the pooled batch kernels.
+            # Through the pooled batch kernels, which also record a service
+            # solve's evolve_chunk span.  On the numpy backend this is
+            # the per-point evolve bit for bit (pinned in
+            # tests/test_batched_statevector.py); the fused backend's batch
+            # folds 1/√dim into its first mixer stage, so there the two
+            # can differ in the last bits.
             state = engine.statevectors(np.asarray(opt.x))[0]
         else:
             state = energy.statevector(opt.x)

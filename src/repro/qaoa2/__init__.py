@@ -1,6 +1,5 @@
 """QAOA-in-QAOA (QAOA²): the paper's divide-and-conquer MaxCut method."""
 
-from repro.qaoa2.divide import divide, extract_subgraphs
 from repro.qaoa2.merge import (
     MergeProblem,
     apply_flips,
@@ -17,8 +16,6 @@ from repro.qaoa2.solver import (
 )
 
 __all__ = [
-    "divide",
-    "extract_subgraphs",
     "MergeProblem",
     "assemble_global_assignment",
     "build_merge_problem",

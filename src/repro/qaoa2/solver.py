@@ -393,10 +393,24 @@ class QAOA2Solver:
     max_levels: int = 32
 
     def solve(self, graph: Graph) -> QAOA2Result:
+        return drive(self.steps(graph), self._solve_leaf_payloads)
+
+    def steps(self, graph: Graph) -> Generator[List[dict], List[dict], QAOA2Result]:
+        """The solve as a generator: yields each batch of leaf payloads (the
+        input of :func:`_solve_subgraph_job`), level 0's parts first, then
+        each merged graph or its parts, and is sent their result dicts in
+        order.
+
+        :meth:`solve` answers a batch with :meth:`_solve_leaf_payloads`; the
+        Fig. 2 coordinator (:func:`repro.hpc.coordinator.run_coordinated_qaoa2`)
+        with its worker ranks and :func:`repro.hpc.checkpoint.checkpointed_qaoa2`
+        with its journal.  Every draw from ``rng`` happens here, so all
+        three get the same partitions, seeds, merges and flips.
+        """
         gen = ensure_rng(self.rng)
         records: List[SubgraphRecord] = []
         levels: List[LevelRecord] = []
-        assignment = self._recurse(graph, 0, gen, records, levels)
+        assignment = yield from self._recurse(graph, 0, gen, records, levels)
         cut = cut_value(graph, assignment)
         return QAOA2Result(
             assignment=assignment,
@@ -497,42 +511,24 @@ class QAOA2Solver:
         gen: np.random.Generator,
         records: List[SubgraphRecord],
         levels: List[LevelRecord],
-    ) -> np.ndarray:
+    ) -> Generator[List[dict], List[dict], np.ndarray]:
         if level >= self.max_levels:
             raise RuntimeError("QAOA2 recursion exceeded max_levels")
         start = time.perf_counter()
         if graph.n_nodes <= self.n_max_qubits:
-            payload = self._leaf_payload(graph, level, int(gen.integers(2**31)))
-            result = self._solve_leaf_payloads([payload])[0]
-            records.append(
-                SubgraphRecord(
-                    level=level,
-                    part_id=0,
-                    n_nodes=graph.n_nodes,
-                    n_edges=graph.n_edges,
-                    method=result["method"],
-                    cut=result["cut"],
-                    qaoa_cut=result["qaoa_cut"],
-                    gw_cut=result["gw_cut"],
-                    gw_average=result["gw_average"],
-                    elapsed=result["elapsed"],
-                )
+            partition = None
+            subgraphs = [graph]
+        else:
+            partition = partition_with_cap(
+                graph, self.n_max_qubits, method=self.partition_method, rng=gen
             )
-            return result["assignment"]
-
-        partition = partition_with_cap(
-            graph, self.n_max_qubits, method=self.partition_method, rng=gen
-        )
-        payloads = []
-        for part_id, part in enumerate(partition.parts):
-            subgraph, _ = graph.subgraph(part)
-            payloads.append(
-                (part_id, self._leaf_payload(subgraph, level, int(gen.integers(2**31))))
-            )
-        results = self._solve_leaf_payloads([p for _, p in payloads])
-        local_assignments: List[np.ndarray] = []
-        for (part_id, payload), result in zip(payloads, results, strict=True):
-            sub = payload["graph"]
+            subgraphs = [graph.subgraph(part)[0] for part in partition.parts]
+        payloads = [
+            self._leaf_payload(sub, level, int(gen.integers(2**31)))
+            for sub in subgraphs
+        ]
+        results = yield payloads
+        for part_id, (sub, result) in enumerate(zip(subgraphs, results, strict=True)):
             records.append(
                 SubgraphRecord(
                     level=level,
@@ -547,13 +543,14 @@ class QAOA2Solver:
                     elapsed=result["elapsed"],
                 )
             )
-            local_assignments.append(result["assignment"])
+        if partition is None:
+            return results[0]["assignment"]
 
         x = assemble_global_assignment(
-            graph.n_nodes, partition.parts, local_assignments
+            graph.n_nodes, partition.parts, [result["assignment"] for result in results]
         )
         merge = build_merge_problem(graph, partition.parts, partition.membership, x)
-        merged_assignment = self._recurse(
+        merged_assignment = yield from self._recurse(
             merge.merged_graph, level + 1, gen, records, levels
         )
         # Never regress below the unflipped configuration: a merged solution

@@ -45,15 +45,4 @@ def spawn_rngs(rng: RngLike, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-def rng_seed_for(rng: RngLike, tag: str) -> int:
-    """Deterministically derive an integer seed from ``rng`` and a string tag.
-
-    Useful when a sub-component needs a reproducible but distinct stream
-    (e.g. "rounding" vs "sampling") from the same top-level seed.
-    """
-    base = ensure_rng(rng)
-    offset = sum(ord(c) for c in tag) % 65537
-    return int(base.integers(0, 2**62)) ^ offset
-
-
-__all__ = ["RngLike", "ensure_rng", "spawn_rngs", "rng_seed_for"]
+__all__ = ["RngLike", "ensure_rng", "spawn_rngs"]

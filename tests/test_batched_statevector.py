@@ -6,8 +6,9 @@ Seeded randomized cross-validation of the three QAOA evaluation paths:
 * the batched ``(B, 2**n)`` kernels / :class:`repro.qaoa.engine.SweepEngine`,
 * the circuit-level simulator via :mod:`repro.synth`.
 
-All agreement assertions use atol 1e-10 (the batched path only reorders
-floating-point reductions).
+Agreement assertions use atol 1e-10 (the batched path only reorders
+floating-point reductions), except that the numpy backend's batched state
+must equal its per-point state exactly.
 """
 
 import numpy as np
@@ -169,6 +170,24 @@ class TestAgainstSinglePath:
             batched = energy.engine.statevectors(params[None, :])[0]
             single = energy.statevector(params)
             np.testing.assert_allclose(batched, single, atol=ATOL)
+
+    def test_statevectors_bit_identical_on_numpy(self):
+        # QAOASolver takes its final state from a given engine's
+        # statevectors; on numpy that must be the per-point evolve exactly.
+        larger = [
+            (erdos_renyi(n, 0.3, weighted=weighted, rng=n), params)
+            for (n, weighted), (_, params) in zip(
+                [(12, True), (13, False), (15, True), (16, False)],
+                self.CASES,
+                strict=False,
+            )
+        ]
+        for graph, params in self.CASES + larger:
+            energy = MaxCutEnergy(graph, backend="numpy")
+            np.testing.assert_array_equal(
+                energy.engine.statevectors(params[None, :])[0],
+                energy.statevector(params),
+            )
 
     def test_energies_batch_all_cases(self):
         rng = np.random.default_rng(5)

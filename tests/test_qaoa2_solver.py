@@ -7,6 +7,7 @@ import pytest
 
 from repro.graphs import Graph, cut_value, erdos_renyi, planted_partition, random_cut
 from repro.hpc.executor import ExecutorConfig
+from repro.optim import drive
 from repro.qaoa import MaxCutEnergy
 from repro.qaoa2 import (
     QAOA2Solver,
@@ -389,6 +390,32 @@ class TestLockstepLeaves:
         ):
             np.testing.assert_array_equal(together.pop("assignment"), alone.pop("assignment"))
             assert {**together, "elapsed": None} == {**alone, "elapsed": None}
+
+
+class TestSteps:
+    """``QAOA2Solver.steps`` is the one level loop that ``solve``, the
+    coordinator and the checkpoint journal all run; answering each payload
+    with ``_solve_subgraph_job``, as the coordinator's workers and the
+    journal do, gives ``solve``'s answer."""
+
+    @pytest.mark.parametrize("name", ["unweighted", "weighted-best", "layers-1"])
+    def test_driven_by_hand_equals_solve(self, name, lockstep_jobs):
+        graph, options = LOCKSTEP_CASES[name]
+        batches = []
+
+        def answer(payloads):
+            batches.append([payload["graph"].n_nodes for payload in payloads])
+            return [_solve_subgraph_job(payload) for payload in payloads]
+
+        by_hand = drive(QAOA2Solver(rng=3, **options).steps(graph), answer)
+        assert lockstep_jobs == []
+        reference = QAOA2Solver(rng=3, **options).solve(graph)
+        assert lockstep_jobs  # solve lock-stepped level 0's small leaves
+        _same_solution(by_hand, reference)
+        assert len(batches) == len(reference.levels) + 1
+        assert batches[0] == [
+            rec.n_nodes for rec in reference.subgraphs if rec.level == 0
+        ]
 
 
 @pytest.fixture
