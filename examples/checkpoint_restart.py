@@ -3,28 +3,38 @@
 
 The paper notes that aligning classical and quantum resource consumption
 "can be achieved by splitting, checkpointing, and restarting the classical
-part appropriately".  This example journals sub-graph results as they
-complete, abandons the solve halfway through level 0 (a node failure), and
-restarts: the second run resumes from the journal, computes only the
-missing sub-problems and the merged levels, and must return exactly the
-result of an uninterrupted solve.
+part appropriately".  Here the checkpoint is the solver service's disk
+tier: a QAOA² solve routed through ``MaxCutService(disk_dir=...)`` stores
+every leaf result it solves, keyed by the leaf's graph, method, options
+and seed.  This example solves part of level 0 through a disk-backed
+service, abandons the solve (a node failure), and restarts the same solve
+on a fresh service over the same directory: the leaves already on disk
+are read back, the rest are solved, and the result must equal an
+uninterrupted solve.
+
+The restart unit is one batch of leaves (one QAOA² level): the service
+stores a batch's results after the batch, so a crash mid-level loses that
+level's leaves.  A restart resumes only with an integer ``rng`` (it
+re-draws the same partitions and seeds) and the service's default
+``cache_cost_floor=None`` (every solve is stored).
 
 Run:  python examples/checkpoint_restart.py          (~2 seconds)
-Exits 1 if the resumed result differs from the uninterrupted one.
+Exits 1 unless the resumed result equals the uninterrupted one and at
+least one leaf came from disk.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.graphs import erdos_renyi
-from repro.hpc.checkpoint import CheckpointStore, checkpointed_qaoa2, solve_journaled
 from repro.qaoa2 import QAOA2Solver
+from repro.service import MaxCutService, SolveRequest
 
 
 def main() -> int:
@@ -35,30 +45,39 @@ def main() -> int:
     print(f"instance: {graph}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        store = CheckpointStore(Path(tmp) / "qaoa2.jsonl")
-
         # --- First run: the node fails after half of level 0 -------------
         steps = solver.steps(graph)
         level0 = next(steps)
         half = len(level0) // 2
         print(f"\nrun 1: level 0 has {len(level0)} sub-graphs, node fails after {half}")
         t0 = time.perf_counter()
-        solve_journaled(level0[:half], store)
+        MaxCutService(disk_dir=tmp).solve_many(
+            [
+                SolveRequest(
+                    graph=payload["graph"],
+                    method=payload["method"],
+                    options=payload["qaoa_options"],
+                    qaoa_grid=payload["qaoa_grid"],
+                    gw_options=payload["gw_options"],
+                    seed=payload["seed"],
+                )
+                for payload in level0[:half]
+            ]
+        )
         steps.close()
         print(f"  'crash' after {time.perf_counter() - t0:.1f}s")
-        journaled = len(store.load())
-        print(f"  journal holds {journaled} committed sub-graph results")
 
-        # --- Restart: resumes from the journal ---------------------------
-        print("\nrun 2: restarting from the journal...")
+        # --- Restart: a fresh service over the same directory ------------
+        print("\nrun 2: restarting on a fresh service over the same directory...")
+        service = MaxCutService(disk_dir=tmp)
         t0 = time.perf_counter()
-        resumed = checkpointed_qaoa2(solver, graph, store)
+        resumed = dataclasses.replace(solver, service=service).solve(graph)
+        hits_disk = service.metrics.count("hits_disk")
         print(
             f"  completed {resumed.n_subproblems} sub-problems over "
-            f"{len(resumed.levels) + 1} levels in {time.perf_counter() - t0:.1f}s "
-            f"({journaled} resumed from disk, "
-            f"{resumed.n_subproblems - journaled} computed)"
+            f"{len(resumed.levels) + 1} levels in {time.perf_counter() - t0:.1f}s"
         )
+        print(f"  hits_disk: {hits_disk}  misses: {service.metrics.count('misses')}")
 
     reference = solver.solve(graph)
     print(f"\nresumed QAOA² cut: {resumed.cut:.1f}")
@@ -67,6 +86,9 @@ def main() -> int:
         resumed.assignment, reference.assignment
     ):
         print("FAIL: the resumed solve differs from the uninterrupted one")
+        return 1
+    if hits_disk < 1:
+        print("FAIL: the restart read no leaf from disk")
         return 1
     print("resumed solve equals the uninterrupted one")
     return 0

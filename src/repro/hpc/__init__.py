@@ -8,12 +8,6 @@ from repro.hpc.coordinator import (
     WorkerStats,
     run_coordinated_qaoa2,
 )
-from repro.hpc.checkpoint import (
-    CheckpointStore,
-    checkpointed_qaoa2,
-    run_with_checkpoints,
-    solve_journaled,
-)
 from repro.hpc.executor import BACKENDS, ExecutorConfig, map_jobs
 from repro.hpc.slurm import (
     Cluster,
@@ -55,8 +49,4 @@ __all__ = [
     "CoordinatorResult",
     "WorkerStats",
     "run_coordinated_qaoa2",
-    "CheckpointStore",
-    "run_with_checkpoints",
-    "solve_journaled",
-    "checkpointed_qaoa2",
 ]

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Union
 
 import numpy as np
@@ -220,11 +221,36 @@ def _step_wave(
     return done
 
 
-def _solve_leaf_job(job: Union[dict, List[dict]]) -> List[dict]:
-    """A ``serial`` executor job: a list of small payloads, lock-stepped, or
-    one payload, solved alone."""
-    if isinstance(job, dict):
-        return [_solve_subgraph_job(job)]
+def leaf_jobs(payloads: Sequence[dict], executor: ExecutorConfig) -> List[List[int]]:
+    """Split a batch of leaf payloads into executor jobs, each a list of
+    indices into ``payloads``.
+
+    Under the ``serial`` executor, when at least ``LOCKSTEP_MIN_LEAVES``
+    payloads are below ``FUSED_MIN_QUBITS`` nodes, those form the first
+    job, one :func:`_solve_lockstep_job`; every other payload, and every
+    payload under ``thread``/``process`` (whose workers share the leaves),
+    is a job of its own, one :func:`_solve_subgraph_job`.  The direct
+    solve (:meth:`QAOA2Solver._solve_leaf_payloads`) and the service's
+    scheduler both dispatch by this rule.
+    """
+    small = [i for i, p in enumerate(payloads) if p["graph"].n_nodes < FUSED_MIN_QUBITS]
+    if executor.backend != "serial" or len(small) < LOCKSTEP_MIN_LEAVES:
+        return [[i] for i in range(len(payloads))]
+    large = [[i] for i, p in enumerate(payloads) if p["graph"].n_nodes >= FUSED_MIN_QUBITS]
+    return [small, *large]
+
+
+def in_payload_order(jobs: List[List[int]], solved: List[List[dict]]) -> List[dict]:
+    """The results of :func:`leaf_jobs`' jobs, in the order of their payloads."""
+    by_index = dict(zip(chain.from_iterable(jobs), chain.from_iterable(solved), strict=True))
+    return [by_index[i] for i in range(len(by_index))]
+
+
+def _solve_leaf_job(job: List[dict]) -> List[dict]:
+    """One job of :func:`leaf_jobs`: a payload solved alone, or several
+    lock-stepped."""
+    if len(job) == 1:
+        return [_solve_subgraph_job(job[0])]
     return _solve_lockstep_job(job)
 
 
@@ -359,11 +385,22 @@ class QAOA2Solver:
     service:
         Optional :class:`repro.service.MaxCutService`.  When set, every
         leaf solve (sub-graph batches *and* small merged graphs) is routed
-        through the service instead of a direct executor fan-out, with
-        ``executor`` still governing the dispatch backend.  Duplicate
-        in-flight leaves coalesce and same-shape batches share cut
-        diagonals; whether *distinct-but-isomorphic* leaves share work is
-        the ``service_seeds`` trade-off below.
+        through the service instead of a direct executor fan-out; its
+        scheduler dispatches the jobs of :func:`leaf_jobs` under
+        ``executor``, as the direct path does.  Duplicate in-flight
+        leaves coalesce and same-shape batches share cut diagonals;
+        whether *distinct-but-isomorphic* leaves share work is the
+        ``service_seeds`` trade-off below.  A leaf that a
+        ``error_mode="capture"`` service answers with an error raises
+        ``RuntimeError`` with its error text.
+
+        A service with a ``disk_dir`` is the solve's checkpoint: with an
+        integer ``rng`` and the service's default ``cache_cost_floor=None``,
+        the same solve on a fresh service over the same directory answers
+        every leaf of each finished batch from disk and solves the rest.
+        The restart unit is one batch (one level), because the service
+        stores a ``solve_many`` batch's results after the batch; a resumed
+        leaf's ``elapsed`` is its cache-hit time.
     service_seeds:
         ``"request"`` (default): leaves carry the exact sequentially-drawn
         seeds the direct path would use, so the service path produces cut
@@ -401,11 +438,12 @@ class QAOA2Solver:
         each merged graph or its parts, and is sent their result dicts in
         order.
 
-        :meth:`solve` answers a batch with :meth:`_solve_leaf_payloads`; the
-        Fig. 2 coordinator (:func:`repro.hpc.coordinator.run_coordinated_qaoa2`)
-        with its worker ranks and :func:`repro.hpc.checkpoint.checkpointed_qaoa2`
-        with its journal.  Every draw from ``rng`` happens here, so all
-        three get the same partitions, seeds, merges and flips.
+        :meth:`solve` answers a batch with :meth:`_solve_leaf_payloads`, in
+        process or through ``service`` (one ``solve_many`` per batch, so a
+        disk-backed service stores and resumes whole batches); the Fig. 2
+        coordinator (:func:`repro.hpc.coordinator.run_coordinated_qaoa2`)
+        with its worker ranks.  Every draw from ``rng`` happens here, so
+        both get the same partitions, seeds, merges and flips.
         """
         gen = ensure_rng(self.rng)
         records: List[SubgraphRecord] = []
@@ -445,33 +483,18 @@ class QAOA2Solver:
         }
 
     def _solve_leaf_payloads(self, payloads: List[dict]) -> List[dict]:
-        """Solve a batch of leaf payloads, directly or through the service.
-
-        The service path submits the *same* payloads (same graphs, same
-        sequentially-drawn seeds), and its cold solves run the reference
-        :func:`_solve_subgraph_job` computation bit-for-bit; only
-        caching/coalescing/diagonal-sharing differ.
-
-        Under the ``serial`` executor, when at least
-        ``LOCKSTEP_MIN_LEAVES`` payloads are below ``FUSED_MIN_QUBITS``
-        nodes, those form one :func:`_solve_lockstep_job`; the rest, and
-        every payload under ``thread``/``process`` (whose workers share the
-        leaves), are one :func:`_solve_subgraph_job` each.  Results come
-        back in submission order either way.
-        """
+        """Solve a batch of leaf payloads, in submission order, as the jobs
+        of :func:`leaf_jobs`: directly, or through the service, which
+        submits the *same* payloads and seeds and runs the same jobs, so
+        only caching/coalescing/diagonal-sharing differ."""
         if self.service is None:
-            small = [i for i, p in enumerate(payloads)
-                     if p["graph"].n_nodes < FUSED_MIN_QUBITS]
-            if self.executor.backend != "serial" or len(small) < LOCKSTEP_MIN_LEAVES:
-                return map_jobs(_solve_subgraph_job, payloads, config=self.executor)
-            large = [i for i, p in enumerate(payloads)
-                     if p["graph"].n_nodes >= FUSED_MIN_QUBITS]
-            jobs = [[payloads[i] for i in small]]
-            jobs += [payloads[i] for i in large]
-            solved = map_jobs(_solve_leaf_job, jobs, config=self.executor)
-            flat = (result for job in solved for result in job)
-            by_index = dict(zip(small + large, flat, strict=True))
-            return [by_index[i] for i in range(len(payloads))]
+            jobs = leaf_jobs(payloads, self.executor)
+            solved = map_jobs(
+                _solve_leaf_job,
+                [[payloads[i] for i in job] for job in jobs],
+                config=self.executor,
+            )
+            return in_payload_order(jobs, solved)
         if self.service_seeds not in ("request", "canonical"):
             raise ValueError(
                 f"unknown service_seeds mode {self.service_seeds!r}; "
@@ -491,6 +514,13 @@ class QAOA2Solver:
             )
             for payload in payloads
         ]
+        results = self.service.solve_many(requests, executor=self.executor)
+        for part_id, res in enumerate(results):
+            if res.failed:
+                raise RuntimeError(
+                    f"QAOA² leaf {part_id} ({res.assignment.size} nodes) failed: "
+                    f"{res.extra['error']}"
+                )
         return [
             {
                 "method": res.method,
@@ -501,7 +531,7 @@ class QAOA2Solver:
                 "gw_average": res.extra.get("gw_average"),
                 "elapsed": res.elapsed,
             }
-            for res in self.service.solve_many(requests, executor=self.executor)
+            for res in results
         ]
 
     def _recurse(

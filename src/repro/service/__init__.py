@@ -9,8 +9,8 @@ work is a *request* (graph + solver configuration) rather than a graph:
 * :mod:`repro.service.cache`       — two-tier result cache (byte-budget
   LRU + append-only, CRC-framed disk log) with knowledge-base warm-start
   export;
-* :mod:`repro.service.scheduler`   — coalesced-job dispatch: shared cut
-  diagonals, executor fan-out;
+* :mod:`repro.service.scheduler`   — coalesced-job dispatch: the direct
+  QAOA² solve's lock-step jobs, shared cut diagonals, executor fan-out;
 * :mod:`repro.service.service`     — the :class:`MaxCutService` facade
   (``solve`` / ``solve_many``);
 * :mod:`repro.service.sharding`    — fingerprint-prefix shard routing
@@ -51,7 +51,7 @@ from repro.service.http import (
     serve_http,
 )
 from repro.service.metrics import LatencyStats, ServiceMetrics
-from repro.service.scheduler import BatchScheduler, ScheduledJob
+from repro.service.scheduler import BatchScheduler
 from repro.service.server import (
     AsyncMaxCutServer,
     RequestError,
@@ -85,7 +85,6 @@ __all__ = [
     "RequestError",
     "RequestKey",
     "ResultCache",
-    "ScheduledJob",
     "ServerOverloaded",
     "ServiceMetrics",
     "ServiceResult",

@@ -1,90 +1,79 @@
 """Batched job scheduler for the MaxCut solver service.
 
-The service hands the scheduler a batch of *deduplicated* jobs (one per
-distinct request digest — coalescing happens upstream in
-:mod:`repro.service.service`).  Every job runs the reference
-:func:`repro.qaoa2.solver._solve_subgraph_job`, so a service cold solve
-is bit-for-bit the solve a direct caller gets (pinned by
-``tests/test_service.py::TestBatching``).  The scheduler adds two things
-around it:
-
-1. **Shared diagonals.**  ``qaoa`` and ``best`` jobs on byte-identical
-   graphs (``n_nodes`` plus exact edge arrays) share one cut diagonal —
-   the dominant per-solve setup cost for statevector QAOA — threaded into
-   the job via its payload, which produces bit-identical values with or
-   without sharing.
-2. **Fan-out.**  The jobs are dispatched through
-   :func:`repro.hpc.executor.map_jobs` (serial/thread/process).
-
-Results are always returned in submission order, so serial and
-concurrent scheduler runs are indistinguishable to the caller.
+The service hands the scheduler the :func:`repro.qaoa2.solver._solve_subgraph_job`
+payloads of a batch's *deduplicated* cold requests (coalescing happens
+upstream in :mod:`repro.service.service`), each with its request's trace.
+The scheduler splits them into executor jobs by the direct QAOA² solve's
+own rule, :func:`repro.qaoa2.solver.leaf_jobs` (under the ``serial``
+executor, at least ``LOCKSTEP_MIN_LEAVES`` small payloads form one
+lock-step job, every other payload is a job of its own).  Either job
+computes each payload's reference result bit for bit, so a service cold
+solve is the solve a direct caller gets (pinned by ``TestBatching`` and
+``TestSchedulerLockstep`` in ``tests/test_service.py``).  Around that it
+shares one cut diagonal among ``qaoa`` and ``best`` jobs on byte-identical
+graphs (``n_nodes`` plus exact edge arrays) — the dominant per-solve setup
+cost for statevector QAOA, with bit-identical values either way — and fans
+the jobs out through :func:`repro.hpc.executor.map_jobs`.  Results come
+back in submission order, so serial and concurrent runs are
+indistinguishable to the caller.
 
 Fault tolerance (the async server's contract): when an executor batch
-dies wholesale — a worker process killed mid-solve surfaces as
-``BrokenProcessPool`` — the batch is **retried serially in-process**,
-which reproduces the exact per-job reference computation (the job
-function is deterministic in its payload).  A job that then still fails
-is, under ``capture_errors=True``, returned as an ``{"error": ...}``
-result dict instead of poisoning its batch-mates; with the default
-``capture_errors=False`` the exception propagates as before.
+fails — a worker process killed mid-solve (``BrokenProcessPool``), or one
+poisoned payload, which fails its whole lock-step job — the batch is
+**retried serially in-process, one payload at a time**, reproducing each
+reference computation exactly (the job is deterministic in its payload).
+A payload that still fails is, under ``capture_errors=True``, returned as
+an ``{"error": ...}`` result dict instead of poisoning its batch-mates;
+with the default ``capture_errors=False`` the exception propagates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 from repro.graphs.maxcut import cut_diagonal
 from repro.hpc.executor import ExecutorConfig, map_jobs
-from repro.qaoa2.solver import _solve_subgraph_job
+from repro.qaoa2.solver import (
+    _solve_lockstep_job,
+    _solve_subgraph_job,
+    in_payload_order,
+    leaf_jobs,
+)
 from repro.service.metrics import ServiceMetrics
-from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext, use_trace
+from repro.util.tracing import NO_TRACE, TraceLike, use_trace
 
 # Only graphs small enough for a statevector benefit from an eagerly
 # shared diagonal (mirrors the solver's own max_qubits default).
 MAX_SHARED_DIAGONAL_QUBITS = 26
 
 
-@dataclass
-class ScheduledJob:
-    """One deduplicated unit of work, as seen by the scheduler."""
+def _traced_leaf_job(job: List[Tuple[dict, TraceLike]]) -> List[dict]:
+    """One job of :func:`repro.qaoa2.solver.leaf_jobs`, plus span bookkeeping.
 
-    graph: Graph
-    method: str
-    options: dict
-    qaoa_grid: Optional[Sequence[dict]]
-    gw_options: dict
-    seed: int
-    # Owner request's trace (observability only — never in the payload
-    # dict, so the reference job function's contract is untouched).
-    trace: "TraceContext | NullTraceContext" = NO_TRACE
-
-    def payload(self) -> dict:
-        return {
-            "graph": self.graph,
-            "method": self.method,
-            "seed": self.seed,
-            "qaoa_options": dict(self.options),
-            "qaoa_grid": self.qaoa_grid,
-            "gw_options": dict(self.gw_options),
-        }
-
-
-def _traced_solve_job(item: Tuple[dict, "TraceContext | NullTraceContext"]) -> dict:
-    """Reference job function plus span bookkeeping.
-
-    The trace rides *next to* the payload (never inside it) and is bound
-    as the ambient trace inside the executor worker — this is the bridge
-    that lets ``SweepEngine``/backend spans land on the right request even
-    when several jobs with distinct traces run in one thread pool.
-    Module-level so the process backend can pickle the callable (its items
-    carry ``NO_TRACE`` there — see :meth:`BatchScheduler.run`).
+    Each trace rides *next to* its payload, never inside it.  A payload
+    solved alone binds its trace as the ambient trace inside the executor
+    worker, so ``SweepEngine``/backend spans land on the right request even
+    when jobs with distinct traces share a thread pool.  A lock-stepped job
+    serves several requests, so it binds none and records one ``solve``
+    span with ``leaves=K`` on each member's trace.  Module-level so the
+    process backend can pickle it (with ``NO_TRACE`` items; see
+    :meth:`BatchScheduler.run`).
     """
-    payload, trace = item
-    with use_trace(trace):
-        with trace.span("solve", method=str(payload.get("method"))):
-            return _solve_subgraph_job(payload)
+    if len(job) == 1:
+        payload, trace = job[0]
+        with use_trace(trace):
+            with trace.span("solve", method=str(payload.get("method"))):
+                return [_solve_subgraph_job(payload)]
+    start = time.perf_counter()
+    results = _solve_lockstep_job([payload for payload, _ in job])
+    end = time.perf_counter()
+    for payload, trace in job:
+        trace.add_span(
+            "solve", start, end, method=str(payload.get("method")), leaves=len(job)
+        )
+    return results
 
 
 def _graph_key(graph: Graph) -> Tuple[int, bytes, bytes, bytes]:
@@ -111,36 +100,34 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def run(
         self,
-        jobs: Sequence[ScheduledJob],
+        payloads: Sequence[dict],
+        traces: Sequence[TraceLike],
         *,
         executor: Optional[ExecutorConfig] = None,
         capture_errors: bool = False,
     ) -> List[dict]:
-        """Execute all jobs; result dicts come back in the order of ``jobs``.
+        """Solve every payload; result dicts come back in the order of
+        ``payloads``.
 
-        ``executor`` overrides the scheduler's default backend for this
-        batch — QAOA² passes its own leaf executor through so
+        ``traces`` holds each payload's request trace (observability
+        only).  ``executor`` overrides the scheduler's default backend
+        for this batch — QAOA² passes its own leaf executor through so
         ``--backend thread`` keeps its meaning on the service path.
         ``capture_errors=True`` turns a failing job into an
         ``{"error": ...}`` result dict instead of an exception (see the
         module docs for the retry semantics).
         """
         executor = executor if executor is not None else self.executor
-        payloads = [job.payload() for job in jobs]
-        self._attach_shared_diagonals(jobs, payloads, executor)
+        self._attach_shared_diagonals(payloads, executor)
         if executor.backend == "process":
             # Spans recorded in a worker process die with it; strip
             # traces rather than pickle span trees that never return
             # (mirrors the diagonal-sharing skip).
-            traces: List["TraceContext | NullTraceContext"] = [
-                NO_TRACE for _ in jobs
-            ]
-        else:
-            traces = [job.trace for job in jobs]
+            traces = [NO_TRACE for _ in payloads]
         results = self._map_resilient(
             list(zip(payloads, traces, strict=True)), executor, capture_errors
         )
-        self.metrics.increment("solves", len(jobs))
+        self.metrics.increment("solves", len(payloads))
         failed = sum(1 for r in results if r.get("error"))
         if failed:
             self.metrics.increment("job_errors", failed)
@@ -156,31 +143,37 @@ class BatchScheduler:
     # ------------------------------------------------------------------
     def _map_resilient(
         self,
-        items: List[Tuple[dict, "TraceContext | NullTraceContext"]],
+        items: List[Tuple[dict, TraceLike]],
         executor: ExecutorConfig,
         capture_errors: bool,
     ) -> List[dict]:
-        """``map_jobs`` with an in-process serial retry on executor death.
+        """``map_jobs`` over the jobs of :func:`leaf_jobs`, with an
+        in-process serial retry, one payload at a time, on any failure.
 
         ``pool.map`` raises on the *first* failure, discarding every other
-        job's work — whether the cause is one poisoned payload or a worker
-        process dying mid-solve (``BrokenProcessPool``).  The retry runs
-        each job serially so one bad job cannot take its batch-mates down,
+        job's work — whether the cause is one poisoned payload (which also
+        fails every lock-stepped payload with it) or a worker process
+        dying mid-solve (``BrokenProcessPool``).  The retry runs each
+        payload alone so one bad payload cannot take its batch-mates down,
         and deterministic jobs recompute their reference results exactly.
         """
+        jobs = leaf_jobs([payload for payload, _ in items], executor)
         try:
-            return map_jobs(_traced_solve_job, items, config=executor)
+            solved = map_jobs(
+                _traced_leaf_job, [[items[i] for i in job] for job in jobs], config=executor
+            )
+            return in_payload_order(jobs, solved)
         except Exception:
             self.metrics.increment("executor_retries")
         return [self._solve_or_error(item, capture_errors) for item in items]
 
     def _solve_or_error(
         self,
-        item: Tuple[dict, "TraceContext | NullTraceContext"],
+        item: Tuple[dict, TraceLike],
         capture_errors: bool,
     ) -> dict:
         try:
-            return _traced_solve_job(item)
+            return _traced_leaf_job([item])[0]
         except Exception as exc:
             if not capture_errors:
                 raise
@@ -192,10 +185,7 @@ class BatchScheduler:
 
     # ------------------------------------------------------------------
     def _attach_shared_diagonals(
-        self,
-        jobs: Sequence[ScheduledJob],
-        payloads: List[dict],
-        executor: ExecutorConfig,
+        self, payloads: Sequence[dict], executor: ExecutorConfig
     ) -> None:
         """Precompute one cut diagonal per shape group that wants one.
 
@@ -209,18 +199,18 @@ class BatchScheduler:
         if executor.backend == "process":
             return
         by_graph: Dict[Tuple, List[int]] = {}
-        for slot, job in enumerate(jobs):
-            if job.method in ("qaoa", "best") and (
-                job.graph.n_nodes <= MAX_SHARED_DIAGONAL_QUBITS
+        for slot, payload in enumerate(payloads):
+            if payload["method"] in ("qaoa", "best") and (
+                payload["graph"].n_nodes <= MAX_SHARED_DIAGONAL_QUBITS
             ):
-                by_graph.setdefault(_graph_key(job.graph), []).append(slot)
+                by_graph.setdefault(_graph_key(payload["graph"]), []).append(slot)
         for slots in by_graph.values():
             if len(slots) < 2:
                 continue
-            diagonal = cut_diagonal(jobs[slots[0]].graph)
+            diagonal = cut_diagonal(payloads[slots[0]]["graph"])
             for slot in slots:
                 payloads[slot]["diagonal"] = diagonal
             self.metrics.increment("shared_diagonals", len(slots))
 
 
-__all__ = ["BatchScheduler", "ScheduledJob", "MAX_SHARED_DIAGONAL_QUBITS"]
+__all__ = ["BatchScheduler", "MAX_SHARED_DIAGONAL_QUBITS"]

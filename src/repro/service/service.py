@@ -49,10 +49,10 @@ from repro.service.fingerprint import (
     request_digest,
 )
 from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import BatchScheduler, ScheduledJob
+from repro.service.scheduler import BatchScheduler
 from repro.service.trace import TraceRecorder
 from repro.util.rng import RngLike, ensure_rng
-from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext
+from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext, TraceLike
 
 
 @dataclass
@@ -269,8 +269,12 @@ class MaxCutService:
 
         results: List[Optional[ServiceResult]] = [None] * len(requests)
         owners: Dict[str, int] = {}  # digest -> owning job slot
-        jobs: List[ScheduledJob] = []
-        job_members: List[List[int]] = []  # per job: request indices served
+        # Per cold job: its _solve_subgraph_job payload, its owner's trace
+        # (observability only, never in the payload) and the request
+        # indices it serves.
+        payloads: List[dict] = []
+        traces: List[TraceLike] = []
+        job_members: List[List[int]] = []
         for idx, request in enumerate(requests):
             results[idx] = self.lookup(keys[idx], trace=request.trace)
             if results[idx] is not None:
@@ -280,28 +284,29 @@ class MaxCutService:
                 job_members[owners[digest]].append(idx)
                 self.metrics.increment("coalesced")
                 continue
-            owners[digest] = len(jobs)
+            owners[digest] = len(payloads)
             self.metrics.increment("misses")
-            jobs.append(
-                ScheduledJob(
-                    graph=request.graph,
-                    method=request.method,
-                    options=dict(request.options),
-                    qaoa_grid=request.qaoa_grid,
-                    gw_options=dict(request.gw_options),
-                    seed=seeds[idx],
-                    trace=request.trace,
-                )
+            payloads.append(
+                {
+                    "graph": request.graph,
+                    "method": request.method,
+                    "seed": seeds[idx],
+                    "qaoa_options": dict(request.options),
+                    "qaoa_grid": request.qaoa_grid,
+                    "gw_options": dict(request.gw_options),
+                }
             )
+            traces.append(request.trace)
             job_members.append([idx])
 
-        if jobs:
+        if payloads:
             solved = self.scheduler.run(
-                jobs,
+                payloads,
+                traces,
                 executor=executor,
                 capture_errors=self.error_mode == "capture",
             )
-            for _job, members, raw in zip(jobs, job_members, solved, strict=True):
+            for members, raw in zip(job_members, solved, strict=True):
                 owner_idx = members[0]
                 if raw.get("error"):
                     self.metrics.increment("errors", len(members))

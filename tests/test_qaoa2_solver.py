@@ -18,6 +18,8 @@ from repro.qaoa2.solver import (
     LOCKSTEP_MIN_LEAVES,
     _solve_lockstep_job,
     _solve_subgraph_job,
+    in_payload_order,
+    leaf_jobs,
 )
 from repro.quantum.backend import FUSED_MIN_QUBITS, available_backends, get_backend
 
@@ -392,11 +394,42 @@ class TestLockstepLeaves:
             assert {**together, "elapsed": None} == {**alone, "elapsed": None}
 
 
+class TestLeafJobs:
+    """``leaf_jobs`` is the one lock-step rule, for the direct solve and the
+    service's scheduler alike: under ``serial``, at least
+    LOCKSTEP_MIN_LEAVES payloads below FUSED_MIN_QUBITS nodes form the first
+    job; every other payload is a job of its own."""
+
+    SMALL, LARGE = FUSED_MIN_QUBITS - 1, FUSED_MIN_QUBITS
+
+    @pytest.mark.parametrize(
+        ("sizes", "backend", "expected"),
+        [
+            pytest.param([SMALL] * LOCKSTEP_MIN_LEAVES, "serial",
+                         [list(range(LOCKSTEP_MIN_LEAVES))], id="enough-small"),
+            pytest.param([*[SMALL] * (LOCKSTEP_MIN_LEAVES - 1), LARGE], "serial",
+                         [[i] for i in range(LOCKSTEP_MIN_LEAVES)], id="too-few-small"),
+            pytest.param([LARGE, *[SMALL] * 3, LARGE, *[SMALL] * 3], "serial",
+                         [[1, 2, 3, 5, 6, 7], [0], [4]], id="mixed-sizes"),
+            pytest.param([SMALL] * LOCKSTEP_MIN_LEAVES, "thread",
+                         [[i] for i in range(LOCKSTEP_MIN_LEAVES)], id="thread"),
+            pytest.param([SMALL] * LOCKSTEP_MIN_LEAVES, "process",
+                         [[i] for i in range(LOCKSTEP_MIN_LEAVES)], id="process"),
+        ],
+    )
+    def test_split(self, sizes, backend, expected):
+        payloads = [{"graph": Graph.from_edges(n, [])} for n in sizes]
+        jobs = leaf_jobs(payloads, ExecutorConfig(backend))
+        assert jobs == expected
+        solved = [[f"leaf {i}" for i in job] for job in jobs]
+        assert in_payload_order(jobs, solved) == [f"leaf {i}" for i in range(len(sizes))]
+
+
 class TestSteps:
-    """``QAOA2Solver.steps`` is the one level loop that ``solve``, the
-    coordinator and the checkpoint journal all run; answering each payload
-    with ``_solve_subgraph_job``, as the coordinator's workers and the
-    journal do, gives ``solve``'s answer."""
+    """``QAOA2Solver.steps`` is the one level loop that ``solve`` and the
+    coordinator both run; answering each payload with
+    ``_solve_subgraph_job``, as the coordinator's workers do, gives
+    ``solve``'s answer."""
 
     @pytest.mark.parametrize("name", ["unweighted", "weighted-best", "layers-1"])
     def test_driven_by_hand_equals_solve(self, name, lockstep_jobs):

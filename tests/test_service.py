@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.service.scheduler as scheduler_module
 from repro.graphs import erdos_renyi
 from repro.graphs.maxcut import cut_value
 from repro.hpc.executor import ExecutorConfig
 from repro.qaoa2 import QAOA2Solver
-from repro.qaoa2.solver import _solve_subgraph_job
+from repro.qaoa2.solver import LOCKSTEP_MIN_LEAVES, _solve_subgraph_job
 from repro.service import MaxCutService, SolveRequest, zipf_requests
+
+from test_qaoa2_solver import _same_solution
 
 OPTIONS = {"layers": 2, "maxiter": 25}
 
@@ -222,6 +225,90 @@ class TestBatching:
             assert np.array_equal(res.assignment, solo["assignment"])
 
 
+@pytest.fixture
+def scheduler_jobs(monkeypatch):
+    """The size of every job the service's scheduler dispatches, per batch."""
+    batches = []
+
+    def spy(fn, jobs, config=None, original=scheduler_module.map_jobs):
+        batches.append([len(job) for job in jobs])
+        return original(fn, jobs, config=config)
+
+    monkeypatch.setattr(scheduler_module, "map_jobs", spy)
+    return batches
+
+
+class TestSchedulerLockstep:
+    """Under the serial executor the scheduler dispatches the direct QAOA²
+    solve's jobs: at least LOCKSTEP_MIN_LEAVES small cold requests form one
+    lock-step job, which must equal the reference job per payload."""
+
+    GRAPHS = [
+        erdos_renyi(n, 0.5, weighted=True, rng=40 + n) for n in range(5, 12)
+    ]
+
+    @staticmethod
+    def requests(graphs, **changes):
+        return [
+            SolveRequest(graph=g, options=dict(OPTIONS), seed=k, **changes)
+            for k, g in enumerate(graphs)
+        ]
+
+    @staticmethod
+    def assert_reference(request, result):
+        solo = _solve_subgraph_job(payload(request.graph, request.seed))
+        assert result.status == "solved"
+        assert result.cut == solo["cut"]
+        assert np.array_equal(result.assignment, solo["assignment"])
+        assert result.params == solo["params"]
+
+    @pytest.mark.parametrize("n_requests", [LOCKSTEP_MIN_LEAVES, 7])
+    def test_lockstep_job_equals_reference(self, n_requests, scheduler_jobs):
+        requests = self.requests(self.GRAPHS[:n_requests])
+        results = MaxCutService(seed=0).solve_many(requests)
+        assert scheduler_jobs == [[n_requests]]
+        for request, result in zip(requests, results, strict=True):
+            self.assert_reference(request, result)
+
+    @pytest.mark.parametrize(
+        ("n_requests", "executor"),
+        [(LOCKSTEP_MIN_LEAVES - 1, ExecutorConfig("serial")),
+         (LOCKSTEP_MIN_LEAVES, ExecutorConfig("thread", 2))],
+        ids=["too-few", "thread"],
+    )
+    def test_one_job_per_request(self, n_requests, executor, scheduler_jobs):
+        requests = self.requests(self.GRAPHS[:n_requests])
+        results = MaxCutService(seed=0, executor=executor).solve_many(requests)
+        assert scheduler_jobs == [[1] * n_requests]
+        for request, result in zip(requests, results, strict=True):
+            self.assert_reference(request, result)
+
+    def test_each_member_traces_one_solve_span(self):
+        requests = self.requests(self.GRAPHS)
+        MaxCutService(seed=0, tracing=True).solve_many(requests)
+        for request in requests:
+            solves = [s for s in request.trace.iter_spans() if s.name == "solve"]
+            assert len(solves) == 1
+            assert solves[0].attrs["leaves"] == len(self.GRAPHS)
+
+    def test_poisoned_request_errors_alone(self, scheduler_jobs):
+        requests = self.requests(self.GRAPHS)
+        requests[2] = SolveRequest(
+            graph=requests[2].graph, options={**OPTIONS, "optimizer": "bogus"}, seed=2
+        )
+        service = MaxCutService(seed=0, error_mode="capture", tracing=True)
+        results = service.solve_many(requests)
+        assert scheduler_jobs == [[len(requests)]]  # then one payload at a time
+        assert service.metrics.count("executor_retries") == 1
+        assert [r.failed for r in results] == [k == 2 for k in range(len(requests))]
+        assert "unknown optimizer 'bogus'" in results[2].extra["error"]
+        for k, (request, result) in enumerate(zip(requests, results, strict=True)):
+            if k != 2:
+                self.assert_reference(request, result)
+                solves = [s for s in request.trace.iter_spans() if s.name == "solve"]
+                assert len(solves) == 1
+
+
 # ---------------------------------------------------------------------------
 # QAOA² through the service (acceptance criterion: identical cut values)
 # ---------------------------------------------------------------------------
@@ -259,6 +346,85 @@ class TestQAOA2ServicePath:
         assert second.cut == first.cut
         assert service.metrics.count("misses") == misses  # all hits
         assert service.metrics.count("hits_memory") >= first.n_subproblems
+
+    def test_capture_mode_leaf_error_raises(self):
+        """A leaf the service answers with an error is not merged as if
+        solved: the solve raises with the leaf's error text."""
+        graph = erdos_renyi(40, 0.15, rng=1)
+        options = {"n_max_qubits": 8, "qaoa_options": {"optimizer": "bogus"}, "rng": 0}
+        with pytest.raises(ValueError, match="unknown optimizer 'bogus'"):
+            QAOA2Solver(**options).solve(graph)
+        service = MaxCutService(seed=0, error_mode="capture")
+        with pytest.raises(RuntimeError, match="unknown optimizer 'bogus'"):
+            QAOA2Solver(service=service, **options).solve(graph)
+        assert service.metrics.count("errors") > 0
+
+
+class TestQAOA2Restart:
+    """A disk-backed service is a QAOA² solve's checkpoint: the same solve
+    on a fresh service over the same directory answers each finished batch
+    (one level) from disk, solves the rest, and equals the direct solve."""
+
+    GRAPH = erdos_renyi(60, 0.1, rng=8)
+
+    @staticmethod
+    def solver(service, **changes):
+        options = {
+            "n_max_qubits": 8,
+            "qaoa_options": {"layers": 2, "maxiter": 20},
+            "rng": 3,
+        }
+        return QAOA2Solver(service=service, **{**options, **changes})
+
+    def test_resume_identical_results(self, tmp_path):
+        reference = self.solver(None).solve(self.GRAPH)
+        batches = [
+            sum(rec.level == level for rec in reference.subgraphs)
+            for level in range(len(reference.levels) + 1)
+        ]
+        assert batches == [18, 3, 1]
+        for stop_before in range(len(batches)):
+            directory = tmp_path / f"stop-before-{stop_before}"
+            started = []  # batches dispatched before the crash
+
+            def crash(
+                fn, jobs, config=None, started=started, stop_before=stop_before,
+                original=scheduler_module.map_jobs,
+            ):
+                if len(started) == stop_before:
+                    raise KeyboardInterrupt  # the node fails
+                started.append(len(jobs))
+                return original(fn, jobs, config=config)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scheduler_module, "map_jobs", crash)
+                with pytest.raises(KeyboardInterrupt):
+                    self.solver(MaxCutService(disk_dir=directory)).solve(self.GRAPH)
+
+            service = MaxCutService(disk_dir=directory)
+            resumed = self.solver(service).solve(self.GRAPH)
+            _same_solution(resumed, reference)
+            assert service.metrics.count("hits_disk") == sum(batches[:stop_before])
+            assert service.metrics.count("misses") == sum(batches[stop_before:])
+
+        service = MaxCutService(disk_dir=directory)
+        again = self.solver(service).solve(self.GRAPH)
+        _same_solution(again, reference)
+        assert service.metrics.count("hits_disk") == sum(batches)
+        assert service.metrics.count("misses") == 0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"rng": 4}, {"qaoa_options": {"layers": 3, "maxiter": 20}}],
+        ids=["seed", "options"],
+    )
+    def test_changed_solve_recomputes(self, tmp_path, changes):
+        self.solver(MaxCutService(disk_dir=tmp_path)).solve(self.GRAPH)
+        service = MaxCutService(disk_dir=tmp_path)
+        result = self.solver(service, **changes).solve(self.GRAPH)
+        assert service.metrics.count("hits_disk") == 0
+        assert service.metrics.count("misses") == result.n_subproblems
+        _same_solution(result, self.solver(None, **changes).solve(self.GRAPH))
 
 
 # ---------------------------------------------------------------------------
