@@ -89,8 +89,5 @@ class MaxCutEnergy:
         idx = gen.choice(len(probs), size=shots, p=probs)
         return float(self.diagonal[idx].mean())
 
-    def expectation_from_state(self, state: np.ndarray) -> float:
-        return float(np.dot(probabilities(state), self.diagonal))
-
 
 __all__ = ["MaxCutEnergy"]

@@ -11,7 +11,8 @@ Steps, matching the paper's enumeration:
    a level with at least ``LOCKSTEP_MIN_LEAVES`` sub-graphs below
    ``FUSED_MIN_QUBITS`` nodes advances them together instead: their
    COBYLA runs step as one array program, and each round evolves all
-   their pending points as one batch per (backend, qubits, layers), with
+   their pending points on the numpy backend as one ragged batch, every
+   leaf's half state in one flat buffer whatever its qubit count, with
    the same values a solve of each alone computes.
 4. Build the merged graph with sign-flipped cut edges
    (:mod:`repro.qaoa2.merge`).
@@ -46,7 +47,7 @@ from repro.qaoa2.merge import (
     assemble_global_assignment,
     build_merge_problem,
 )
-from repro.quantum.backend import FUSED_MIN_QUBITS
+from repro.quantum.backend import FUSED_MIN_QUBITS, RaggedLayout
 from repro.util.rng import RngLike, ensure_rng
 
 MethodPolicy = Union[str, Callable[[Graph], str]]
@@ -54,11 +55,14 @@ MethodPolicy = Union[str, Callable[[Graph], str]]
 # The fewest small leaves a level lock-steps under the serial executor.  A
 # batched COBYLA round costs about as much for one run as for several, so
 # below this one job per leaf is faster.  Measured break-even: the whole
-# job's time over one _solve_subgraph_job per leaf, median of 5 alternating
-# repetitions, K ER(6-12, 0.35) leaves at p=2, maxiter=40: 1.58 at K=2,
-# 1.32 at 3, 1.15 at 4, 0.96 at 6, 0.86 at 8, 0.73 at 12, 0.73 at 16 and
-# 0.44 at 48; with 9 repetitions, 1.01 at 5 and 0.94 at 6 and 7.
-LOCKSTEP_MIN_LEAVES = 6
+# job's time over one _solve_subgraph_job per leaf, median of 9 alternating
+# repetitions, K ER(6-12, 0.35) leaves at p=2, maxiter=40, with each round
+# one ragged evolution (two runs of the protocol, 2-core Intel Xeon VM):
+# 1.31–1.38 at K=2, 1.02–1.06 at 3, 0.80–0.82 at 4, 0.70–0.75 at 5, 0.65
+# at 6, 0.63 at 8, 0.48 at 12 and 0.50 at 16.  With one evolve_batch per
+# qubit count the same protocol read 1.35–1.44 at 3, 1.07–1.16 at 4 and
+# 1.02–1.04 at 5.
+LOCKSTEP_MIN_LEAVES = 4
 
 
 @dataclass
@@ -147,7 +151,6 @@ def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
     leaves = [_subgraph_steps(payload, lockstep=True) for payload in payloads]
     results: List[Optional[dict]] = [None] * len(leaves)
     requests: Dict[int, tuple] = {}  # leaf -> its (energy, x0, rhobeg, maxiter)
-    stacks: Dict[tuple, tuple] = {}  # group -> (members, diagonal stack)
 
     def advance(leaf: int, reply: Optional[OptimizationResult]) -> None:
         try:
@@ -160,7 +163,7 @@ def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
     while requests:
         wave = dict(requests)
         requests.clear()
-        for leaf, opt in _step_wave(wave, stacks).items():
+        for leaf, opt in _step_wave(wave).items():
             advance(leaf, opt)
     elapsed = (time.perf_counter() - start) / len(payloads)
     for result in results:
@@ -168,18 +171,20 @@ def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
     return results
 
 
-def _step_wave(
-    wave: Dict[int, tuple], stacks: Dict[tuple, tuple]
-) -> Dict[int, OptimizationResult]:
+def _step_wave(wave: Dict[int, tuple]) -> Dict[int, OptimizationResult]:
     """Run each leaf's requested COBYLA run, minimising -F_p, to its result.
 
     One :func:`cobyla_batch_steps` steps the runs of each (dimension,
-    rhobeg, maxiter).  Each round takes the points all steppers ask for,
-    evolves each (backend, qubits, layers) group as one ``evolve_batch``
-    over the stack of its members' diagonals, and answers each point with
-    ``-energy.expectation_from_state`` of its own row: the pointwise
-    objective on a bit-identical state.  A group's stack is built once and
-    re-indexed only when its members change.
+    rhobeg, maxiter).  Each round answers every point the steppers ask for
+    with its leaf's pointwise objective, ``-energy.expectation``, bit for
+    bit.  The points on the numpy backend are grouped by (backend, layers),
+    and each group is one ragged batch: one
+    :meth:`~repro.quantum.backend.NumpyBackend.evolve_ragged` over a
+    :class:`~repro.quantum.backend.RaggedLayout` of the group's diagonals,
+    largest first, whose ``expectations`` reduce each row as
+    ``energy.expectation`` does.  A point on any other backend is answered
+    with ``-energy.expectation`` itself.  A group's layout, buffers
+    included, is rebuilt only when the group's members change.
     """
     by_options: Dict[tuple, List[int]] = {}
     for leaf, (_, x0, rhobeg, maxiter) in wave.items():
@@ -190,6 +195,7 @@ def _step_wave(
         runs.append((members, cobyla_batch_steps(x0s, rhobeg=rhobeg, maxiter=maxiter)))
     replies: Dict[int, Optional[list]] = dict.fromkeys(range(len(runs)))
     done: Dict[int, OptimizationResult] = {}
+    layouts: Dict[tuple, tuple] = {}  # group -> (members, RaggedLayout)
     while replies:
         groups: Dict[tuple, list] = {}  # group -> [(stepper, position, leaf, point)]
         for stepper in list(replies):
@@ -203,21 +209,24 @@ def _step_wave(
             replies[stepper] = [None] * len(rows)
             for position, (row, point) in enumerate(zip(rows, points, strict=True)):
                 energy = wave[members[row]][0]
-                key = (energy.backend, energy.n_qubits, len(point) // 2)
+                if energy.backend.name != "numpy":
+                    replies[stepper][position] = -energy.expectation(point)
+                    continue
+                key = (energy.backend, len(point) // 2)
                 groups.setdefault(key, []).append((stepper, position, members[row], point))
         for key, asked in groups.items():
+            asked.sort(key=lambda ask: -wave[ask[2]][0].n_qubits)
             members = [leaf for _, _, leaf, _ in asked]
-            old_members, stack = stacks.get(key, ((), None))
-            if members != old_members:
-                if set(members) <= set(old_members):
-                    where = {leaf: row for row, leaf in enumerate(old_members)}
-                    stack = stack[[where[leaf] for leaf in members]]
-                else:
-                    stack = np.stack([wave[leaf][0].diagonal for leaf in members])
-                stacks[key] = (members, stack)
-            states = key[0].evolve_batch(stack, np.stack([point for *_, point in asked]))
-            for (stepper, position, leaf, _), state in zip(asked, states, strict=True):
-                replies[stepper][position] = -wave[leaf][0].expectation_from_state(state)
+            cached = layouts.get(key)
+            if cached is None or cached[0] != members:
+                diagonals = [wave[leaf][0].diagonal for leaf in members]
+                cached = layouts[key] = (members, RaggedLayout(diagonals))
+            layout = cached[1]
+            half = key[0].evolve_ragged(layout, np.stack([point for *_, point in asked]))
+            for (stepper, position, _, _), value in zip(
+                asked, layout.expectations(half), strict=True
+            ):
+                replies[stepper][position] = -value
     return done
 
 

@@ -20,7 +20,7 @@ from repro.quantum.backend.base import (
     cache_resident_chunk_size,
 )
 from repro.quantum.backend.fused import FusedBackend
-from repro.quantum.backend.numpy_backend import NumpyBackend
+from repro.quantum.backend.numpy_backend import NumpyBackend, RaggedLayout
 from repro.quantum.backend.registry import (
     FUSED_MIN_QUBITS,
     auto_backend_name,
@@ -43,6 +43,7 @@ __all__ = [
     "BackendUnavailable",
     "FusedBackend",
     "NumpyBackend",
+    "RaggedLayout",
     "ScratchPool",
     "StatevectorBackend",
     "auto_backend_name",

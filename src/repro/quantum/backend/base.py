@@ -11,8 +11,8 @@ operations:
   elementwise diagonal phase multiply,
 * :meth:`StatevectorBackend.apply_mixer_layer` — ``exp(-iβ ΣX)``,
 * :meth:`StatevectorBackend.evolve_batch` / :meth:`evolve_state` — the
-  composed p-layer circuit, batched (over one shared diagonal or a stack
-  of per-row diagonals) and pointwise,
+  composed p-layer circuit, batched over one shared diagonal and
+  pointwise,
 * :meth:`StatevectorBackend.expectations_batch` — ⟨ψ|H_C|ψ⟩ per row,
 
 plus :meth:`walsh_transform` (the unnormalised Walsh–Hadamard transform
@@ -108,9 +108,8 @@ class StatevectorBackend(ABC):
         """In place: multiply by ``exp(-iγ · diagonal)``.
 
         ``states`` is a single ``(2**n,)`` vector with scalar ``gammas``,
-        or a ``(B, 2**n)`` batch with a ``(B,)`` per-row γ vector and
-        either one ``(2**n,)`` diagonal or a ``(B, 2**n)`` stack, row b
-        multiplied by ``exp(-iγ_b · diagonal[b])``.  ``scratch`` is an
+        or a ``(B, 2**n)`` batch with a ``(B,)`` per-row γ vector, row b
+        multiplied by ``exp(-iγ_b · diagonal)``.  ``scratch`` is an
         optional same-shape phase-table buffer.
         """
 
@@ -171,16 +170,13 @@ class StatevectorBackend(ABC):
 
         ``params_matrix`` is ``(B, 2p)``; returns the pooled ``(B, 2**n)``
         state buffer, valid until the next backend call on the same pool
-        (callers that need to retain states must copy).  ``diagonal``
-        must be complement-symmetric over n ≥ 1 qubits (module docstring):
-        one ``(2**n,)`` diagonal for every row, or a ``(B, 2**n)`` stack
-        with one per row, so that rows of different graphs of one size
-        evolve together.  On :class:`NumpyBackend` row b of a stack is
-        bit-identical to ``evolve_state(diagonal[b], params_matrix[b])``.
+        (callers that need to retain states must copy).  ``diagonal``, one
+        ``(2**n,)`` diagonal for every row, must be complement-symmetric
+        over n ≥ 1 qubits (module docstring).
         """
         mat = self._params_matrix(params_matrix)
         m, p = mat.shape[0], mat.shape[1] // 2
-        n = self._half_space_qubits(diagonal, rows=m)
+        n = self._half_space_qubits(diagonal)
         pool = pool if pool is not None else shared_pool()
         with current_trace().span(
             "backend-evolve", backend=self.name, rows=m, layers=p
@@ -209,14 +205,9 @@ class StatevectorBackend(ABC):
 
     # -- half-space evolution (see the module docstring) -----------------
     @staticmethod
-    def _half_space_qubits(diagonal: np.ndarray, rows: Optional[int] = None) -> int:
-        """n of a ``(2**n,)`` diagonal, or of a ``(rows, 2**n)`` stack."""
-        if diagonal.ndim == 2 and rows is not None:
-            if diagonal.shape[0] != rows:
-                raise ValueError(
-                    f"{diagonal.shape[0]} stacked diagonals for {rows} parameter rows"
-                )
-        elif diagonal.ndim != 1:
+    def _half_space_qubits(diagonal: np.ndarray) -> int:
+        """n of a ``(2**n,)`` diagonal."""
+        if diagonal.ndim != 1:
             raise ValueError(f"expected a 1-D diagonal, got shape {diagonal.shape}")
         n = n_qubits_for_dim(diagonal.shape[-1])
         if n == 0:
@@ -232,7 +223,7 @@ class StatevectorBackend(ABC):
 
     def _evolve_half(self, diagonal, half, scratch, gammas, betas) -> None:
         """In place on φ: one cost and one mixer layer per (γ, β) pair."""
-        half_diagonal = diagonal[..., : half.shape[-1]]
+        half_diagonal = diagonal[: half.shape[-1]]
         for gamma, beta in zip(gammas, betas, strict=True):
             self.apply_cost_layer(half, half_diagonal, gamma, scratch=scratch)
             self.apply_mixer_layer(half, beta, scratch=scratch)

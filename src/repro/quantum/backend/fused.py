@@ -325,8 +325,7 @@ class FusedBackend(NumpyBackend):
         *,
         scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        # Cost tables are per diagonal: a per-row stack takes the dense path.
-        table = self._cost_table(diagonal) if diagonal.ndim == 1 else None
+        table = self._cost_table(diagonal)
         if table is None:
             return super().apply_cost_layer(states, diagonal, gammas, scratch=scratch)
         gam = np.asarray(gammas, dtype=np.float64)
@@ -481,11 +480,8 @@ class FusedBackend(NumpyBackend):
         exponential written straight into φ — no fill pass — with the
         ``1/√dim`` amplitude folded into the first mixer's low stage
         matrix via ``scale`` (no normalisation pass either).  Later layers
-        run the base class's half-space loop.  A per-row diagonal stack
-        runs the base composition: the cost tables are per diagonal.
+        run the base class's half-space loop.
         """
-        if diagonal.ndim == 2:
-            return super().evolve_batch(diagonal, params_matrix, pool=pool)
         mat = self._params_matrix(params_matrix)
         n = self._half_space_qubits(diagonal)
         m, p = mat.shape[0], mat.shape[1] // 2

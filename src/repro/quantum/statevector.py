@@ -142,8 +142,7 @@ def apply_phases_batch(
     """In place: ``states[b] *= exp(-1j * gammas[b] * diagonal)``.
 
     The batched QAOA cost layer — one row per parameter vector, each with
-    its own γ.  ``diagonal`` is shared by every row, or a ``(B, 2**n)``
-    stack with row b's own diagonal; either way each phase is the scalar
+    its own γ, over one shared diagonal; each phase is the scalar
     ``(-1j * gammas[b]) * d``, as in the single-state layer.  ``scratch``
     is an optional ``(B, 2**n)`` complex buffer for the phase table so
     sweep loops avoid a fresh allocation per layer.
@@ -154,7 +153,7 @@ def apply_phases_batch(
             f"expected states (B, dim) and gammas (B,), got "
             f"{states.shape} / {gammas.shape}"
         )
-    if diagonal.shape not in (states.shape[-1:], states.shape):
+    if diagonal.shape != states.shape[-1:]:
         raise ValueError("diagonal length mismatch")
     if scratch is None:
         scratch = np.empty_like(states)

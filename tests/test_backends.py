@@ -25,6 +25,7 @@ from repro.quantum.backend import (
     FUSED_MIN_QUBITS,
     FusedBackend,
     NumpyBackend,
+    RaggedLayout,
     ScratchPool,
     StatevectorBackend,
     auto_backend_name,
@@ -36,7 +37,7 @@ from repro.quantum.backend import (
 )
 from repro.quantum.noise import DepolarizingChannel, NoiseModel, noisy_qaoa_statevector
 from repro.quantum.simulator import run_qaoa_reference
-from repro.quantum.statevector import plus_state
+from repro.quantum.statevector import plus_state, probabilities
 
 PARITY_ATOL = 1e-12
 
@@ -264,13 +265,6 @@ class TestCrossBackendParity:
                 np.testing.assert_allclose(
                     fused.evolve_state(diag, mat[0]), a[0], rtol=0, atol=PARITY_ATOL
                 )
-        # A per-row stack of every weight kind runs the dense cost layer.
-        stack = np.stack([cut_diagonal(g) for g in _weight_kinds(n, seed=n).values()])
-        mat = rng.uniform(-np.pi, np.pi, (len(stack), 4))
-        np.testing.assert_allclose(
-            fused.evolve_batch(stack, mat), ref.evolve_batch(stack, mat),
-            rtol=0, atol=PARITY_ATOL,
-        )
 
     def test_fused_cost_table_keyed_on_owner_not_view(self):
         # Each evolution passes a fresh half view of the diagonal: the
@@ -325,15 +319,29 @@ class TestCrossBackendParity:
                 backend.evolve_batch(np.zeros(1), np.zeros((2, 2)))
             with pytest.raises(ValueError, match="one qubit"):
                 backend.evolve_state(np.zeros(1), np.zeros(2))
-            # A per-row stack needs one diagonal per parameter row, each
-            # of a state's width; evolve_state takes one diagonal.
+            # Both evolutions take one diagonal.
             stack = np.stack([diag, diag])
-            with pytest.raises(ValueError, match="parameter rows"):
-                backend.evolve_batch(stack, np.zeros((3, 2)))
-            with pytest.raises(ValueError, match="power of 2"):
-                backend.evolve_batch(stack[:, :12], np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="1-D"):
+                backend.evolve_batch(stack, np.zeros((2, 2)))
             with pytest.raises(ValueError, match="1-D"):
                 backend.evolve_state(stack, np.zeros(2))
+
+    def test_ragged_validation(self):
+        backend = NumpyBackend()
+        big, small = (cut_diagonal(erdos_renyi(n, 0.5, rng=0)) for n in (5, 3))
+        with pytest.raises(ValueError, match="non-increasing"):
+            RaggedLayout([small, big])
+        with pytest.raises(ValueError, match="one qubit"):
+            RaggedLayout([big, np.zeros(1)])
+        with pytest.raises(ValueError, match="power of 2"):
+            RaggedLayout([big[:12]])
+        with pytest.raises(ValueError, match="at least one row"):
+            RaggedLayout([])
+        layout = RaggedLayout([big, small])
+        with pytest.raises(ValueError, match="parameter rows"):
+            backend.evolve_ragged(layout, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="even"):
+            backend.evolve_ragged(layout, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +434,45 @@ class TestGoldenEvolvePaths:
                 np.testing.assert_array_equal(
                     backend.evolve_batch(diag, row[None, :])[0], golden
                 )
-        # One stack of every weight kind, each row with its own parameters:
-        # row b equals the pointwise evolution on diagonal b.
-        for p in (1, 2, 3):
-            mat = rng.uniform(-np.pi, np.pi, (len(diags), 2 * p))
-            batch = backend.evolve_batch(np.stack(diags), mat).copy()
-            for diag, row, state in zip(diags, mat, batch, strict=True):
-                np.testing.assert_array_equal(state, backend.evolve_state(diag, row))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_numpy_ragged_evolution_bit_identical(self, p):
+        # One ragged batch of 1 to 13 qubits, every weight kind at each
+        # size, largest first, each row with its own parameters: row b is
+        # the pointwise evolution on diagonal b, and its energy is the
+        # pointwise energy np.dot(|ψ|², d), bit for bit.
+        backend = NumpyBackend()
+        rng = np.random.default_rng(400 + p)
+        diags = [
+            cut_diagonal(graph)
+            for n in range(13, 0, -1)
+            for graph in _weight_kinds(n, seed=n).values()
+        ]
+
+        def check(layout, rows, mat):
+            half = backend.evolve_ragged(layout, mat)
+            energies = layout.expectations(half)
+            start = 0
+            for b, row in enumerate(rows):
+                state = backend.evolve_state(diags[row], mat[b])
+                phi = half[start : start + len(state) // 2]
+                np.testing.assert_array_equal(np.concatenate((phi, phi[::-1])), state)
+                assert energies[b] == float(np.dot(probabilities(state), diags[row]))
+                start += len(phi)
+            assert start == len(half)
+
+        everyone = list(range(len(diags)))
+        layout = RaggedLayout(diags)
+        check(layout, everyone, rng.uniform(-np.pi, np.pi, (len(diags), 2 * p)))
+        # The members change between rounds: a new layout over some rows,
+        # then the first layout again, whose buffers the other left alone.
+        some = everyone[1::3] + everyone[-1:]
+        check(
+            RaggedLayout([diags[row] for row in some]),
+            some,
+            rng.uniform(-np.pi, np.pi, (len(some), 2 * p)),
+        )
+        check(layout, everyone, rng.uniform(-np.pi, np.pi, (len(diags), 2 * p)))
 
     def test_energy_statevector_bit_identical_on_numpy(self):
         for graph, params in self.CASES:

@@ -277,19 +277,21 @@ LOCKSTEP_CASES = {
 
 
 @pytest.fixture
-def stacked_evolutions(monkeypatch):
-    """(rows, qubits) of every ``evolve_batch`` call on a per-row diagonal
-    stack, on every registered backend."""
+def ragged_evolutions(monkeypatch):
+    """(rows, layers, qubit counts) of every ``evolve_ragged`` call, on
+    every registered backend that has it."""
     calls = []
     for name in available_backends():
         backend = get_backend(name)
+        if not hasattr(backend, "evolve_ragged"):
+            continue
 
-        def spy(diagonal, params_matrix, *, pool=None, original=backend.evolve_batch):
-            if np.ndim(diagonal) == 2:
-                calls.append((len(diagonal), int(diagonal.shape[1]).bit_length() - 1))
-            return original(diagonal, params_matrix, pool=pool)
+        def spy(layout, params_matrix, original=backend.evolve_ragged):
+            sizes = [len(d).bit_length() - 1 for d in layout.diagonals]
+            calls.append((len(sizes), np.shape(params_matrix)[1] // 2, sizes))
+            return original(layout, params_matrix)
 
-        monkeypatch.setattr(backend, "evolve_batch", spy)
+        monkeypatch.setattr(backend, "evolve_ragged", spy)
     return calls
 
 
@@ -324,32 +326,36 @@ class TestLockstepLeaves:
     solving each leaf alone, which the thread executor still does."""
 
     @pytest.mark.parametrize("name", sorted(LOCKSTEP_CASES))
-    def test_lockstep_equals_per_leaf(self, name, stacked_evolutions, lockstep_jobs):
+    def test_lockstep_equals_per_leaf(self, name, ragged_evolutions, lockstep_jobs):
         graph, options = LOCKSTEP_CASES[name]
         lockstep = QAOA2Solver(rng=3, **options).solve(graph)
-        stepped = list(stacked_evolutions)
-        stacked_evolutions.clear()
+        stepped = list(ragged_evolutions)
+        ragged_evolutions.clear()
         assert lockstep_jobs and min(lockstep_jobs) >= LOCKSTEP_MIN_LEAVES
         lockstep_jobs.clear()
         per_leaf = QAOA2Solver(
             rng=3, executor=ExecutorConfig("thread", 2), **options
         ).solve(graph)
-        assert stacked_evolutions == [] and lockstep_jobs == []
+        assert ragged_evolutions == [] and lockstep_jobs == []
 
         _same_solution(lockstep, per_leaf)
         leaves = [rec for rec in lockstep.subgraphs if rec.level == 0]
         if name in ("layers-1", "spsa"):
             assert stepped == []  # neither objective is asked for
         else:
-            assert max(rows for rows, _ in stepped) > 1
-            assert all(n < FUSED_MIN_QUBITS for _, n in stepped)
+            assert max(rows for rows, _, _ in stepped) > 1
+            assert all(n < FUSED_MIN_QUBITS for *_, sizes in stepped for n in sizes)
+        if name in ("unweighted", "weighted-best", "grid-of-layers-2-and-3"):
+            # Runs converge after different numbers of evaluations, so the
+            # rounds' members change.
+            assert len({tuple(sizes) for *_, sizes in stepped}) > 1
         if name == "edgeless-leaves":
             assert any(rec.n_edges == 0 for rec in leaves)
         if name == "straddles-fused-min-qubits":
             sizes = {rec.n_nodes >= FUSED_MIN_QUBITS for rec in leaves}
             assert sizes == {False, True}
 
-    def test_too_few_small_leaves_run_alone(self, stacked_evolutions, lockstep_jobs):
+    def test_too_few_small_leaves_run_alone(self, ragged_evolutions, lockstep_jobs):
         graph = _disjoint_union(
             erdos_renyi(15, 0.5, rng=7),
             erdos_renyi(7, 0.6, rng=8),
@@ -362,27 +368,39 @@ class TestLockstepLeaves:
             if rec.level == 0 and rec.n_nodes < FUSED_MIN_QUBITS
         ]
         assert 1 < len(small) < LOCKSTEP_MIN_LEAVES
-        assert lockstep_jobs == [] and stacked_evolutions == []
+        assert lockstep_jobs == [] and ragged_evolutions == []
         per_leaf = QAOA2Solver(
             rng=3, executor=ExecutorConfig("thread", 2), **options
         ).solve(graph)
         _same_solution(serial, per_leaf)
 
     @pytest.mark.parametrize(
-        "grid", [None, [{}, {"layers": 3}]], ids=["single", "layers-2-and-3"]
+        ("sizes", "options", "grid"),
+        [
+            pytest.param([7, 7, 7, 7, 5, 5, 3, 2],
+                         {"layers": 2, "maxiter": 200, "rhobeg": 0.01}, None,
+                         id="single"),
+            pytest.param([7, 7, 7, 7, 5, 5, 3, 2],
+                         {"layers": 2, "maxiter": 200, "rhobeg": 0.01},
+                         [{}, {"layers": 3}], id="layers-2-and-3"),
+            # An explicit fused backend: its pointwise solve takes the
+            # bucketed cost tables from 11 qubits, so each point must be
+            # answered with the leaf's own expectation.
+            pytest.param(list(range(5, 14)),
+                         {"layers": 2, "maxiter": 30, "backend": "fused"}, None,
+                         id="fused"),
+        ],
     )
-    def test_job_equals_per_leaf_jobs(self, grid):
+    def test_job_equals_per_leaf_jobs(self, sizes, options, grid):
         # Every output of the job, the best parameters included, equals the
         # per-leaf job's: a row answered from another leaf's diagonal
         # moves them even where the cut stays.
         graphs = [
-            erdos_renyi(n, 0.6, weighted=True, rng=seed)
-            for seed, n in enumerate([7, 7, 7, 7, 5, 5, 3, 2])
+            erdos_renyi(n, 0.6, weighted=True, rng=seed) for seed, n in enumerate(sizes)
         ]
         payloads = [
             {"graph": g, "method": "qaoa", "seed": 11 + k, "qaoa_grid": grid,
-             "qaoa_options": {"layers": 2, "maxiter": 200, "rhobeg": 0.01},
-             "gw_options": {}}
+             "qaoa_options": options, "gw_options": {}}
             for k, g in enumerate(graphs)
         ]
         for together, alone in zip(
@@ -392,6 +410,34 @@ class TestLockstepLeaves:
         ):
             np.testing.assert_array_equal(together.pop("assignment"), alone.pop("assignment"))
             assert {**together, "elapsed": None} == {**alone, "elapsed": None}
+
+    def test_each_round_runs_the_numpy_layer_primitives(
+        self, ragged_evolutions, monkeypatch
+    ):
+        # The ragged evolution runs through apply_cost_layer and
+        # apply_mixer_layer, which perfbench times as backend.cost and
+        # backend.mixer: at least once per layer per round.
+        backend = get_backend("numpy")
+        ragged = {"apply_cost_layer": 0, "apply_mixer_layer": 0}
+        for attr in ragged:
+            original = getattr(backend, attr)
+
+            def spy(*args, attr=attr, original=original, **kwargs):
+                ragged[attr] += kwargs.get("ragged") is not None
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(backend, attr, spy)
+        payloads = [
+            {"graph": erdos_renyi(n, 0.5, rng=n), "method": "qaoa", "seed": n,
+             "qaoa_grid": [{}, {"layers": 3}],
+             "qaoa_options": {"layers": 2, "maxiter": 15}, "gw_options": {}}
+            for n in (9, 8, 6, 6, 4, 3)
+        ]
+        _solve_lockstep_job(payloads)
+        layers = sum(p for _, p, _ in ragged_evolutions)
+        assert {p for _, p, _ in ragged_evolutions} == {2, 3}
+        assert ragged["apply_cost_layer"] >= layers
+        assert ragged["apply_mixer_layer"] >= layers
 
 
 class TestLeafJobs:

@@ -70,14 +70,6 @@ class TestExpectation:
         sampled = energy.sampled_expectation(params, shots=30000, rng=2)
         assert sampled == pytest.approx(exact, rel=0.05)
 
-    def test_expectation_from_state(self, er_small):
-        energy = MaxCutEnergy(er_small)
-        params = np.array([0.4, 0.3])
-        state = energy.statevector(params)
-        assert energy.expectation_from_state(state) == pytest.approx(
-            energy.expectation(params)
-        )
-
     def test_empty_node_graph_rejected(self):
         with pytest.raises(ValueError):
             MaxCutEnergy(Graph.from_edges(0, []))
