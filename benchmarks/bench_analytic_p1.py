@@ -18,10 +18,11 @@ report and the shared-schema ``BENCH_analytic_p1.json`` regression record.
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
+
+from conftest import best_of
 
 from repro.experiments import run_angle_grid
 from repro.graphs import erdos_renyi
@@ -67,27 +68,17 @@ def test_analytic_matches_spectral(graph):
 # ---------------------------------------------------------------------------
 # JSON smoke mode: python bench_analytic_p1.py --quick
 # ---------------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    fn()  # warm-up (pooled buffers, cached adjacency rows)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def quick_report(n_nodes: int = N_NODES, resolution: int = RESOLUTION) -> dict:
     """Analytic vs spectral vs per-point loop on one seeded graph."""
     graph = erdos_renyi(n_nodes, EDGE_PROB, weighted=True, rng=GRAPH_SEED)
     engine = SweepEngine(graph)
 
-    analytic_s = _best_of(
+    analytic_s = best_of(
         lambda: run_angle_grid(
             graph, resolution=resolution, engine=engine, method="analytic"
         )
     )
-    spectral_s = _best_of(
+    spectral_s = best_of(
         lambda: run_angle_grid(
             graph, resolution=resolution, engine=engine, method="spectral"
         )

@@ -29,10 +29,11 @@ the computed energies).
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
+
+from conftest import best_of
 
 from repro.graphs import erdos_renyi
 from repro.qaoa import SweepEngine
@@ -80,21 +81,11 @@ def test_backend_parity(instance):
 # ---------------------------------------------------------------------------
 # JSON smoke mode: python bench_backends.py --quick
 # ---------------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    fn()  # warm-up (pooled buffers, cached stage/cost tables)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def _measure(n_qubits: int, weighted: bool) -> dict:
     graph, params = _instance(n_qubits, weighted=weighted)
     engines = {name: SweepEngine(graph, backend=name) for name in ("numpy", "fused")}
     seconds = {
-        name: _best_of(lambda e=engine: e.energies(params))
+        name: best_of(lambda e=engine: e.energies(params))
         for name, engine in engines.items()
     }
     energies = {name: engine.energies(params) for name, engine in engines.items()}

@@ -12,10 +12,11 @@ comparing single-vs-batched QAOA evaluation without pytest-benchmark.
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
+
+from conftest import best_of
 
 from repro.classical.gw import hyperplane_rounding
 from repro.classical.sdp import solve_sdp_mixing
@@ -117,16 +118,6 @@ def test_kernel_gw_rounding(benchmark):
 # ---------------------------------------------------------------------------
 # JSON smoke mode (no pytest-benchmark): python bench_kernels.py --quick
 # ---------------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    fn()  # warm-up (allocations, caches)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def quick_report(n_qubits: int = 10, batch: int = 64, layers: int = 2) -> dict:
     """Single-vs-batched QAOA evaluation timing on one seeded graph."""
     graph = erdos_renyi(n_qubits, 0.4, weighted=True, rng=0)
@@ -135,8 +126,8 @@ def quick_report(n_qubits: int = 10, batch: int = 64, layers: int = 2) -> dict:
     params = np.random.default_rng(1).uniform(
         -np.pi, np.pi, size=(batch, 2 * layers)
     )
-    single_s = _best_of(lambda: [energy.expectation(row) for row in params])
-    batched_s = _best_of(lambda: engine.energies(params))
+    single_s = best_of(lambda: [energy.expectation(row) for row in params])
+    batched_s = best_of(lambda: engine.energies(params))
     single_vals = np.array([energy.expectation(row) for row in params])
     batched_vals = engine.energies(params)
     max_dev = float(np.abs(batched_vals - single_vals).max())

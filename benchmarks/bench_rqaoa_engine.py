@@ -30,10 +30,11 @@ report; under pytest the same pair runs via pytest-benchmark.
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
+
+from conftest import best_of
 
 from repro.graphs import erdos_renyi
 from repro.qaoa import MaxCutEnergy, SweepEngine, rqaoa_solve
@@ -93,35 +94,25 @@ def test_modes_identical_cuts(graph):
 # ---------------------------------------------------------------------------
 # JSON smoke mode (no pytest-benchmark): python bench_rqaoa_engine.py --quick
 # ---------------------------------------------------------------------------
-def _best_of(fn, repeats: int = 3) -> float:
-    fn()  # warm-up (allocations, pooled buffers)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
-
-
 def quick_report() -> dict:
     """Timings + identical-cut check for both comparisons above."""
     graph = _graph()
-    total_point_s = _best_of(lambda: _solve(graph, batched=False))
-    total_engine_s = _best_of(lambda: _solve(graph, batched=True))
+    total_point_s = best_of(lambda: _solve(graph, batched=False))
+    total_engine_s = best_of(lambda: _solve(graph, batched=True))
     point = _solve(graph, batched=False)
     engine_backed = _solve(graph, batched=True)
 
     # Per-round correlation sweep, isolated on round-1 state/params.
     params = np.full(2 * LAYERS, 0.3)
     pairs = list(zip(graph.u.tolist(), graph.v.tolist(), strict=True))
-    sweep_point_s = _best_of(
+    sweep_point_s = best_of(
         lambda: _zz_correlations_pointwise(
             MaxCutEnergy(graph).statevector(params), pairs
         )
     )
     engine = SweepEngine(graph)
     state = engine.statevectors(params)[0]  # reused from the solve in situ
-    sweep_engine_s = _best_of(lambda: zz_correlations_batch(state, pairs))
+    sweep_engine_s = best_of(lambda: zz_correlations_batch(state, pairs))
 
     return {
         "bench": "rqaoa_engine_quick",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,18 @@ def write_bench_record(
     path = REPORTS_DIR / f"BENCH_{name}.json"
     path.write_text(json.dumps(record, indent=2) + "\n")
     return path
+
+
+def best_of(fn) -> float:
+    """Seconds taken by the fastest of three calls of ``fn``, after one
+    warm-up call (allocations, pooled buffers, cached tables)."""
+    fn()
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
 
 
 def paper_scale() -> bool:

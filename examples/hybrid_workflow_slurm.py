@@ -48,11 +48,11 @@ def main() -> None:
         rng=0,
     )
     print(scaling.format_table())
-    last = scaling.results[-1]
+    workers = scaling.worker_counts
     print(
-        f"\n-> with {len(last.worker_stats)} workers: speedup "
-        f"{last.speedup:.2f}x, efficiency {last.efficiency:.0%}, "
-        f"coordination overhead {last.coordination_overhead:.1%} "
+        f"\n-> {workers[-1]} workers against {workers[0]}: wall-time speedup "
+        f"{scaling.speedups()[-1]:.2f}x, efficiency {scaling.efficiencies()[-1]:.0%}, "
+        f"coordination overhead {scaling.results[-1].coordination_overhead:.1%} "
         f"(paper: 'minimal ... almost ideal scaling')"
     )
 

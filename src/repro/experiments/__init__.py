@@ -13,7 +13,6 @@ from repro.experiments.gridsearch import (
     AngleGridResult,
     GridSearchConfig,
     GridSearchResult,
-    default_angle_axes,
     laptop_scale_config,
     paper_scale_config,
     run_angle_grid,
@@ -49,7 +48,6 @@ __all__ = [
     "AngleGridResult",
     "GridSearchConfig",
     "GridSearchResult",
-    "default_angle_axes",
     "laptop_scale_config",
     "paper_scale_config",
     "run_angle_grid",

@@ -288,17 +288,6 @@ class AngleGridResult:
         ).astype(np.float64)
 
 
-def default_angle_axes(resolution: int = 24) -> Tuple[np.ndarray, np.ndarray]:
-    """Standard p=1 landscape axes: γ ∈ [0, π), β ∈ [0, π/2).
-
-    Both unitaries are periodic over these ranges for integer-weight graphs,
-    so the open intervals cover the landscape without duplicating the
-    endpoint column/row.  (Delegates to :func:`repro.qaoa.analytic.angle_axes`
-    so the RQAOA seeding grid and the experiments share one definition.)
-    """
-    return angle_axes(resolution)
-
-
 def run_angle_grid(
     graph: Graph,
     gammas: Optional[np.ndarray] = None,
@@ -321,7 +310,7 @@ def run_angle_grid(
     the cross-validation reference and benchmark baseline.
     """
     if gammas is None or betas is None:
-        default_g, default_b = default_angle_axes(resolution)
+        default_g, default_b = angle_axes(resolution)
         gammas = default_g if gammas is None else gammas
         betas = default_b if betas is None else betas
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -392,7 +381,6 @@ __all__ = [
     "AngleGridResult",
     "GridSearchConfig",
     "GridSearchResult",
-    "default_angle_axes",
     "laptop_scale_config",
     "paper_scale_config",
     "run_angle_grid",

@@ -113,10 +113,14 @@ class CoordinatorScalingResult:
     results: List[CoordinatorResult]
 
     def speedups(self) -> List[float]:
-        return [r.speedup for r in self.results]
+        """The first run's wall time over each run's (the first reads 1.0)."""
+        first = self.results[0].wall_time
+        return [first / r.wall_time for r in self.results]
 
     def efficiencies(self) -> List[float]:
-        return [r.efficiency for r in self.results]
+        """Each speedup over its worker count's ratio to the first run's."""
+        ratios = [w / self.worker_counts[0] for w in self.worker_counts]
+        return [s / r for s, r in zip(self.speedups(), ratios, strict=True)]
 
     def overheads(self) -> List[float]:
         return [r.coordination_overhead for r in self.results]

@@ -6,18 +6,18 @@ recursively re-partitions that community.  We implement the
 Clauset–Newman–Moore (CNM) greedy modularity agglomeration from scratch
 (weighted, with resolution parameter) on a dense ``n × n`` gain matrix with
 per-row maxima, ``8 n²`` bytes: each step merges the adjacent pair with the
-largest modularity gain, ties going to the smallest ``(i, j)``, as a few
-array operations.  We also provide a spectral bisection fall-back for
-communities that greedy modularity refuses to split, and expose the NetworkX
-implementation as an alternative backend for cross-validation.  A random
-balanced partitioner supports the partition ablation (DESIGN.md A3).
+largest current modularity gain, compared exactly, ties going to the
+smallest ``(i, j)``, as a few array operations.  We also provide a spectral
+bisection fall-back for communities that greedy modularity refuses to split,
+and expose the NetworkX implementation as an alternative backend for
+cross-validation.  A random balanced partitioner supports the partition
+ablation (DESIGN.md A3).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -54,13 +54,6 @@ def modularity(graph: Graph, membership: Sequence[int], resolution: float = 1.0)
 # ---------------------------------------------------------------------------
 # Clauset–Newman–Moore greedy modularity (from scratch)
 # ---------------------------------------------------------------------------
-# A logged gain still ranks its pair while it lies within _STALE_TOL of the
-# pair's current gain (see _HeapOrder), so pairs whose gains lie within
-# _NEAR of the largest are near-tied.
-_STALE_TOL = 1e-12
-_NEAR = 2 * _STALE_TOL
-
-
 def _check_finite_weights(graph: Graph) -> None:
     """Raise ``ValueError`` unless every edge weight, and their total, is finite.
 
@@ -75,119 +68,6 @@ def _check_finite_weights(graph: Graph) -> None:
         raise ValueError("edge weights must be finite, and so must their total")
 
 
-class _HeapOrder:
-    """Ranks near-tied merges in the order of the heap CNM here first used.
-
-    That heap held an entry ``(gain, p, q)`` for every gain computed for a
-    pair ``p < q``.  It popped the largest gain first (then the smallest
-    ``(p, q)``) and merged on a popped entry lying within ``_STALE_TOL`` of
-    the pair's current gain, dropping it as stale otherwise.  So a pair
-    whose gain fell, or came back, to just below an entry still held was
-    ranked by that entry.  On unweighted graphs, whose gains recur and tie
-    exactly, that decides the merge order of about 2% of ER(240, 0.1)
-    graphs.  This class logs every computed gain and each step's pair, and
-    gives a pair's *key*: its largest logged gain that the heap would still
-    hold and accept.  Each step dropped every entry ranked ahead of its pair.
-    """
-
-    def __init__(self, u: np.ndarray, v: np.ndarray, gains: np.ndarray) -> None:
-        # The log: the first len(u) gains are the edges (u, v); after them,
-        # merge step t logged survivors[t]'s gains against partners, from
-        # position starts[t] on.
-        self.u, self.v = u, v
-        self.size = len(gains)
-        self.gains = np.array(gains)
-        self.partners = np.empty(self.size, dtype=np.int64)
-        self.starts: List[int] = []
-        self.survivors: List[int] = []
-        # Per merge step: the ranked pair, its gain, and its key once known.
-        self.pairs: List[Tuple[int, int]] = []
-        self.tops: List[float] = []
-        self.keys: Dict[int, float] = {}
-
-    def push(self, survivor: int, partners: np.ndarray, gains: np.ndarray) -> None:
-        end = self.size + len(partners)
-        if end > len(self.gains):
-            spare = max(len(self.gains), end - self.size)
-            self.gains = np.concatenate([self.gains[: self.size], np.empty(spare)])
-            self.partners = np.concatenate(
-                [self.partners[: self.size], np.empty(spare, dtype=np.int64)]
-            )
-        self.partners[self.size : end] = partners
-        self.gains[self.size : end] = gains
-        self.starts.append(self.size)
-        self.survivors.append(survivor)
-        self.size = end
-
-    def ranked(self, p: int, q: int, top: float, key: Optional[float] = None) -> None:
-        """Record this step's pair ``p < q`` and its gain (and key, if known)."""
-        if key is not None:
-            self.keys[len(self.tops)] = key
-        self.pairs.append((p, q))
-        self.tops.append(top)
-
-    def best(
-        self, gain: np.ndarray, rows: np.ndarray, low: float
-    ) -> Tuple[float, int, int]:
-        """``(key, p, q)`` first in heap order among pairs in ``rows`` gaining ``low``+."""
-        rr, cc = (gain[rows] >= low).nonzero()
-        tied = [
-            (p, q, float(gain[p, q]))
-            for p, q in zip(rows[rr].tolist(), cc.tolist(), strict=True)
-            if p < q
-        ]
-        currents = [current for _, _, current in tied]
-        hits = self.window(min(currents), max(currents))
-        step = len(self.tops)
-        key, neg_p, neg_q = max(
-            (self.key(p, q, current, step, hits), -p, -q) for p, q, current in tied
-        )
-        return key, -neg_p, -neg_q
-
-    def window(self, low: float, high: float) -> List[int]:
-        """Log positions holding a gain in ``(low, high + _NEAR]``."""
-        gains = self.gains[: self.size]
-        return ((gains > low) & (gains <= high + _NEAR)).nonzero()[0].tolist()
-
-    def entry(self, at: int) -> Tuple[int, int, int]:
-        """``(p, q, step)`` of log position ``at``; step -1 for the edges."""
-        if at < len(self.u):
-            return int(self.u[at]), int(self.v[at]), -1
-        step = bisect_right(self.starts, at) - 1
-        survivor, partner = self.survivors[step], int(self.partners[at])
-        return min(survivor, partner), max(survivor, partner), step
-
-    def key(self, p: int, q: int, current: float, step: int, hits: List[int]) -> float:
-        """The heap's key at ``step`` for pair ``p < q``, whose gain is ``current``."""
-        best = current
-        for at in hits:
-            value = float(self.gains[at])
-            if value <= best or abs(current - value) > _STALE_TOL:
-                continue
-            ep, eq, pushed = self.entry(at)
-            if (ep, eq) != (p, q) or pushed >= step:
-                continue
-            if self.held(value, p, q, pushed, step):
-                best = value
-        return best
-
-    def held(self, value: float, p: int, q: int, pushed: int, step: int) -> bool:
-        """Does the heap still hold, at ``step``, an entry pushed at ``pushed``?"""
-        for at in range(pushed + 1, step):
-            top = self.tops[at]
-            if value < top:
-                continue  # that step's key was at least its top
-            if value > top + _NEAR:
-                return False
-            key = self.keys.get(at)
-            if key is None:
-                hits = self.window(top, top)
-                key = self.keys[at] = self.key(*self.pairs[at], top, at, hits)
-            if value > key or (value == key and (p, q) < self.pairs[at]):
-                return False
-        return True
-
-
 def greedy_modularity_communities(
     graph: Graph,
     *,
@@ -197,25 +77,21 @@ def greedy_modularity_communities(
     """Agglomerative greedy modularity maximisation (CNM).
 
     Starts with singleton communities and repeatedly merges the adjacent
-    pair ``i < j`` with the largest modularity gain, ties going to the
-    smallest ``(i, j)``, until no merge gains more than ``1e-15`` (or only
+    pair ``i < j`` with the largest current modularity gain, ties going to
+    the smallest ``(i, j)``, until no merge gains more than ``1e-15`` (or only
     ``min_communities`` remain).  The survivor keeps the label of the
     larger community (``i`` on equal sizes).
 
     The gains live in a dense ``n × n`` float64 matrix, ``-inf`` where two
     communities are not adjacent, next to each row's maximum and a column
-    holding it.  The next pair is the first row holding the largest gain
-    and that row's column.  When another pair's gain lies within ``2e-12``
-    of it (or it lies at most ``2e-12`` below the stop), :class:`_HeapOrder`
-    ranks the pairs in reach as the heap of the first implementation did.
-    A merge updates the survivor's row as one array program, mirrors it
-    into its column, retires the other row and column, and rescans only
-    the neighbour rows whose maximum sat at one of the merged pair.
+    holding it.  The next pair is the first row ``i`` holding the largest
+    gain and the first column of that row equal to it, so gains compare
+    exactly: a pair one ulp below another is not tied with it.  A merge
+    updates the survivor's row as one array program, mirrors it into its
+    column, retires the other row and column, and rescans only the
+    neighbour rows whose maximum sat at one of the merged pair.
 
     The matrix costs ``8 n²`` bytes: 0.46 MB at 240 nodes, 50 MB at 2,500.
-    The log of :class:`_HeapOrder` holds every gain computed, 16 bytes
-    each: about ``n² / 2`` of them on ER(n, 0.1), as many as that heap
-    pushed (54 MB at 2,500 nodes).
 
     Weights count by absolute value (merge graphs carry negative ones);
     a non-finite weight or resolution raises ``ValueError``.  Returns
@@ -245,7 +121,6 @@ def greedy_modularity_communities(
     gain[graph.v, graph.u] = initial
     row_max = gain.max(axis=1)
     row_arg = gain.argmax(axis=1)
-    order = _HeapOrder(graph.u, graph.v, initial)
 
     members: List[List[int]] = [[i] for i in range(n)]
     n_comm = n
@@ -254,18 +129,9 @@ def greedy_modularity_communities(
     while n_comm > min_communities:
         i = int(row_max.argmax())
         top = float(row_max[i])
-        if top <= 1e-15 - _NEAR:
+        if top <= 1e-15:
             break  # no improving merge remains (or no adjacent pair at all)
-        j = int(row_arg[i])
-        # Another pair within _NEAR of (i, j) puts a third row in reach.
-        rows = (row_max >= top - _NEAR).nonzero()[0]
-        if rows.size > 2 or top <= 1e-15:
-            key, i, j = order.best(gain, rows, top - _NEAR)
-            if key <= 1e-15:
-                break
-            order.ranked(i, j, float(gain[i, j]), key)
-        else:
-            order.ranked(i, j, top)
+        j = int((gain[i] == top).argmax())
         # Merge j into i (keep the larger community label for fewer updates).
         if len(members[j]) > len(members[i]):
             i, j = j, i
@@ -280,7 +146,6 @@ def greedy_modularity_communities(
         )
         row_i[nbr] = gain[nbr, i] = new
         row_j[nbr] = gain[nbr, j] = -np.inf
-        order.push(i, nbr, new)
         a[i] += a[j]
         members[i].extend(members[j])
         members[j] = []
@@ -290,9 +155,7 @@ def greedy_modularity_communities(
         row_max[i], row_arg[i] = row_i[best], best
         row_max[j] = -np.inf
         # A neighbour row keeps its maximum unless the new entry at i beats
-        # it; one whose maximum sat at i or j is rescanned.  (Which of two
-        # tied columns a row records does not matter: a tie puts a third row
-        # in reach, so _HeapOrder ranks it.)
+        # it; one whose maximum sat at i or j is rescanned.
         arg, old = row_arg[nbr], row_max[nbr]
         beats = new > old
         row_max[nbr[beats]] = new[beats]

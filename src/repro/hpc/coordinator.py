@@ -62,18 +62,6 @@ class CoordinatorResult:
         return sum(w.busy_time for w in self.worker_stats)
 
     @property
-    def speedup(self) -> float:
-        """Serial-work / wall-clock — 'almost ideal' ≈ worker count."""
-        if self.wall_time <= 0:
-            return 0.0
-        return (self.total_work + self.coordinator_time) / self.wall_time
-
-    @property
-    def efficiency(self) -> float:
-        n = max(1, len(self.worker_stats))
-        return self.speedup / n
-
-    @property
     def coordination_overhead(self) -> float:
         """Fraction of wall time not covered by useful work on the critical
         path (lower is better; the paper reports it as 'minimal')."""

@@ -68,8 +68,9 @@ def angle_axes(resolution: int = 24) -> Tuple[np.ndarray, np.ndarray]:
 
     Both unitaries are periodic over these open ranges for integer-weight
     graphs, so the grid covers the landscape without duplicating the
-    endpoint row/column.  (:func:`repro.experiments.gridsearch.default_angle_axes`
-    delegates here.)
+    endpoint row/column.  The RQAOA seeding grid and
+    :func:`repro.experiments.gridsearch.run_angle_grid`'s default axes are
+    this grid.
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")

@@ -24,7 +24,7 @@ from repro.quantum.noise import (
     noisy_expectation,
     noisy_qaoa_statevector,
 )
-from repro.quantum.pauli import IsingHamiltonian, maxcut_diagonal, zz_correlations
+from repro.quantum.pauli import IsingHamiltonian
 from repro.quantum.simulator import (
     DEFAULT_SHOTS,
     SimulationResult,
@@ -63,8 +63,6 @@ __all__ = [
     "gate_matrix",
     "is_unitary",
     "IsingHamiltonian",
-    "maxcut_diagonal",
-    "zz_correlations",
     "DEFAULT_SHOTS",
     "SimulationResult",
     "StatevectorSimulator",

@@ -17,7 +17,6 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
-from repro.graphs.maxcut import cut_diagonal
 from repro.quantum.statevector import (
     expectation_diagonal,
     n_qubits_for_dim,
@@ -149,11 +148,6 @@ class IsingHamiltonian:
         return len(self.linear) + len(self.quadratic)
 
 
-def maxcut_diagonal(graph: Graph) -> np.ndarray:
-    """Shared fast path: the H_C diagonal *is* the cut diagonal."""
-    return cut_diagonal(graph)
-
-
 # Cap on the (n_used_qubits, chunk) ±1 eigenvalue table built by the
 # batched correlation kernel (float64 entries).
 _ZZ_TABLE_BUDGET = 1 << 22
@@ -226,18 +220,7 @@ def zz_correlations_batch(states: np.ndarray, pairs) -> np.ndarray:
     return out[0] if single else out
 
 
-def zz_correlations(state: np.ndarray, pairs) -> np.ndarray:
-    """⟨Z_i Z_j⟩ for each (i, j) pair — used by recursive QAOA.
-
-    Scalar fallback of :func:`zz_correlations_batch`: one vectorised pass
-    over |ψ|² covering all pairs at once.
-    """
-    return zz_correlations_batch(np.asarray(state), pairs)
-
-
 __all__ = [
     "IsingHamiltonian",
-    "maxcut_diagonal",
-    "zz_correlations",
     "zz_correlations_batch",
 ]

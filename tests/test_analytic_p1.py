@@ -13,7 +13,7 @@ Three pillars:
 import numpy as np
 import pytest
 
-from repro.experiments import default_angle_axes, run_angle_grid
+from repro.experiments import run_angle_grid
 from repro.graphs import Graph, erdos_renyi, ring
 from repro.qaoa import AnalyticP1Energy, MaxCutEnergy, QAOASolver, SweepEngine
 from repro.qaoa.analytic import angle_axes
@@ -317,10 +317,11 @@ class TestRqaoaAngleSeeding:
 
 class TestAxesHelpers:
     def test_default_axes_delegate(self):
-        g_a, b_a = angle_axes(11)
-        g_b, b_b = default_angle_axes(11)
-        np.testing.assert_array_equal(g_a, g_b)
-        np.testing.assert_array_equal(b_a, b_b)
+        """``run_angle_grid`` without axes evaluates the ``angle_axes`` grid."""
+        gammas, betas = angle_axes(5)
+        result = run_angle_grid(ring(4), resolution=5)
+        np.testing.assert_array_equal(result.gammas, gammas)
+        np.testing.assert_array_equal(result.betas, betas)
 
     def test_invalid_resolution(self):
         with pytest.raises(ValueError, match="resolution"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
+    CoordinatorScalingResult,
     GridSearchConfig,
     ScalingConfig,
     Table1Config,
@@ -20,6 +21,7 @@ from repro.experiments import (
     run_scaling_experiment,
     run_table1,
 )
+from repro.hpc import CoordinatorResult, WorkerStats
 
 TINY_GRID = GridSearchConfig(
     node_counts=(8,),
@@ -246,6 +248,25 @@ class TestWorkflowExperiments:
         assert len(result.results) == 2
         assert all(s > 0 for s in result.speedups())
         assert "coordinator" in result.format_table()
+
+    def test_coordinator_speedups_from_wall_time(self):
+        """Speedup is the first run's wall time over each run's, however long
+        the worker ranks were busy."""
+
+        def run(wall_time, busy):
+            stats = [WorkerStats(rank, 1, b) for rank, b in enumerate(busy, start=1)]
+            return CoordinatorResult(np.zeros(4), 3.0, wall_time, stats, 0.01, len(busy))
+
+        # Ranks contending for the interpreter lock: their busy time adds up
+        # past the wall time while the wall time rises with the worker count.
+        runs = [run(0.26, [0.25]), run(0.28, [0.24] * 2), run(0.32, [0.25] * 4)]
+        result = CoordinatorScalingResult([1, 2, 4], runs)
+        speedups = result.speedups()
+        assert speedups[0] == 1.0
+        assert speedups == [0.26 / r.wall_time for r in runs]
+        assert result.efficiencies() == [
+            s / w for s, w in zip(speedups, (1, 2, 4), strict=True)
+        ]
 
 
 class TestReportHelpers:

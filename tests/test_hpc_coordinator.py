@@ -138,8 +138,8 @@ class TestCoordinator:
         assert result.wall_time > 0
         assert result.coordinator_time > 0
         assert 0 <= result.coordination_overhead <= 1
-        assert result.speedup > 0
-        assert result.efficiency > 0
+        assert result.total_work > 0
+        assert sum(w.jobs for w in result.worker_stats) == result.n_jobs
 
     def test_invalid_worker_count(self, graph):
         with pytest.raises(ValueError, match="worker"):

@@ -8,10 +8,10 @@ exactly (same argmax index → bitwise-identical best parameters).
 import numpy as np
 import pytest
 
-from repro.experiments import default_angle_axes, run_angle_grid
+from repro.experiments import run_angle_grid
 from repro.graphs import cut_diagonal, erdos_renyi
 from repro.optim import minimize_spsa
-from repro.qaoa import MaxCutEnergy, QAOASolver, SweepEngine
+from repro.qaoa import MaxCutEnergy, QAOASolver, SweepEngine, angle_axes
 from repro.qaoa2.solver import QAOA2Solver
 from repro.quantum.backend import ScratchPool, shared_pool
 
@@ -53,12 +53,12 @@ class TestGoldenAngleGrid:
         np.testing.assert_allclose(batched.energies, loop.energies, atol=1e-10)
 
     def test_default_axes_shape(self):
-        gammas, betas = default_angle_axes(7)
+        gammas, betas = angle_axes(7)
         assert len(gammas) == len(betas) == 7
         assert gammas[0] == 0.0 and gammas[-1] < np.pi
         assert betas[-1] < np.pi / 2
         with pytest.raises(ValueError):
-            default_angle_axes(0)
+            angle_axes(0)
 
     def test_unknown_method_rejected(self, golden_graph):
         with pytest.raises(ValueError, match="method"):
