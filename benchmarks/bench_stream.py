@@ -45,7 +45,6 @@ from conftest import REPORTS_DIR, bench_checksum, write_bench_record
 
 from repro.qaoa2.solver import _solve_subgraph_job
 from repro.service import (
-    NO_TRACE,
     HttpMaxCutClient,
     MaxCutService,
     TraceRecorder,
@@ -53,6 +52,7 @@ from repro.service import (
     zipf_requests,
 )
 from repro.service.http import HttpServerThread
+from repro.util.tracing import NO_TRACE
 
 # ``zipf_requests`` arguments.  The traced stream is smaller so that its
 # interleaved repetitions stay cheap.
@@ -90,19 +90,7 @@ OVERHEAD_BAR = 1.05
 
 def _solve_uncached(requests):
     """Each request's cut and assignment, from its own reference job."""
-    jobs = [
-        _solve_subgraph_job(
-            {
-                "graph": request.graph,
-                "method": request.method,
-                "seed": request.seed,
-                "qaoa_options": dict(request.options),
-                "qaoa_grid": request.qaoa_grid,
-                "gw_options": dict(request.gw_options),
-            }
-        )
-        for request in requests
-    ]
+    jobs = [_solve_subgraph_job(request) for request in requests]
     return [(job["cut"], job["assignment"].tolist()) for job in jobs]
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.graphs import erdos_renyi
 from repro.qaoa2 import QAOA2Solver
-from repro.service import MaxCutService, SolveRequest
+from repro.service import MaxCutService
 
 
 def main() -> int:
@@ -51,19 +51,7 @@ def main() -> int:
         half = len(level0) // 2
         print(f"\nrun 1: level 0 has {len(level0)} sub-graphs, node fails after {half}")
         t0 = time.perf_counter()
-        MaxCutService(disk_dir=tmp).solve_many(
-            [
-                SolveRequest(
-                    graph=payload["graph"],
-                    method=payload["method"],
-                    options=payload["qaoa_options"],
-                    qaoa_grid=payload["qaoa_grid"],
-                    gw_options=payload["gw_options"],
-                    seed=payload["seed"],
-                )
-                for payload in level0[:half]
-            ]
-        )
+        MaxCutService(disk_dir=tmp).solve_many(level0[:half])
         steps.close()
         print(f"  'crash' after {time.perf_counter() - t0:.1f}s")
 

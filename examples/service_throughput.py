@@ -33,16 +33,7 @@ def main() -> None:
 
     # -- every request pays a cold solve ------------------------------
     start = time.perf_counter()
-    direct = [
-        _solve_subgraph_job(
-            {
-                "graph": r.graph, "method": r.method, "seed": r.seed,
-                "qaoa_options": dict(r.options), "qaoa_grid": None,
-                "gw_options": {},
-            }
-        )
-        for r in requests
-    ]
+    direct = [_solve_subgraph_job(r) for r in requests]
     uncached_s = time.perf_counter() - start
     print(f"uncached (one solve per request): {uncached_s:6.2f}s")
 

@@ -1,5 +1,6 @@
 """Classical MaxCut solvers: Goemans-Williamson (with from-scratch SDP
-solvers), simulated annealing, exact baselines."""
+solvers), simulated annealing and a QUBO annealer.  The exact baselines
+live in :mod:`repro.graphs.maxcut`."""
 
 from repro.classical.gw import (
     DEFAULT_SLICES,
@@ -18,11 +19,6 @@ from repro.classical.qubo import (
     SimulatedAnnealerSampler,
 )
 from repro.classical.sdp import SDPResult, solve_sdp, solve_sdp_admm, solve_sdp_mixing
-from repro.graphs.maxcut import (
-    exact_maxcut,
-    exact_maxcut_branch_and_bound,
-    exact_maxcut_bruteforce,
-)
 
 __all__ = [
     "GW_APPROX_RATIO",
@@ -37,9 +33,6 @@ __all__ = [
     "solve_sdp",
     "solve_sdp_mixing",
     "solve_sdp_admm",
-    "exact_maxcut",
-    "exact_maxcut_bruteforce",
-    "exact_maxcut_branch_and_bound",
     "QUBO",
     "AnnealSample",
     "SampleSet",

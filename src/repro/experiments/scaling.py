@@ -54,9 +54,7 @@ class ScalingConfig:
     shared :class:`repro.service.MaxCutService` with the solver's own
     per-leaf seeds, so cut values stay identical to the direct path and
     bit-exact repeats (re-running a sweep, or several sweeps sharing one
-    service) are answered from its cache.  For in-run reuse across
-    isomorphic sub-graphs, run ``QAOA2Solver`` directly with
-    ``service_seeds="canonical"``.
+    service) are answered from its cache.
     """
 
     node_counts: Sequence[int] = (60, 120, 180)

@@ -9,12 +9,13 @@ measures the coordination overhead behind the paper's "almost ideal
 scaling" observation.
 
 Rank 0 drives :meth:`repro.qaoa2.QAOA2Solver.steps`, which partitions,
-draws the seeds, merges and flips; every level's batch of leaves (level
-0's parts, then each merged graph or its parts) goes to the worker ranks,
-which run :func:`repro.qaoa2.solver._solve_subgraph_job` per leaf.  So a
-coordinated solve returns the in-process ``QAOA2Solver.solve`` answer bit
-for bit at any worker count.  A leaf that raises on a worker is sent back
-and re-raised on rank 0, which stops every worker on its way out.
+draws the seeds, merges and flips; every level's batch of leaf requests
+(level 0's parts, then each merged graph or its parts) goes to the worker
+ranks, which run :func:`repro.qaoa2.solver._solve_subgraph_job` on each
+:class:`~repro.qaoa2.solver.SolveRequest`.  So a coordinated solve returns
+the in-process ``QAOA2Solver.solve`` answer bit for bit at any worker
+count.  A leaf that raises on a worker is sent back and re-raised on rank
+0, which stops every worker on its way out.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def _worker_loop(comm: Communicator) -> WorkerStats:
         message = comm.recv(source=0, tag=ANY_TAG, status=status)
         if status["tag"] == _TAG_STOP:
             return stats
-        job_id, payload = message
+        job_id, request = message
         start = time.perf_counter()
         try:
-            result = _solve_subgraph_job(payload)
+            result = _solve_subgraph_job(request)
         except Exception as exc:  # sent to rank 0, which re-raises it
             result = exc
         stats.busy_time += time.perf_counter() - start
@@ -95,10 +96,10 @@ def _coordinator_loop(comm: Communicator, solver, graph: Graph) -> CoordinatorRe
     wall_start = time.perf_counter()
     waited = 0.0  # rank 0's time with a batch out at the workers
 
-    def dispatch(payloads: List[dict]) -> List[dict]:
+    def dispatch(requests: list) -> List[dict]:  # of SolveRequest
         nonlocal waited
         start = time.perf_counter()
-        jobs = enumerate(payloads)
+        jobs = enumerate(requests)
         results: Dict[int, dict] = {}
         # Prime every worker, then dynamic dispatch on completion (Fig. 2's
         # "consumption of resources does not start at the same time" is
@@ -106,7 +107,7 @@ def _coordinator_loop(comm: Communicator, solver, graph: Graph) -> CoordinatorRe
         # sub-graph).
         for worker, job in zip(range(1, comm.size), jobs, strict=False):
             comm.send(job, dest=worker, tag=_TAG_JOB)
-        while len(results) < len(payloads):
+        while len(results) < len(requests):
             status: dict = {}
             job_id, result = comm.recv(
                 source=ANY_SOURCE, tag=_TAG_RESULT, status=status
@@ -118,7 +119,7 @@ def _coordinator_loop(comm: Communicator, solver, graph: Graph) -> CoordinatorRe
             if job is not None:
                 comm.send(job, dest=status["source"], tag=_TAG_JOB)
         waited += time.perf_counter() - start
-        return [results[job_id] for job_id in range(len(payloads))]
+        return [results[job_id] for job_id in range(len(requests))]
 
     try:
         solved = drive(solver.steps(graph), dispatch)

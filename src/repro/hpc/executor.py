@@ -8,8 +8,9 @@ execution backends used for that fan-out:
 * ``thread``  — :class:`~concurrent.futures.ThreadPoolExecutor`; NumPy
   kernels release the GIL so statevector-heavy jobs scale reasonably,
 * ``process`` — :class:`~concurrent.futures.ProcessPoolExecutor`; true
-  multi-core parallelism, requires picklable functions/arguments (all job
-  payloads in this repo are module-level functions over plain data).
+  multi-core parallelism, requires picklable functions/arguments (every
+  job in this repo is a module-level function over picklable data, such
+  as the QAOA² leaf jobs over ``SolveRequest``s).
 
 Results are always returned in submission order regardless of completion
 order, so parallel and serial runs are bit-identical when the per-job RNGs

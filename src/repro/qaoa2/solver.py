@@ -23,6 +23,11 @@ Steps, matching the paper's enumeration:
 The method distinction (QAOA / GW / best / policy) applies to the first
 partitioning level only, exactly as in the paper's preliminary setup; all
 deeper levels use ``merged_method``.
+
+One leaf solve is one :class:`SolveRequest`, from the level loop
+(:meth:`QAOA2Solver.steps`) through the executor job
+(:func:`_solve_subgraph_job`) to the solver service, its HTTP wire and
+its cache digest.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from repro.qaoa2.merge import (
 )
 from repro.quantum.backend import FUSED_MIN_QUBITS, RaggedLayout
 from repro.util.rng import RngLike, ensure_rng
+from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext
 
 MethodPolicy = Union[str, Callable[[Graph], str]]
 
@@ -63,6 +69,32 @@ MethodPolicy = Union[str, Callable[[Graph], str]]
 # qubit count the same protocol read 1.35–1.44 at 3, 1.07–1.16 at 4 and
 # 1.02–1.04 at 5.
 LOCKSTEP_MIN_LEAVES = 4
+
+
+@dataclass
+class SolveRequest:
+    """One leaf solve: a graph plus a full solver configuration.
+
+    :meth:`QAOA2Solver.steps` yields these, :func:`_solve_subgraph_job`
+    solves one, and the solver service (:mod:`repro.service`) answers
+    them.  ``options`` are :class:`repro.qaoa.solver.QAOASolver` knobs,
+    ``qaoa_grid`` a list of option overrides whose best cut wins, and
+    ``gw_options`` go to :func:`goemans_williamson`.  A job needs an
+    integer ``seed``; ``seed=None`` asks the service for a derived
+    content-addressed one."""
+
+    graph: Graph
+    method: str = "qaoa"
+    options: dict = field(default_factory=dict)
+    qaoa_grid: Optional[Sequence[dict]] = None
+    gw_options: dict = field(default_factory=dict)
+    seed: Optional[int] = None
+    # Observability carrier, NOT identity: excluded from equality and from
+    # request_digest (which hashes explicit fields only), so tracing can
+    # never change what a request computes or where it caches.
+    trace: "TraceContext | NullTraceContext" = field(
+        default=NO_TRACE, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -122,50 +154,59 @@ class QAOA2Result:
 # ---------------------------------------------------------------------------
 # Sub-graph jobs (module level so the process backend can pickle them)
 # ---------------------------------------------------------------------------
-def _solve_subgraph_job(payload: dict) -> dict:
+def _solve_subgraph_job(
+    request: SolveRequest, diagonal: Optional[np.ndarray] = None
+) -> dict:
     """Solve one sub-graph with the requested method; returns a plain dict.
 
-    Optional payload keys beyond the required six:
-
-    ``diagonal``
-        A precomputed cut diagonal for ``graph`` — the solver service's
-        batch scheduler shares one diagonal across all pending jobs on
-        byte-identical graphs, skipping the dominant per-solve setup cost.
-        The values computed are bit-identical with or without it.
+    ``diagonal`` is an optional precomputed cut diagonal of
+    ``request.graph``: the solver service's batch scheduler shares one
+    across all pending jobs on byte-identical graphs, skipping the
+    dominant per-solve setup cost.  The values computed are bit-identical
+    with or without it.  It rides beside the request, never in it, so a
+    caller cannot hand the service a diagonal it would trust and cache.
     """
-    return drive(_subgraph_steps(payload, lockstep=False))
+    return drive(_subgraph_steps(request, diagonal, lockstep=False))
 
 
-def _solve_lockstep_job(payloads: List[dict]) -> List[dict]:
+def _solve_lockstep_job(
+    requests: List[SolveRequest],
+    diagonals: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> List[dict]:
     """Solve small sub-graphs together; equal, bit for bit, to solving each
     with :func:`_solve_subgraph_job` (``elapsed`` apart).
 
-    Each leaf runs as :func:`_subgraph_steps`, which requests its QAOA
-    solves' COBYLA runs.  A wave takes every pending request and runs them
+    Each leaf runs as :func:`_subgraph_steps`, which asks for its QAOA
+    solves' COBYLA runs.  A wave takes every pending ask and runs them
     all to their results (:func:`_step_wave`); each leaf is then sent its
-    result, and a leaf with an option grid requests its next run for the
+    result, and a leaf with an option grid asks for its next run in the
     next wave.  A leaf's result does not depend on which runs share its
     waves or rounds.
     """
     start = time.perf_counter()
-    leaves = [_subgraph_steps(payload, lockstep=True) for payload in payloads]
+    if diagonals is None:
+        diagonals = [None] * len(requests)
+    leaves = [
+        _subgraph_steps(request, diagonal, lockstep=True)
+        for request, diagonal in zip(requests, diagonals, strict=True)
+    ]
     results: List[Optional[dict]] = [None] * len(leaves)
-    requests: Dict[int, tuple] = {}  # leaf -> its (energy, x0, rhobeg, maxiter)
+    asks: Dict[int, tuple] = {}  # leaf -> its (energy, x0, rhobeg, maxiter)
 
     def advance(leaf: int, reply: Optional[OptimizationResult]) -> None:
         try:
-            requests[leaf] = leaves[leaf].send(reply)
+            asks[leaf] = leaves[leaf].send(reply)
         except StopIteration as stop:
             results[leaf] = stop.value
 
     for leaf in range(len(leaves)):
         advance(leaf, None)
-    while requests:
-        wave = dict(requests)
-        requests.clear()
+    while asks:
+        wave = dict(asks)
+        asks.clear()
         for leaf, opt in _step_wave(wave).items():
             advance(leaf, opt)
-    elapsed = (time.perf_counter() - start) / len(payloads)
+    elapsed = (time.perf_counter() - start) / len(requests)
     for result in results:
         result["elapsed"] = elapsed
     return results
@@ -230,51 +271,55 @@ def _step_wave(wave: Dict[int, tuple]) -> Dict[int, OptimizationResult]:
     return done
 
 
-def leaf_jobs(payloads: Sequence[dict], executor: ExecutorConfig) -> List[List[int]]:
-    """Split a batch of leaf payloads into executor jobs, each a list of
-    indices into ``payloads``.
+def leaf_jobs(
+    requests: Sequence[SolveRequest], executor: ExecutorConfig
+) -> List[List[int]]:
+    """Split a batch of leaf requests into executor jobs, each a list of
+    indices into ``requests``.
 
     Under the ``serial`` executor, when at least ``LOCKSTEP_MIN_LEAVES``
-    payloads are below ``FUSED_MIN_QUBITS`` nodes, those form the first
-    job, one :func:`_solve_lockstep_job`; every other payload, and every
-    payload under ``thread``/``process`` (whose workers share the leaves),
+    requests are below ``FUSED_MIN_QUBITS`` nodes, those form the first
+    job, one :func:`_solve_lockstep_job`; every other request, and every
+    request under ``thread``/``process`` (whose workers share the leaves),
     is a job of its own, one :func:`_solve_subgraph_job`.  The direct
-    solve (:meth:`QAOA2Solver._solve_leaf_payloads`) and the service's
-    scheduler both dispatch by this rule.
+    solve (:meth:`QAOA2Solver._solve_leaves`) and the service's scheduler
+    both dispatch by this rule.
     """
-    small = [i for i, p in enumerate(payloads) if p["graph"].n_nodes < FUSED_MIN_QUBITS]
+    small = [i for i, r in enumerate(requests) if r.graph.n_nodes < FUSED_MIN_QUBITS]
     if executor.backend != "serial" or len(small) < LOCKSTEP_MIN_LEAVES:
-        return [[i] for i in range(len(payloads))]
-    large = [[i] for i, p in enumerate(payloads) if p["graph"].n_nodes >= FUSED_MIN_QUBITS]
+        return [[i] for i in range(len(requests))]
+    large = [[i] for i, r in enumerate(requests) if r.graph.n_nodes >= FUSED_MIN_QUBITS]
     return [small, *large]
 
 
-def in_payload_order(jobs: List[List[int]], solved: List[List[dict]]) -> List[dict]:
-    """The results of :func:`leaf_jobs`' jobs, in the order of their payloads."""
+def in_request_order(jobs: List[List[int]], solved: List[List[dict]]) -> List[dict]:
+    """The results of :func:`leaf_jobs`' jobs, in the order of their requests."""
     by_index = dict(zip(chain.from_iterable(jobs), chain.from_iterable(solved), strict=True))
     return [by_index[i] for i in range(len(by_index))]
 
 
-def _solve_leaf_job(job: List[dict]) -> List[dict]:
-    """One job of :func:`leaf_jobs`: a payload solved alone, or several
+def _solve_leaf_job(job: List[SolveRequest]) -> List[dict]:
+    """One job of :func:`leaf_jobs`: a request solved alone, or several
     lock-stepped."""
     if len(job) == 1:
         return [_solve_subgraph_job(job[0])]
     return _solve_lockstep_job(job)
 
 
-def _subgraph_steps(payload: dict, *, lockstep: bool) -> Generator:
+def _subgraph_steps(
+    request: SolveRequest, diagonal: Optional[np.ndarray], *, lockstep: bool
+) -> Generator:
     """:func:`_solve_subgraph_job` as a generator: with ``lockstep``, its
     QAOA solves run as :meth:`QAOASolver.steps`, yielding their COBYLA
-    runs' ``(energy, x0, rhobeg, maxiter)`` requests; otherwise nothing is
+    runs' ``(energy, x0, rhobeg, maxiter)`` asks; otherwise nothing is
     yielded."""
-    graph: Graph = payload["graph"]
-    method: str = payload["method"]
-    seed: int = payload["seed"]
-    qaoa_options: dict = payload["qaoa_options"]
-    qaoa_grid: Optional[Sequence[dict]] = payload["qaoa_grid"]
-    gw_options: dict = payload["gw_options"]
-    diagonal = payload.get("diagonal")
+    if request.seed is None:
+        raise ValueError(
+            "a leaf job needs an integer seed; this SolveRequest has seed=None "
+            "(MaxCutService resolves one)"
+        )
+    graph, method, seed = request.graph, request.method, request.seed
+    qaoa_options, gw_options = request.options, request.gw_options
 
     start = time.perf_counter()
     out: dict = {"method": method, "qaoa_cut": None, "gw_cut": None, "gw_average": None,
@@ -292,7 +337,7 @@ def _subgraph_steps(payload: dict, *, lockstep: bool) -> Generator:
         engine = SweepEngine(
             graph, diagonal=diagonal, backend=qaoa_options.get("backend", "auto")
         )
-        configs = qaoa_grid if qaoa_grid else [{}]
+        configs = request.qaoa_grid if request.qaoa_grid else [{}]
         best: Optional[CutResult] = None
         for offset, overrides in enumerate(configs):
             options = {**qaoa_options, **overrides}
@@ -394,14 +439,16 @@ class QAOA2Solver:
     service:
         Optional :class:`repro.service.MaxCutService`.  When set, every
         leaf solve (sub-graph batches *and* small merged graphs) is routed
-        through the service instead of a direct executor fan-out; its
+        through the service instead of a direct executor fan-out, with
+        the seeds the direct path draws, so both give the same cuts; its
         scheduler dispatches the jobs of :func:`leaf_jobs` under
         ``executor``, as the direct path does.  Duplicate in-flight
-        leaves coalesce and same-shape batches share cut diagonals;
-        whether *distinct-but-isomorphic* leaves share work is the
-        ``service_seeds`` trade-off below.  A leaf that a
-        ``error_mode="capture"`` service answers with an error raises
-        ``RuntimeError`` with its error text.
+        leaves coalesce and same-shape batches share cut diagonals.
+        Since each leaf's seed is unique, cache hits come from bit-exact
+        repeats: re-running the same solve, or several solvers sharing
+        one service.  A leaf that a ``error_mode="capture"`` service
+        answers with an error raises ``RuntimeError`` with its error
+        text.
 
         A service with a ``disk_dir`` is the solve's checkpoint: with an
         integer ``rng`` and the service's default ``cache_cost_floor=None``,
@@ -410,19 +457,6 @@ class QAOA2Solver:
         The restart unit is one batch (one level), because the service
         stores a ``solve_many`` batch's results after the batch; a resumed
         leaf's ``elapsed`` is its cache-hit time.
-    service_seeds:
-        ``"request"`` (default): leaves carry the exact sequentially-drawn
-        seeds the direct path would use, so the service path produces cut
-        values identical to the direct path at fixed seeds (pinned in
-        ``tests/test_service.py``).  Since each leaf's seed is unique,
-        cache hits then only occur for bit-exact repeats — re-running the
-        same solve, or several solvers sharing one service.
-        ``"canonical"``: leaves are submitted seedless and the service
-        derives content-addressed seeds, so identical/isomorphic
-        sub-graphs *within one run* share a single solve via the cache —
-        the deeper-level QAOA² reuse the paper's knowledge base motivates
-        — at the cost of a different (still deterministic) seed stream
-        than the direct path.
     """
 
     n_max_qubits: int = 10
@@ -434,20 +468,21 @@ class QAOA2Solver:
     partition_method: str = "greedy_modularity"
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     service: Optional[object] = None  # repro.service.MaxCutService
-    service_seeds: str = "request"  # "request" | "canonical"
     rng: RngLike = None
     max_levels: int = 32
 
     def solve(self, graph: Graph) -> QAOA2Result:
-        return drive(self.steps(graph), self._solve_leaf_payloads)
+        return drive(self.steps(graph), self._solve_leaves)
 
-    def steps(self, graph: Graph) -> Generator[List[dict], List[dict], QAOA2Result]:
-        """The solve as a generator: yields each batch of leaf payloads (the
+    def steps(
+        self, graph: Graph
+    ) -> Generator[List[SolveRequest], List[dict], QAOA2Result]:
+        """The solve as a generator: yields each batch of leaf requests (the
         input of :func:`_solve_subgraph_job`), level 0's parts first, then
         each merged graph or its parts, and is sent their result dicts in
         order.
 
-        :meth:`solve` answers a batch with :meth:`_solve_leaf_payloads`, in
+        :meth:`solve` answers a batch with :meth:`_solve_leaves`, in
         process or through ``service`` (one ``solve_many`` per batch, so a
         disk-backed service stores and resumes whole batches); the Fig. 2
         coordinator (:func:`repro.hpc.coordinator.run_coordinated_qaoa2`)
@@ -481,48 +516,29 @@ class QAOA2Solver:
             return method
         return self.subgraph_method
 
-    def _leaf_payload(self, subgraph: Graph, level: int, seed: int) -> dict:
-        return {
-            "graph": subgraph,
-            "method": self._method_for(subgraph, level),
-            "seed": seed,
-            "qaoa_options": dict(self.qaoa_options),
-            "qaoa_grid": self.qaoa_grid if level == 0 else None,
-            "gw_options": dict(self.gw_options),
-        }
+    def _leaf_request(self, subgraph: Graph, level: int, seed: int) -> SolveRequest:
+        return SolveRequest(
+            graph=subgraph,
+            method=self._method_for(subgraph, level),
+            options=dict(self.qaoa_options),
+            qaoa_grid=self.qaoa_grid if level == 0 else None,
+            gw_options=dict(self.gw_options),
+            seed=seed,
+        )
 
-    def _solve_leaf_payloads(self, payloads: List[dict]) -> List[dict]:
-        """Solve a batch of leaf payloads, in submission order, as the jobs
-        of :func:`leaf_jobs`: directly, or through the service, which
-        submits the *same* payloads and seeds and runs the same jobs, so
-        only caching/coalescing/diagonal-sharing differ."""
+    def _solve_leaves(self, requests: List[SolveRequest]) -> List[dict]:
+        """Solve a batch of leaf requests, in submission order, as the jobs
+        of :func:`leaf_jobs`: directly, or through the service, which runs
+        the same jobs on the same requests, so only caching, coalescing
+        and diagonal sharing differ."""
         if self.service is None:
-            jobs = leaf_jobs(payloads, self.executor)
+            jobs = leaf_jobs(requests, self.executor)
             solved = map_jobs(
                 _solve_leaf_job,
-                [[payloads[i] for i in job] for job in jobs],
+                [[requests[i] for i in job] for job in jobs],
                 config=self.executor,
             )
-            return in_payload_order(jobs, solved)
-        if self.service_seeds not in ("request", "canonical"):
-            raise ValueError(
-                f"unknown service_seeds mode {self.service_seeds!r}; "
-                "expected 'request' or 'canonical'"
-            )
-        from repro.service import SolveRequest
-
-        canonical = self.service_seeds == "canonical"
-        requests = [
-            SolveRequest(
-                graph=payload["graph"],
-                method=payload["method"],
-                options=dict(payload["qaoa_options"]),
-                qaoa_grid=payload["qaoa_grid"],
-                gw_options=dict(payload["gw_options"]),
-                seed=None if canonical else payload["seed"],
-            )
-            for payload in payloads
-        ]
+            return in_request_order(jobs, solved)
         results = self.service.solve_many(requests, executor=self.executor)
         for part_id, res in enumerate(results):
             if res.failed:
@@ -550,7 +566,7 @@ class QAOA2Solver:
         gen: np.random.Generator,
         records: List[SubgraphRecord],
         levels: List[LevelRecord],
-    ) -> Generator[List[dict], List[dict], np.ndarray]:
+    ) -> Generator[List[SolveRequest], List[dict], np.ndarray]:
         if level >= self.max_levels:
             raise RuntimeError("QAOA2 recursion exceeded max_levels")
         start = time.perf_counter()
@@ -562,11 +578,11 @@ class QAOA2Solver:
                 graph, self.n_max_qubits, method=self.partition_method, rng=gen
             )
             subgraphs = [graph.subgraph(part)[0] for part in partition.parts]
-        payloads = [
-            self._leaf_payload(sub, level, int(gen.integers(2**31)))
+        requests = [
+            self._leaf_request(sub, level, int(gen.integers(2**31)))
             for sub in subgraphs
         ]
-        results = yield payloads
+        results = yield requests
         for part_id, (sub, result) in enumerate(zip(subgraphs, results, strict=True)):
             records.append(
                 SubgraphRecord(
@@ -621,6 +637,7 @@ def expected_subproblem_count(n_nodes: int, n_qubits: int) -> float:
 
 
 __all__ = [
+    "SolveRequest",
     "SubgraphRecord",
     "LevelRecord",
     "QAOA2Result",

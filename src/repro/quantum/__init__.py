@@ -8,7 +8,6 @@ from repro.quantum.backend import (
     ScratchPool,
     StatevectorBackend,
     available_backends,
-    register_backend,
     resolve_backend,
     shared_pool,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "FusedBackend",
     "ScratchPool",
     "available_backends",
-    "register_backend",
     "resolve_backend",
     "shared_pool",
     "Circuit",

@@ -4,12 +4,10 @@ This package is the single seam between QAOA consumers (the sweep
 engine, solvers, RQAOA, QAOA² leaves, the service scheduler, the
 reference simulator/noise loops) and the numerical kernels that evolve
 statevectors.  Consumers speak :class:`StatevectorBackend`; kernel
-implementations live behind it (``numpy`` — the bit-identical reference;
-``fused`` — the mixer as blocked GEMM stages plus a quantised cost
-gather), and new ones (GPU, distributed) plug in via
-:func:`register_backend` without touching any caller.  A backend whose
-dependency is missing raises :class:`BackendUnavailable` when it is
-instantiated.
+implementations live behind it: ``numpy``, the bit-identical reference,
+and ``fused``, the mixer as blocked GEMM stages plus a quantised cost
+gather.  :func:`get_backend` and :func:`resolve_backend` return one
+process-wide instance of each.
 """
 
 from repro.quantum.backend.base import (
@@ -26,7 +24,6 @@ from repro.quantum.backend.registry import (
     auto_backend_name,
     available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.quantum.backend.scratch import (
@@ -50,7 +47,6 @@ __all__ = [
     "available_backends",
     "cache_resident_chunk_size",
     "get_backend",
-    "register_backend",
     "resolve_backend",
     "shared_pool",
 ]

@@ -68,12 +68,10 @@ def cache_resident_chunk_size(n_qubits: int) -> int:
 
 
 class BackendUnavailable(RuntimeError):
-    """A registered backend cannot run in this environment (e.g. its
-    optional dependency is not installed).
+    """A backend that cannot run in this environment.
 
-    Raised at resolve/instantiation time so callers fail with a clear
-    message instead of an ImportError mid-sweep; the auto policy never
-    selects an unavailable backend."""
+    Neither backend raises it today: ``numpy`` and ``fused`` need only
+    NumPy.  Code that enumerates backends skips one that raises it."""
 
 
 class StatevectorBackend(ABC):

@@ -1,11 +1,12 @@
-"""Backend registry and auto-selection policy.
+"""The two statevector backends and the auto-selection policy.
 
-Backends register under a short name; :func:`resolve_backend` turns a
-user-facing spec — ``"auto"``, a registered name, or an already-built
+:func:`resolve_backend` turns a user-facing spec — ``"auto"``, a backend
+name, or an already-built
 :class:`~repro.quantum.backend.base.StatevectorBackend` instance — into
-a process-wide singleton instance.  Singletons matter: backends cache
-per-size tables (mixer stage and phase tables) that should be built once
-per process, not once per solve.
+an instance; a name resolves to one of the two process-wide singletons
+built at import.  Singletons matter: backends cache per-size tables
+(mixer stage and phase tables) that should be built once per process,
+not once per solve.
 
 Auto policy
 -----------
@@ -20,26 +21,11 @@ Auto policy
 The policy is a **pure function** of ``n_qubits``: a given problem size
 always resolves to the same backend, regression-pinned by
 ``tests/test_backends.py::TestRegistry::test_auto_policy_is_pure``.
-
-Registering a new backend
--------------------------
-See ``src/repro/quantum/README.md``.  In short::
-
-    from repro.quantum.backend import StatevectorBackend, register_backend
-
-    class MyBackend(StatevectorBackend):
-        name = "mine"
-        ...
-
-    register_backend("mine", MyBackend)
-
-after which ``--backend mine`` / ``SweepEngine(graph, backend="mine")``
-work everywhere without touching any caller.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.quantum.backend.base import StatevectorBackend
 from repro.quantum.backend.fused import FusedBackend
@@ -59,50 +45,25 @@ FUSED_MIN_QUBITS = 14
 
 BackendSpec = Union[str, StatevectorBackend, None]
 
-_FACTORIES: Dict[str, Callable[[], StatevectorBackend]] = {}
-_INSTANCES: Dict[str, StatevectorBackend] = {}
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], StatevectorBackend],
-    *,
-    replace: bool = False,
-) -> None:
-    """Register ``factory`` (a class or zero-arg callable) under ``name``."""
-    if not name or name == "auto":
-        raise ValueError(f"invalid backend name {name!r}")
-    if name in _FACTORIES and not replace:
-        raise ValueError(
-            f"backend {name!r} is already registered (pass replace=True)"
-        )
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
+_BACKENDS: Dict[str, StatevectorBackend] = {
+    backend.name: backend for backend in (NumpyBackend(), FusedBackend())
+}
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_FACTORIES))
+    """Backend names, sorted."""
+    return tuple(sorted(_BACKENDS))
 
 
 def get_backend(name: str) -> StatevectorBackend:
-    """The singleton instance for a registered backend name."""
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        factory = _FACTORIES.get(name)
-        if factory is None:
-            raise ValueError(
-                f"unknown statevector backend {name!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
-        instance = factory()
-        if instance.name != name:
-            raise ValueError(
-                f"backend factory for {name!r} built an instance named "
-                f"{instance.name!r}"
-            )
-        _INSTANCES[name] = instance
-    return instance
+    """The singleton instance of a backend name."""
+    backend = _BACKENDS.get(name)
+    if backend is None:
+        raise ValueError(
+            f"unknown statevector backend {name!r}; "
+            f"available: {', '.join(available_backends())}"
+        )
+    return backend
 
 
 def auto_backend_name(n_qubits: Optional[int] = None) -> str:
@@ -121,7 +82,7 @@ def resolve_backend(
     """Resolve a backend spec to an instance.
 
     ``spec`` may be ``None``/``"auto"`` (policy pick for ``n_qubits``),
-    a registered name, or an instance (returned as-is).
+    a backend name, or an instance (returned as-is).
     """
     if isinstance(spec, StatevectorBackend):
         return spec
@@ -135,15 +96,10 @@ def resolve_backend(
     return get_backend(spec)
 
 
-register_backend(NumpyBackend.name, NumpyBackend)
-register_backend(FusedBackend.name, FusedBackend)
-
-
 __all__ = [
     "FUSED_MIN_QUBITS",
     "auto_backend_name",
     "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend",
 ]

@@ -145,7 +145,7 @@ def run_qaoa_reference(
     :mod:`repro.quantum.backend` backend (the bit-identical ``numpy``
     reference unless told otherwise).  Exists so tests can cross-validate
     the circuit path, the fast path and this explicit construction — and,
-    with ``backend=``, any registered evolution backend against all three.
+    with ``backend=``, either evolution backend against all three.
     """
     from repro.quantum.backend import resolve_backend
 

@@ -33,9 +33,12 @@ work is a *request* (graph + solver configuration) rather than a graph:
   log and per-stage breakdown (``python -m repro trace``; span
   vocabulary in ``docs/observability.md``).
 
-See ``src/repro/service/README.md`` for the request lifecycle.
+Its unit of work, :class:`SolveRequest`, is the QAOA² leaf request
+(:mod:`repro.qaoa2.solver`).  See ``src/repro/service/README.md`` for the
+request lifecycle.
 """
 
+from repro.qaoa2.solver import SolveRequest
 from repro.service.cache import CacheEntry, ResultCache
 from repro.service.client import HttpMaxCutClient, HttpResponseError
 from repro.service.fingerprint import (
@@ -62,13 +65,11 @@ from repro.service.service import (
     MaxCutService,
     RequestKey,
     ServiceResult,
-    SolveRequest,
     build_request,
     zipf_requests,
 )
 from repro.service.sharding import ShardRouter, shard_for_digest
 from repro.service.trace import TraceRecorder
-from repro.util.tracing import NO_TRACE, TraceContext
 
 __all__ = [
     "AsyncMaxCutServer",
@@ -81,7 +82,6 @@ __all__ = [
     "HttpServerThread",
     "LatencyStats",
     "MaxCutService",
-    "NO_TRACE",
     "RequestError",
     "RequestKey",
     "ResultCache",
@@ -90,7 +90,6 @@ __all__ = [
     "ServiceResult",
     "ShardRouter",
     "SolveRequest",
-    "TraceContext",
     "TraceRecorder",
     "WireFormatError",
     "build_request",

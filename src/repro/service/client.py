@@ -24,6 +24,7 @@ import json
 from typing import Optional, Tuple
 
 from repro.graphs.graph import Graph
+from repro.qaoa2.solver import SolveRequest
 from repro.service.http import (
     RETRY_AFTER_S,
     TRACE_HEADER,
@@ -33,7 +34,7 @@ from repro.service.http import (
     result_from_wire,
 )
 from repro.service.server import RequestError, ServerOverloaded
-from repro.service.service import ServiceResult, SolveRequest, build_request
+from repro.service.service import ServiceResult, build_request
 
 DEFAULT_TIMEOUT_S = 300.0
 

@@ -81,15 +81,6 @@ class GraphFingerprint:
         """Re-index a canonical-label assignment back to request labels."""
         return np.asarray(canonical_assignment)[self.perm]
 
-    def same_canonical_graph(self, other: "GraphFingerprint") -> bool:
-        """Exact canonical-array comparison (the digest collision check)."""
-        return (
-            self.n_nodes == other.n_nodes
-            and np.array_equal(self.canon_u, other.canon_u)
-            and np.array_equal(self.canon_v, other.canon_v)
-            and np.array_equal(self.canon_w, other.canon_w)
-        )
-
 
 # ---------------------------------------------------------------------------
 # Colour refinement

@@ -53,6 +53,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.graphs.graph import Graph
+from repro.qaoa2.solver import SolveRequest
 from repro.service.metrics import (
     PROMETHEUS_CONTENT_TYPE,
     ServiceMetrics,
@@ -63,7 +64,7 @@ from repro.service.server import (
     RequestError,
     ServerOverloaded,
 )
-from repro.service.service import ServiceResult, SolveRequest
+from repro.service.service import ServiceResult
 from repro.service.trace import TraceRecorder
 from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext
 

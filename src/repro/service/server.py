@@ -55,6 +55,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.graphs.graph import Graph
 from repro.hpc.executor import ExecutorConfig
+from repro.qaoa2.solver import SolveRequest
 from repro.service.cache import DEFAULT_MAX_BYTES
 from repro.service.fingerprint import GraphFingerprint
 from repro.service.metrics import ServiceMetrics
@@ -62,7 +63,6 @@ from repro.service.service import (
     MaxCutService,
     RequestKey,
     ServiceResult,
-    SolveRequest,
     build_request,
 )
 from repro.service.sharding import ShardRouter

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -42,6 +42,7 @@ from repro.graphs.graph import Graph
 from repro.graphs.maxcut import CutResult
 from repro.hpc.executor import ExecutorConfig
 from repro.ml.knowledge import KnowledgeBase
+from repro.qaoa2.solver import SolveRequest
 from repro.service.cache import DEFAULT_MAX_BYTES, CacheEntry, ResultCache
 from repro.service.fingerprint import (
     GraphFingerprint,
@@ -52,31 +53,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import BatchScheduler
 from repro.service.trace import TraceRecorder
 from repro.util.rng import RngLike, ensure_rng
-from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext, TraceLike
-
-
-@dataclass
-class SolveRequest:
-    """One unit of service work: a graph plus a full solver configuration.
-
-    ``method``/``options``/``qaoa_grid``/``gw_options`` have exactly the
-    semantics of the QAOA² leaf payloads (:mod:`repro.qaoa2.solver`):
-    ``options`` are :class:`repro.qaoa.solver.QAOASolver` knobs, the grid
-    is a list of option overrides whose best cut wins.  ``seed=None``
-    asks the service for a derived content-addressed seed."""
-
-    graph: Graph
-    method: str = "qaoa"
-    options: dict = field(default_factory=dict)
-    qaoa_grid: Optional[Sequence[dict]] = None
-    gw_options: dict = field(default_factory=dict)
-    seed: Optional[int] = None
-    # Observability carrier, NOT identity: excluded from equality and from
-    # request_digest (which hashes explicit fields only), so tracing can
-    # never change what a request computes or where it caches.
-    trace: "TraceContext | NullTraceContext" = field(
-        default=NO_TRACE, repr=False, compare=False
-    )
+from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext
 
 
 @dataclass
@@ -269,11 +246,9 @@ class MaxCutService:
 
         results: List[Optional[ServiceResult]] = [None] * len(requests)
         owners: Dict[str, int] = {}  # digest -> owning job slot
-        # Per cold job: its _solve_subgraph_job payload, its owner's trace
-        # (observability only, never in the payload) and the request
-        # indices it serves.
-        payloads: List[dict] = []
-        traces: List[TraceLike] = []
+        # Per cold job: its owner's request with the resolved seed, and the
+        # request indices it serves.
+        cold: List[SolveRequest] = []
         job_members: List[List[int]] = []
         for idx, request in enumerate(requests):
             results[idx] = self.lookup(keys[idx], trace=request.trace)
@@ -284,25 +259,14 @@ class MaxCutService:
                 job_members[owners[digest]].append(idx)
                 self.metrics.increment("coalesced")
                 continue
-            owners[digest] = len(payloads)
+            owners[digest] = len(cold)
             self.metrics.increment("misses")
-            payloads.append(
-                {
-                    "graph": request.graph,
-                    "method": request.method,
-                    "seed": seeds[idx],
-                    "qaoa_options": dict(request.options),
-                    "qaoa_grid": request.qaoa_grid,
-                    "gw_options": dict(request.gw_options),
-                }
-            )
-            traces.append(request.trace)
+            cold.append(replace(request, seed=seeds[idx]))
             job_members.append([idx])
 
-        if payloads:
+        if cold:
             solved = self.scheduler.run(
-                payloads,
-                traces,
+                cold,
                 executor=executor,
                 capture_errors=self.error_mode == "capture",
             )
@@ -577,7 +541,6 @@ __all__ = [
     "MaxCutService",
     "RequestKey",
     "ServiceResult",
-    "SolveRequest",
     "build_request",
     "zipf_requests",
 ]

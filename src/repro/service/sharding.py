@@ -77,13 +77,6 @@ class ShardRouter:
         digest = fp if isinstance(fp, str) else fp.digest
         return shard_for_digest(digest, self.n_shards)
 
-    def route(self, fp: GraphFingerprint | str, *, count: bool = True) -> object:
-        """The backend owning ``fp``; ``count`` records the admission."""
-        index = self.shard_index(fp)
-        if count:
-            self.loads[index] += 1
-        return self.shards[index]
-
     # ------------------------------------------------------------------
     def load_report(self) -> str:
         total = sum(self.loads)

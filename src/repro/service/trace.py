@@ -26,7 +26,7 @@ import json
 import logging
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from repro.util.tracing import NullTraceContext, TraceContext
 
@@ -180,10 +180,3 @@ class TraceRecorder:
                 f"{row['cpu_s']:>10.4f} {share:>7}"
             )
         return "\n".join(lines)
-
-    def to_dicts(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
-        """JSON-ready dumps of the last ``n`` (default: all) traces."""
-        return [
-            trace.to_dict()
-            for trace in self.last(self.capacity if n is None else n)
-        ]

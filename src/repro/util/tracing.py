@@ -38,7 +38,7 @@ import time
 import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "NO_TRACE",
@@ -294,9 +294,6 @@ class TraceContext:
         return "\n".join(lines)
 
 
-#: Union accepted everywhere a trace flows; NO_TRACE is the default.
-TraceLike = Union["TraceContext", "NullTraceContext"]
-
 _CURRENT_TRACE: ContextVar["TraceContext | NullTraceContext"] = ContextVar(
     "repro_current_trace", default=NO_TRACE
 )
@@ -324,10 +321,3 @@ def use_trace(
         yield trace
     finally:
         _CURRENT_TRACE.reset(token)
-
-
-def span_signature(trace: "TraceContext | NullTraceContext") -> Tuple[str, ...]:
-    """Depth-first span names — a compact shape check for tests/benches."""
-    if not isinstance(trace, TraceContext):
-        return ()
-    return tuple(span.name for span in trace.iter_spans())

@@ -8,7 +8,7 @@ Three layers of guarantees:
   ``run_qaoa_reference``, the noise-trajectory loop) reproduce the
   pre-refactor implementations *bit-exactly* on the ``numpy`` backend
   (the old loops are inlined here as the golden reference);
-* **registry** — auto policy, registration, and error behaviour;
+* **registry** — the two singletons, auto policy and error behaviour;
 * **chunk policy** — backend chunk advice is pure and strictly
   advisory: sweep results are bit-identical for every chunk width.
 """
@@ -32,7 +32,6 @@ from repro.quantum.backend import (
     available_backends,
     cache_resident_chunk_size,
     get_backend,
-    register_backend,
     resolve_backend,
 )
 from repro.quantum.noise import DepolarizingChannel, NoiseModel, noisy_qaoa_statevector
@@ -543,40 +542,6 @@ class TestRegistry:
             resolve_backend("quantum-annealer")
         with pytest.raises(TypeError, match="backend spec"):
             resolve_backend(42)
-
-    def test_registration_lifecycle(self):
-        class EchoBackend(NumpyBackend):
-            name = "echo-test"
-
-        register_backend("echo-test", EchoBackend)
-        try:
-            assert "echo-test" in available_backends()
-            assert isinstance(resolve_backend("echo-test"), EchoBackend)
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("echo-test", EchoBackend)
-            register_backend("echo-test", EchoBackend, replace=True)
-        finally:
-            from repro.quantum.backend import registry
-
-            registry._FACTORIES.pop("echo-test", None)
-            registry._INSTANCES.pop("echo-test", None)
-
-    def test_bad_names_rejected(self):
-        with pytest.raises(ValueError, match="invalid backend name"):
-            register_backend("auto", NumpyBackend)
-        with pytest.raises(ValueError, match="invalid backend name"):
-            register_backend("", NumpyBackend)
-
-    def test_mismatched_factory_name_rejected(self):
-        register_backend("misnamed-test", NumpyBackend)  # instance says "numpy"
-        try:
-            with pytest.raises(ValueError, match="named"):
-                get_backend("misnamed-test")
-        finally:
-            from repro.quantum.backend import registry
-
-            registry._FACTORIES.pop("misnamed-test", None)
-            registry._INSTANCES.pop("misnamed-test", None)
 
     def test_engine_and_solver_record_backend(self):
         from repro.qaoa import QAOASolver

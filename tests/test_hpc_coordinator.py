@@ -32,15 +32,15 @@ def graph():
 
 @pytest.fixture
 def solved_leaves(monkeypatch):
-    """Every payload a worker solves."""
-    payloads = []
+    """Every request a worker solves."""
+    requests = []
 
-    def spy(payload, original=solver_module._solve_subgraph_job):
-        payloads.append(payload)
-        return original(payload)
+    def spy(request, original=solver_module._solve_subgraph_job):
+        requests.append(request)
+        return original(request)
 
     monkeypatch.setattr(solver_module, "_solve_subgraph_job", spy)
-    return payloads
+    return requests
 
 
 class TestCoordinator:

@@ -16,9 +16,10 @@ from repro.qaoa2 import (
 from repro.qaoa2 import solver as solver_module
 from repro.qaoa2.solver import (
     LOCKSTEP_MIN_LEAVES,
+    SolveRequest,
     _solve_lockstep_job,
     _solve_subgraph_job,
-    in_payload_order,
+    in_request_order,
     leaf_jobs,
 )
 from repro.quantum.backend import FUSED_MIN_QUBITS, available_backends, get_backend
@@ -297,12 +298,12 @@ def ragged_evolutions(monkeypatch):
 
 @pytest.fixture
 def lockstep_jobs(monkeypatch):
-    """The payload count of every lock-step job run."""
+    """The request count of every lock-step job run."""
     jobs = []
 
-    def spy(payloads, original=solver_module._solve_lockstep_job):
-        jobs.append(len(payloads))
-        return original(payloads)
+    def spy(requests, original=solver_module._solve_lockstep_job):
+        jobs.append(len(requests))
+        return original(requests)
 
     monkeypatch.setattr(solver_module, "_solve_lockstep_job", spy)
     return jobs
@@ -398,14 +399,13 @@ class TestLockstepLeaves:
         graphs = [
             erdos_renyi(n, 0.6, weighted=True, rng=seed) for seed, n in enumerate(sizes)
         ]
-        payloads = [
-            {"graph": g, "method": "qaoa", "seed": 11 + k, "qaoa_grid": grid,
-             "qaoa_options": options, "gw_options": {}}
+        requests = [
+            SolveRequest(graph=g, options=options, qaoa_grid=grid, seed=11 + k)
             for k, g in enumerate(graphs)
         ]
         for together, alone in zip(
-            _solve_lockstep_job(payloads),
-            [_solve_subgraph_job(payload) for payload in payloads],
+            _solve_lockstep_job(requests),
+            [_solve_subgraph_job(request) for request in requests],
             strict=True,
         ):
             np.testing.assert_array_equal(together.pop("assignment"), alone.pop("assignment"))
@@ -427,13 +427,13 @@ class TestLockstepLeaves:
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(backend, attr, spy)
-        payloads = [
-            {"graph": erdos_renyi(n, 0.5, rng=n), "method": "qaoa", "seed": n,
-             "qaoa_grid": [{}, {"layers": 3}],
-             "qaoa_options": {"layers": 2, "maxiter": 15}, "gw_options": {}}
+        requests = [
+            SolveRequest(graph=erdos_renyi(n, 0.5, rng=n), seed=n,
+                         options={"layers": 2, "maxiter": 15},
+                         qaoa_grid=[{}, {"layers": 3}])
             for n in (9, 8, 6, 6, 4, 3)
         ]
-        _solve_lockstep_job(payloads)
+        _solve_lockstep_job(requests)
         layers = sum(p for _, p, _ in ragged_evolutions)
         assert {p for _, p, _ in ragged_evolutions} == {2, 3}
         assert ragged["apply_cost_layer"] >= layers
@@ -443,8 +443,8 @@ class TestLockstepLeaves:
 class TestLeafJobs:
     """``leaf_jobs`` is the one lock-step rule, for the direct solve and the
     service's scheduler alike: under ``serial``, at least
-    LOCKSTEP_MIN_LEAVES payloads below FUSED_MIN_QUBITS nodes form the first
-    job; every other payload is a job of its own."""
+    LOCKSTEP_MIN_LEAVES requests below FUSED_MIN_QUBITS nodes form the first
+    job; every other request is a job of its own."""
 
     SMALL, LARGE = FUSED_MIN_QUBITS - 1, FUSED_MIN_QUBITS
 
@@ -464,16 +464,16 @@ class TestLeafJobs:
         ],
     )
     def test_split(self, sizes, backend, expected):
-        payloads = [{"graph": Graph.from_edges(n, [])} for n in sizes]
-        jobs = leaf_jobs(payloads, ExecutorConfig(backend))
+        requests = [SolveRequest(graph=Graph.from_edges(n, [])) for n in sizes]
+        jobs = leaf_jobs(requests, ExecutorConfig(backend))
         assert jobs == expected
         solved = [[f"leaf {i}" for i in job] for job in jobs]
-        assert in_payload_order(jobs, solved) == [f"leaf {i}" for i in range(len(sizes))]
+        assert in_request_order(jobs, solved) == [f"leaf {i}" for i in range(len(sizes))]
 
 
 class TestSteps:
     """``QAOA2Solver.steps`` is the one level loop that ``solve`` and the
-    coordinator both run; answering each payload with
+    coordinator both run; answering each request with
     ``_solve_subgraph_job``, as the coordinator's workers do, gives
     ``solve``'s answer."""
 
@@ -482,9 +482,9 @@ class TestSteps:
         graph, options = LOCKSTEP_CASES[name]
         batches = []
 
-        def answer(payloads):
-            batches.append([payload["graph"].n_nodes for payload in payloads])
-            return [_solve_subgraph_job(payload) for payload in payloads]
+        def answer(requests):
+            batches.append([request.graph.n_nodes for request in requests])
+            return [_solve_subgraph_job(request) for request in requests]
 
         by_hand = drive(QAOA2Solver(rng=3, **options).steps(graph), answer)
         assert lockstep_jobs == []
@@ -527,15 +527,14 @@ class TestOneDiagonalPerLeaf:
     and every objective of its option grid evaluates over that engine."""
 
     @staticmethod
-    def payload(graph, seed):
-        return {"graph": graph, "method": "qaoa", "seed": seed,
-                "qaoa_grid": [{}, {"layers": 1}, {"layers": 3}],
-                "qaoa_options": {"layers": 2, "maxiter": 20}, "gw_options": {}}
+    def request(graph, seed):
+        return SolveRequest(graph=graph, options={"layers": 2, "maxiter": 20},
+                            qaoa_grid=[{}, {"layers": 1}, {"layers": 3}], seed=seed)
 
     def test_subgraph_job(self, evaluator_builds):
         diagonals, energies = evaluator_builds
         graph = erdos_renyi(8, 0.5, rng=4)
-        _solve_subgraph_job(self.payload(graph, 1))
+        _solve_subgraph_job(self.request(graph, 1))
         assert diagonals == {"engine": 1, "energy": 0}
         assert len(energies) == 3
         assert energies[0].engine.graph is graph
@@ -544,7 +543,7 @@ class TestOneDiagonalPerLeaf:
     def test_lockstep_job(self, evaluator_builds):
         diagonals, energies = evaluator_builds
         graphs = [erdos_renyi(8, 0.5, rng=4), erdos_renyi(7, 0.5, rng=5)]
-        _solve_lockstep_job([self.payload(g, k) for k, g in enumerate(graphs)])
+        _solve_lockstep_job([self.request(g, k) for k, g in enumerate(graphs)])
         assert diagonals == {"engine": 2, "energy": 0}
         assert len(energies) == 6
         engines = []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,21 +14,11 @@ from repro.hpc.executor import ExecutorConfig
 from repro.qaoa2 import QAOA2Solver
 from repro.qaoa2.solver import LOCKSTEP_MIN_LEAVES, _solve_subgraph_job
 from repro.service import MaxCutService, SolveRequest, zipf_requests
+from repro.util.tracing import TraceContext
 
 from test_qaoa2_solver import _same_solution
 
 OPTIONS = {"layers": 2, "maxiter": 25}
-
-
-def payload(graph, seed, method="qaoa", options=OPTIONS, grid=None):
-    return {
-        "graph": graph,
-        "method": method,
-        "seed": seed,
-        "qaoa_options": dict(options),
-        "qaoa_grid": grid,
-        "gw_options": {},
-    }
 
 
 @pytest.fixture
@@ -48,9 +40,10 @@ class TestCacheCorrectness:
         assert np.array_equal(hit.assignment, cold.assignment)
         assert hit.assignment.dtype == cold.assignment.dtype
         # And the cold solve itself is the reference computation.
-        reference = _solve_subgraph_job(payload(graph, 3))
-        assert cold.cut == reference["cut"]
-        assert np.array_equal(cold.assignment, reference["assignment"])
+        request = SolveRequest(graph=graph, options=dict(OPTIONS), seed=3)
+        solo = _solve_subgraph_job(request)
+        assert cold.cut == solo["cut"]
+        assert np.array_equal(cold.assignment, solo["assignment"])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_isomorphic_relabeling_hits_and_unrelabels(self, seed):
@@ -128,6 +121,46 @@ class TestCacheCorrectness:
             assert a.cut == b.cut
             assert np.array_equal(a.assignment, b.assignment)
 
+    def test_process_executor_matches_serial(self):
+        """Requests pickled into worker processes give the serial answers,
+        and each caller's request keeps its own trace: the scheduler sends
+        the workers copies without traces."""
+        requests = [
+            SolveRequest(graph=erdos_renyi(11, 0.35, weighted=True, rng=k),
+                         options=OPTIONS, seed=k)
+            for k in range(3)
+        ]
+        serial = MaxCutService(seed=0).solve_many(requests)
+        service = MaxCutService(
+            seed=0, executor=ExecutorConfig("process", 2), tracing=True
+        )
+        pooled = service.solve_many(requests)
+        assert service.metrics.count("executor_retries") == 0
+        for a, b in zip(serial, pooled, strict=True):
+            assert b.status == "solved"
+            assert a.cut == b.cut and a.params == b.params
+            assert np.array_equal(a.assignment, b.assignment)
+        traces = [request.trace for request in requests]
+        assert all(isinstance(trace, TraceContext) for trace in traces)
+        assert len({id(trace) for trace in traces}) == len(requests)
+        for trace in traces:
+            assert service.traces.get(trace.trace_id) is trace
+        # The scheduler itself strips traces on copies, never on the
+        # requests it is handed.
+        service.scheduler.run(requests)
+        assert all(r.trace is t for r, t in zip(requests, traces, strict=True))
+
+    def test_seedless_request_needs_the_service(self, graph):
+        """A leaf job needs an explicit seed; the service derives one."""
+        request = SolveRequest(graph=graph, options=dict(OPTIONS))
+        with pytest.raises(ValueError, match="seed"):
+            _solve_subgraph_job(request)
+        result = MaxCutService(seed=0).solve(request=request)
+        assert result.status == "solved" and request.seed is None
+        solo = _solve_subgraph_job(replace(request, seed=result.seed))
+        assert result.cut == solo["cut"]
+        assert np.array_equal(result.assignment, solo["assignment"])
+
     def test_disk_tier_survives_restart(self, graph, tmp_path):
         first = MaxCutService(seed=0, disk_dir=tmp_path)
         cold = first.solve(graph, seed=2, **OPTIONS)
@@ -186,9 +219,7 @@ class TestBatching:
         assert service.metrics.count("solves") == 3
         assert service.metrics.count("shared_diagonals") == 3
         for req, res in zip(requests, batched, strict=True):
-            solo = _solve_subgraph_job(
-                payload(graph, req.seed, method, options, grid)
-            )
+            solo = _solve_subgraph_job(req)
             assert res.status == "solved"
             assert res.method == solo["method"]
             assert res.cut == solo["cut"]
@@ -206,7 +237,7 @@ class TestBatching:
         out = service.solve_many(requests)
         assert service.metrics.count("solves") == 3
         for req, res in zip(requests, out, strict=True):
-            solo = _solve_subgraph_job(payload(graph, req.seed, options=req.options))
+            solo = _solve_subgraph_job(req)
             assert res.cut == solo["cut"]
             assert res.params == solo["params"]
 
@@ -220,7 +251,7 @@ class TestBatching:
         out = service.solve_many(requests)
         assert service.metrics.count("shared_diagonals") == 2
         for req, res in zip(requests, out, strict=True):
-            solo = _solve_subgraph_job(payload(graph, req.seed))
+            solo = _solve_subgraph_job(req)
             assert res.cut == solo["cut"]
             assert np.array_equal(res.assignment, solo["assignment"])
 
@@ -241,7 +272,7 @@ def scheduler_jobs(monkeypatch):
 class TestSchedulerLockstep:
     """Under the serial executor the scheduler dispatches the direct QAOA²
     solve's jobs: at least LOCKSTEP_MIN_LEAVES small cold requests form one
-    lock-step job, which must equal the reference job per payload."""
+    lock-step job, which must equal the reference job per request."""
 
     GRAPHS = [
         erdos_renyi(n, 0.5, weighted=True, rng=40 + n) for n in range(5, 12)
@@ -256,7 +287,7 @@ class TestSchedulerLockstep:
 
     @staticmethod
     def assert_reference(request, result):
-        solo = _solve_subgraph_job(payload(request.graph, request.seed))
+        solo = _solve_subgraph_job(request)
         assert result.status == "solved"
         assert result.cut == solo["cut"]
         assert np.array_equal(result.assignment, solo["assignment"])
@@ -265,8 +296,12 @@ class TestSchedulerLockstep:
     @pytest.mark.parametrize("n_requests", [LOCKSTEP_MIN_LEAVES, 7])
     def test_lockstep_job_equals_reference(self, n_requests, scheduler_jobs):
         requests = self.requests(self.GRAPHS[:n_requests])
-        results = MaxCutService(seed=0).solve_many(requests)
+        service = MaxCutService(seed=0)
+        results = service.solve_many(requests)
         assert scheduler_jobs == [[n_requests]]
+        # A failing lock-step job is retried one request at a time, which
+        # also equals the reference: only this counter shows the fallback.
+        assert service.metrics.count("executor_retries") == 0
         for request, result in zip(requests, results, strict=True):
             self.assert_reference(request, result)
 
@@ -298,7 +333,7 @@ class TestSchedulerLockstep:
         )
         service = MaxCutService(seed=0, error_mode="capture", tracing=True)
         results = service.solve_many(requests)
-        assert scheduler_jobs == [[len(requests)]]  # then one payload at a time
+        assert scheduler_jobs == [[len(requests)]]  # then one request at a time
         assert service.metrics.count("executor_retries") == 1
         assert [r.failed for r in results] == [k == 2 for k in range(len(requests))]
         assert "unknown optimizer 'bogus'" in results[2].extra["error"]
@@ -333,6 +368,19 @@ class TestQAOA2ServicePath:
         assert np.array_equal(served.assignment, direct.assignment)
         assert served.n_subproblems == direct.n_subproblems
         assert service.metrics.count("requests") == served.n_subproblems
+
+    def test_qaoa2_executor_passes_through_service(self, er_medium):
+        """--backend thread keeps its meaning on the service path."""
+        direct = QAOA2Solver(
+            n_max_qubits=8, qaoa_options={"layers": 2, "maxiter": 20}, rng=11,
+        ).solve(er_medium)
+        served = QAOA2Solver(
+            n_max_qubits=8, qaoa_options={"layers": 2, "maxiter": 20},
+            executor=ExecutorConfig(backend="thread", max_workers=3),
+            service=MaxCutService(seed=0), rng=11,
+        ).solve(er_medium)
+        assert served.cut == direct.cut
+        assert np.array_equal(served.assignment, direct.assignment)
 
     def test_repeat_runs_hit_cache(self, er_medium):
         service = MaxCutService(seed=0)
@@ -488,60 +536,6 @@ class TestFacade:
         out = capsys.readouterr().out
         assert code == 0
         assert "MaxCutService stats" in out and "hit_rate" in out
-
-
-class TestServiceSeedModes:
-    def _twin_triangle_graph(self):
-        """Two isomorphic 4-node components → isomorphic partition leaves."""
-        from repro.graphs import Graph
-
-        edges = []
-        for base in (0, 4):
-            edges += [
-                (base, base + 1, 1.0), (base + 1, base + 2, 2.0),
-                (base, base + 2, 1.5), (base + 2, base + 3, 1.0),
-            ]
-        return Graph.from_edges(8, edges)
-
-    def test_canonical_seeds_dedup_isomorphic_leaves(self):
-        graph = self._twin_triangle_graph()
-        service = MaxCutService(seed=0)
-        result = QAOA2Solver(
-            n_max_qubits=4, qaoa_options={"layers": 2, "maxiter": 20},
-            service=service, service_seeds="canonical", rng=5,
-        ).solve(graph)
-        # Two isomorphic leaves + one merged graph, but only two solves:
-        # the second leaf is served from the first's cache entry.
-        assert result.n_subproblems == 3
-        assert service.metrics.count("misses") == 2
-        assert (
-            service.metrics.count("hits_memory")
-            + service.metrics.count("coalesced")
-        ) == 1
-        assert cut_value(graph, result.assignment) == pytest.approx(
-            result.cut, abs=1e-9
-        )
-
-    def test_unknown_seed_mode_rejected(self, er_medium):
-        solver = QAOA2Solver(
-            n_max_qubits=8, service=MaxCutService(seed=0),
-            service_seeds="bogus", rng=0,
-        )
-        with pytest.raises(ValueError, match="service_seeds"):
-            solver.solve(er_medium)
-
-    def test_qaoa2_executor_passes_through_service(self, er_medium):
-        """--backend thread keeps its meaning on the service path."""
-        direct = QAOA2Solver(
-            n_max_qubits=8, qaoa_options={"layers": 2, "maxiter": 20}, rng=11,
-        ).solve(er_medium)
-        served = QAOA2Solver(
-            n_max_qubits=8, qaoa_options={"layers": 2, "maxiter": 20},
-            executor=ExecutorConfig(backend="thread", max_workers=3),
-            service=MaxCutService(seed=0), rng=11,
-        ).solve(er_medium)
-        assert served.cut == direct.cut
-        assert np.array_equal(served.assignment, direct.assignment)
 
 
 class TestSchedulerGuards:

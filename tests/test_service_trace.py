@@ -24,7 +24,7 @@ from repro.service import (
     TraceRecorder,
 )
 from repro.service.http import TRACE_HEADER, HttpServerThread
-from repro.util.tracing import NO_TRACE, TraceContext, span_signature
+from repro.util.tracing import NO_TRACE, TraceContext
 
 from test_trace import parse_prometheus
 
@@ -34,7 +34,7 @@ OPTIONS = {"layers": 1, "maxiter": 15}
 
 
 def span_names(trace):
-    return set(span_signature(trace))
+    return {span.name for span in trace.iter_spans()}
 
 
 # ---------------------------------------------------------------------------
