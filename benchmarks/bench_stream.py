@@ -19,7 +19,7 @@ requested over and over, and answers each with every surface in turn.
 
 ``TRACE_STREAM`` (60 requests over 6 12-node graphs) goes through a
 fresh ``MaxCutService`` untraced and traced (a ``TraceRecorder`` keeps
-every request's span tree), ``REPEATS`` interleaved runs per mode.
+every request's span tree) in ``TRACE_PAIRS`` interleaved pairs of runs.
 
 Acceptance bars, enforced on every CI run via ``--quick``: service and
 async cuts and assignments equal the uncached jobs', each ≥5× faster
@@ -27,8 +27,8 @@ than uncached; HTTP equals both the uncached jobs and the async path,
 is ≥ ``HTTP_GAIN_BAR``× faster than uncached, and ``/healthz`` reports
 every shard; traced cuts and digests equal untraced ones, every request
 leaves a recorded trace and ``request`` span, ``solve`` runs once per
-distinct graph, and the best traced run takes ≤ ``OVERHEAD_BAR``× the
-best untraced one.  ``--quick`` then writes the shared-schema records
+distinct graph, and the median of the pairs' traced/untraced ratios is
+≤ ``OVERHEAD_BAR``.  ``--quick`` then writes the shared-schema records
 ``BENCH_service.json`` (async seconds), ``BENCH_http.json`` (HTTP
 seconds) and ``BENCH_trace.json`` (best traced seconds).  Under pytest
 each surface is one benchmark test that asserts its cut identity.
@@ -41,7 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from conftest import REPORTS_DIR, bench_checksum, write_bench_record
+from conftest import REPORTS_DIR, bench_checksum, paired_ratio, write_bench_record
 
 from repro.qaoa2.solver import _solve_subgraph_job
 from repro.service import (
@@ -52,7 +52,6 @@ from repro.service import (
     zipf_requests,
 )
 from repro.service.http import HttpServerThread
-from repro.util.tracing import NO_TRACE
 
 # ``zipf_requests`` arguments.  The traced stream is smaller so that its
 # interleaved repetitions stay cheap.
@@ -82,9 +81,12 @@ SHARDS = 2
 # 3× (against 5× in process): it still proves caching dominates the
 # transport.
 HTTP_GAIN_BAR = 3.0
-# Interleaved repetitions per trace mode; min-of-k absorbs scheduler noise.
-REPEATS = 2
-# traced_s / untraced_s must stay <= 1.05.
+# Interleaved (untraced, traced) pairs of trace-stream runs.  One run
+# varied by 10-50% on a busy 2-core VM, far beyond the bar's 5% margin;
+# the median of 15 pairs' ratios passed 39 of 40 runs of unchanged code
+# and failed 20 of 20 with tracing made 10% dearer.
+TRACE_PAIRS = 15
+# The median traced/untraced ratio must stay <= 1.05.
 OVERHEAD_BAR = 1.05
 
 
@@ -134,11 +136,6 @@ def _serve_http(requests, handle):
 
 def _serve_traced(requests, *, tracing):
     """Answer the stream on a fresh service; returns (results, recorder)."""
-    # A traced run stamps its owned TraceContexts onto the (shared)
-    # request objects; reset them so every run starts untraced and the
-    # service owns trace creation.
-    for request in requests:
-        request.trace = NO_TRACE
     recorder = TraceRecorder() if tracing else None
     service = MaxCutService(seed=0, traces=recorder)
     return service.solve_many(requests), recorder
@@ -267,28 +264,27 @@ def _stream_report() -> dict:
 
 
 def _trace_report() -> dict:
-    """Min wall time per mode over interleaved runs of ``TRACE_STREAM``."""
+    """Median traced/untraced ratio over interleaved runs of ``TRACE_STREAM``."""
     requests = zipf_requests(**TRACE_STREAM)
-    best = {False: float("inf"), True: float("inf")}
-    results = {}
-    for _ in range(REPEATS):
-        # The traced run goes second, so ``recorder`` ends up holding the
-        # last traced run's.
-        for tracing in (False, True):
-            (results[tracing], recorder), elapsed = _timed(
-                _serve_traced, requests, tracing=tracing
-            )
-            best[tracing] = min(best[tracing], elapsed)
+    served = {}
+
+    def run(tracing):
+        served[tracing] = _serve_traced(requests, tracing=tracing)
+
+    overhead, traced_s, untraced_s = paired_ratio(
+        lambda: run(True), lambda: run(False), pairs=TRACE_PAIRS
+    )
+    (traced, recorder), (untraced, _) = served[True], served[False]
     stages = recorder.stage_summary()
     return {
-        "untraced_s": best[False],
-        "traced_s": best[True],
-        "overhead": best[True] / best[False],
+        "untraced_s": untraced_s,
+        "traced_s": traced_s,
+        "overhead": overhead,
         "traces_recorded": recorder.recorded_total,
         "solve_spans": stages.get("solve", {}).get("count", 0),
         "request_spans": stages.get("request", {}).get("count", 0),
-        "cuts_identical": _digests(results[True]) == _digests(results[False]),
-        "cuts": [round(res.cut, 9) for res in results[True]],
+        "cuts_identical": _digests(traced) == _digests(untraced),
+        "cuts": [round(res.cut, 9) for res in traced],
     }
 
 

@@ -16,8 +16,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import statistics
 import time
 from pathlib import Path
+from typing import Tuple
 
 import pytest
 
@@ -84,6 +86,33 @@ def best_of(fn) -> float:
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def paired_ratio(numerator, denominator, *, pairs: int) -> Tuple[float, float, float]:
+    """The median over ``pairs`` interleaved pairs of the ratio
+    ``seconds(numerator()) / seconds(denominator())``, plus each side's
+    fastest call.
+
+    Both calls of a pair run back to back, and the side that goes first
+    alternates, so a drift in host speed lands on both sides of a ratio
+    and neither side always runs warm.  One warm-up call of each comes
+    first.  The median ignores the pairs a busy host interrupted, which
+    a ratio of two minima or two single runs does not.
+    """
+    fns = (numerator, denominator)
+    for fn in fns:
+        fn()
+    ratios = []
+    fastest = [float("inf"), float("inf")]
+    for k in range(pairs):
+        seconds = [0.0, 0.0]
+        for side in (k % 2, 1 - k % 2):
+            start = time.perf_counter()
+            fns[side]()
+            seconds[side] = time.perf_counter() - start
+            fastest[side] = min(fastest[side], seconds[side])
+        ratios.append(seconds[0] / seconds[1])
+    return statistics.median(ratios), fastest[0], fastest[1]
 
 
 def paper_scale() -> bool:

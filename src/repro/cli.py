@@ -155,10 +155,12 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 def cmd_service_stats(args: argparse.Namespace) -> int:
     import json
 
-    from repro.service import MaxCutService, zipf_requests
+    from repro.service import MaxCutService, TraceRecorder, zipf_requests
 
     service = MaxCutService(
-        seed=args.seed, disk_dir=args.disk_dir, tracing=args.trace
+        seed=args.seed,
+        disk_dir=args.disk_dir,
+        traces=TraceRecorder() if args.trace else None,
     )
     requests = zipf_requests(
         n_requests=args.requests,
@@ -232,7 +234,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     if args.http is not None:
-        from repro.service import serve_http
+        from repro.service import TraceRecorder, serve_http
 
         host, _, port_text = args.http.rpartition(":")
         if not host or not port_text.isdigit():
@@ -241,7 +243,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         serve_http(
             host,
             int(port_text),
-            http_options={"tracing": True} if args.trace else None,
+            http_options={"traces": TraceRecorder()} if args.trace else None,
             n_shards=args.shards,
             seed=args.seed,
             queue_depth=args.queue_depth,

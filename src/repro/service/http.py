@@ -47,7 +47,6 @@ import contextlib
 import json
 import numbers
 import threading
-import time
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -379,13 +378,13 @@ class HttpMaxCutServer:
                            body carries none (``None`` = wait forever)
     ``keepalive_s``        idle seconds before a kept-alive connection
                            is closed
-    ``tracing``            create a :class:`~repro.util.tracing.TraceContext`
-                           per ``/solve`` request (honouring an incoming
-                           ``X-Repro-Trace`` header), record the finished
-                           span tree in ``self.traces`` and echo the trace
-                           id in the response; pass ``traces=`` to supply
-                           a configured :class:`TraceRecorder` (JSONL
-                           sink, slow-request log) instead
+    ``traces``             a :class:`TraceRecorder` turns tracing on: each
+                           ``/solve`` request gets a
+                           :class:`~repro.util.tracing.TraceContext`
+                           (named by an incoming ``X-Repro-Trace`` header),
+                           whose finished span tree is recorded there and
+                           whose id is echoed in the response.  The HTTP
+                           layer is the trace's only owner on the wire.
 
     Lifecycle: ``await start()`` binds the socket; ``await stop()`` runs
     the graceful drain (close the listener, finish in-flight responses,
@@ -403,7 +402,6 @@ class HttpMaxCutServer:
         max_nodes: int = DEFAULT_MAX_NODES,
         default_deadline_s: Optional[float] = None,
         keepalive_s: float = DEFAULT_KEEPALIVE_S,
-        tracing: bool = False,
         traces: Optional[TraceRecorder] = None,
     ) -> None:
         if max_body_bytes < 1:
@@ -415,10 +413,7 @@ class HttpMaxCutServer:
         self.max_nodes = int(max_nodes)
         self.default_deadline_s = default_deadline_s
         self.keepalive_s = float(keepalive_s)
-        self.traces = traces if traces is not None else (
-            TraceRecorder() if tracing else None
-        )
-        self.tracing = self.traces is not None
+        self.traces = traces
         self.metrics = ServiceMetrics()
         self.host: Optional[str] = None
         self.port: Optional[int] = None
@@ -552,31 +547,26 @@ class HttpMaxCutServer:
                 return
             if request is None:
                 return  # clean EOF between requests
-            t0 = time.perf_counter()
             self.metrics.increment("http_requests")
             keep_alive = request.keep_alive and not self._shutting_down()
-            try:
-                status, payload, headers = await self._dispatch(request)
-            except _HttpReject as reject:
-                keep_alive = keep_alive and not reject.close
-                await self._respond_error(writer, reject, keep_alive=keep_alive)
-                self.metrics.observe("http", time.perf_counter() - t0)
-                if not keep_alive:
-                    return
-                continue
-            except (ConnectionError, asyncio.IncompleteReadError):
-                raise
-            except Exception as exc:  # transport bug: never kill the loop
-                reject = _HttpReject(
-                    "internal-error", f"{type(exc).__name__}: {exc}"
-                )
-                await self._respond_error(writer, reject, keep_alive=False)
-                self.metrics.observe("http", time.perf_counter() - t0)
-                return
-            await self._respond(
-                writer, status, payload, keep_alive=keep_alive, headers=headers
-            )
-            self.metrics.observe("http", time.perf_counter() - t0)
+            with self.metrics.stage("http"):
+                try:
+                    status, payload, headers = await self._dispatch(request)
+                except _HttpReject as reject:
+                    keep_alive = keep_alive and not reject.close
+                    await self._respond_error(writer, reject, keep_alive=keep_alive)
+                except (ConnectionError, asyncio.IncompleteReadError):
+                    raise
+                except Exception as exc:  # transport bug: never kill the loop
+                    keep_alive = False
+                    reject = _HttpReject(
+                        "internal-error", f"{type(exc).__name__}: {exc}"
+                    )
+                    await self._respond_error(writer, reject, keep_alive=False)
+                else:
+                    await self._respond(
+                        writer, status, payload, keep_alive=keep_alive, headers=headers
+                    )
             if not keep_alive:
                 return
 
@@ -739,23 +729,17 @@ class HttpMaxCutServer:
         payload["tree"] = trace.format_tree()
         return payload
 
-    def _finish_trace(self, trace: "TraceContext | NullTraceContext") -> None:
-        """Close and record an HTTP-owned trace (no-op for NO_TRACE)."""
-        if self.traces is not None and isinstance(trace, TraceContext):
-            trace.finish()
-            self.traces.record(trace)
-
     async def _solve(
         self, http_request: _Request
     ) -> Tuple[int, dict, Sequence[Tuple[str, str]]]:
         # The HTTP layer owns the trace: it creates the context (reusing
-        # the client's X-Repro-Trace id when one arrived), the shard
-        # worker appends its spans via SolveRequest.trace, and the
-        # ``finally`` below finishes + records it — including on error
-        # and deadline paths, where late spans from the still-running
-        # solve are dropped by the inert finished trace.
+        # the client's X-Repro-Trace id when one arrived), the server and
+        # shard worker add their spans via SolveRequest.trace, and the
+        # ``finally`` below records it — including on error and deadline
+        # paths, where late spans from the still-running solve are
+        # dropped by the inert finished trace.
         trace: "TraceContext | NullTraceContext" = NO_TRACE
-        if self.tracing:
+        if self.traces is not None:
             trace = TraceContext(http_request.trace_id or None)
         headers: Tuple[Tuple[str, str], ...] = (
             ((TRACE_HEADER, trace.trace_id),) if trace.enabled else ()
@@ -829,7 +813,8 @@ class HttpMaxCutServer:
                 )
             return 200, result_to_wire(result), headers
         finally:
-            self._finish_trace(trace)
+            if self.traces is not None:
+                self.traces.record(trace)
 
     # -- response writing ----------------------------------------------
     async def _respond_error(

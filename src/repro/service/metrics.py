@@ -33,6 +33,11 @@ coalesced + misses`` (rejected/shed submissions were never admitted and
 are counted separately; ``errors`` counts the subset of misses/coalesced
 answered with a captured error) — pinned by the server test suite.
 
+The histograms of timed stages (the service's fingerprint, lookup and
+store, the HTTP layer's http) are fed by :meth:`ServiceMetrics.stage`,
+which on a traced request shares the stage span's clock readings; the
+request and batch histograms record observed values.
+
 All mutation goes through one lock per :class:`ServiceMetrics` instance,
 so shard worker threads and the event-loop thread can share a recorder.
 """
@@ -41,9 +46,13 @@ from __future__ import annotations
 
 import re
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import time
+from contextlib import contextmanager
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.util.tracing import NO_TRACE, NullTraceContext, Span, TraceContext
 
 # Reservoir cap per histogram: enough samples for stable p50/p95 at the
 # request volumes an in-process service sees, bounded so long-lived
@@ -177,6 +186,22 @@ class LatencyStats:
         ]
 
 
+class _Clock:
+    """An untraced stage's two clock readings (a traced stage uses its span's)."""
+
+    __slots__ = ("start", "end")
+
+    def __init__(self) -> None:
+        self.start = self.end = time.perf_counter()
+
+    @property
+    def wall_s(self) -> float:
+        return self.end - self.start
+
+    def set(self, **attrs: object) -> "_Clock":
+        return self
+
+
 class ServiceMetrics:
     """Counter map + named latency histograms, with a text report."""
 
@@ -209,6 +234,27 @@ class ServiceMetrics:
             if stats is None:
                 stats = self.latencies[name] = LatencyStats(self._reservoir)
             stats.observe(seconds)
+
+    @contextmanager
+    def stage(
+        self, name: str, trace: "TraceContext | NullTraceContext" = NO_TRACE
+    ) -> Iterator["Span | _Clock"]:
+        """Time one stage with one pair of clock readings.
+
+        On a live trace the readings are the ``name`` span's own, so the
+        ``name`` histogram sample equals the span's ``wall_s`` and
+        ``/metrics`` cannot disagree with ``/trace/<id>``; otherwise the
+        stage reads the clock itself.  The yielded span (or clock) takes
+        attributes with ``set()`` and holds ``wall_s`` after the block.
+        """
+        try:
+            with trace.span(name) as span:
+                timed = span if isinstance(span, Span) else _Clock()
+                yield timed
+        finally:
+            if isinstance(timed, _Clock):
+                timed.end = time.perf_counter()
+            self.observe(name, timed.wall_s)
 
     def percentile(self, name: str, q: float) -> float:
         stats = self.latencies.get(name)

@@ -66,8 +66,7 @@ from repro.service.service import (
     build_request,
 )
 from repro.service.sharding import ShardRouter
-from repro.service.trace import TraceRecorder
-from repro.util.tracing import NO_TRACE, NullTraceContext, TraceContext
+from repro.util.tracing import NullTraceContext, TraceContext
 
 DEFAULT_QUEUE_DEPTH = 64
 DEFAULT_MAX_BATCH = 16
@@ -89,12 +88,8 @@ class _Submission:
     request: SolveRequest
     key: RequestKey
     future: asyncio.Future
-    # Observability: the request's trace, when it was admitted (for the
-    # retroactive shard-queue span), and whether this server created the
-    # trace (and therefore finishes + records it on resolve).
-    trace: "TraceContext | NullTraceContext" = NO_TRACE
-    enqueued: float = 0.0
-    owns_trace: bool = False
+    # When it was admitted, for the retroactive shard-queue span.
+    enqueued: float
 
 
 @dataclass
@@ -131,10 +126,12 @@ class AsyncMaxCutServer:
                           ``<disk_dir>/shard-<kk>/cache.log``
     ``service_factory``   override shard construction entirely
                           (``factory(shard_index) -> MaxCutService``)
-    ``tracing``           attach a span-tree trace to every submission and
-                          record it in ``traces`` (a :class:`TraceRecorder`
-                          ring buffer; pass ``traces=`` for sink/slow-log
-                          knobs) — see docs/observability.md
+
+    Tracing: the server owns no trace.  It adds its spans
+    (``shard-queue``, ``coalesced-inflight``) and the ``shard``
+    annotation to whatever trace a request carries, which its creator
+    (the HTTP front end, or a caller) finishes and records — see
+    docs/observability.md.
     """
 
     def __init__(
@@ -151,8 +148,6 @@ class AsyncMaxCutServer:
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
         service_factory: Optional[Callable[[int], MaxCutService]] = None,
-        tracing: bool = False,
-        traces: Optional[TraceRecorder] = None,
     ) -> None:
         if admission not in ADMISSION_POLICIES:
             raise ValueError(
@@ -186,16 +181,6 @@ class AsyncMaxCutServer:
                     error_mode="capture",
                 )
 
-        # Request tracing: off by default (submissions carry NO_TRACE and
-        # every span call is a no-op).  When on, submit() attaches a fresh
-        # TraceContext to each un-traced request and records it at resolve
-        # time; requests arriving with a live trace (the HTTP front end)
-        # keep theirs and are finished by their creator instead.  Pass a
-        # preconfigured TraceRecorder for JSONL sink / slow-log knobs.
-        self.traces = (
-            traces if traces is not None else (TraceRecorder() if tracing else None)
-        )
-        self.tracing = self.traces is not None
         self.router = ShardRouter(n_shards, service_factory)
         self._inflight: dict[str, _InFlight] = {}
         self._queues: List[asyncio.Queue] = []
@@ -280,14 +265,6 @@ class AsyncMaxCutServer:
             raise ServerOverloaded("server is draining (shutdown in progress)")
         request = build_request(graph, request=request, **options)
         loop = asyncio.get_running_loop()
-
-        # Attach a trace to untraced submissions when tracing is on; a
-        # request arriving with a live trace (HTTP front end) keeps it and
-        # its creator finishes it.
-        owns_trace = False
-        if self.tracing and not request.trace.enabled:
-            request.trace = TraceContext()
-            owns_trace = True
         trace = request.trace
 
         # The request's identity depends only on the shared master seed,
@@ -311,9 +288,7 @@ class AsyncMaxCutServer:
             service.metrics.increment("requests")
             service.metrics.increment("coalesced")
             service.metrics.increment("coalesced_inflight")
-            return loop.create_task(
-                self._follow(service, inflight, key, trace, owns_trace)
-            )
+            return loop.create_task(self._follow(service, inflight, key, trace))
 
         # Inline cache probe on the owning shard (cheap; the cache is
         # thread-safe against the shard worker).  Counted and timed exactly
@@ -325,17 +300,11 @@ class AsyncMaxCutServer:
             service.metrics.observe("request", hit.elapsed)
             done: asyncio.Future = loop.create_future()
             done.set_result(hit)
-            self._finish_owned(trace, owns_trace)
             return done
 
         future: asyncio.Future = loop.create_future()
         submission = _Submission(
-            request=request,
-            key=key,
-            future=future,
-            trace=trace,
-            enqueued=time.perf_counter(),
-            owns_trace=owns_trace,
+            request=request, key=key, future=future, enqueued=time.perf_counter()
         )
         queue = self._queues[shard_index]
         try:
@@ -415,8 +384,7 @@ class AsyncMaxCutServer:
         service: MaxCutService,
         inflight: _InFlight,
         key: RequestKey,
-        trace: "TraceContext | NullTraceContext" = NO_TRACE,
-        owns_trace: bool = False,
+        trace: "TraceContext | NullTraceContext",
     ) -> ServiceResult:
         """Piggyback on another client's in-flight solve for ``key``.
 
@@ -427,7 +395,6 @@ class AsyncMaxCutServer:
         t0 = time.perf_counter()
         with trace.span("coalesced-inflight", owner=inflight.trace_id):
             owner: ServiceResult = await asyncio.shield(inflight.future)
-        self._finish_owned(trace, owns_trace)
         elapsed = time.perf_counter() - t0
         service.metrics.observe("request", elapsed)
         if owner.failed:
@@ -471,7 +438,9 @@ class AsyncMaxCutServer:
         # path ever opening a span it could leak.
         now = time.perf_counter()
         for sub in batch:
-            sub.trace.add_span("shard-queue", sub.enqueued, now, shard=shard_index)
+            sub.request.trace.add_span(
+                "shard-queue", sub.enqueued, now, shard=shard_index
+            )
         return service.solve_many([sub.request for sub in batch])
 
     async def _worker(self, shard_index: int) -> None:
@@ -512,7 +481,6 @@ class AsyncMaxCutServer:
             del self._inflight[submission.key.digest]
         if not submission.future.done():
             submission.future.set_result(result)
-        self._finish_owned(submission.trace, submission.owns_trace)
 
     def _fail_batch(self, batch: List[_Submission], exc: BaseException) -> None:
         for submission in batch:
@@ -523,16 +491,7 @@ class AsyncMaxCutServer:
                 submission.future.set_exception(
                     RequestError(f"{type(exc).__name__}: {exc}")
                 )
-            submission.trace.annotate(error=type(exc).__name__)
-            self._finish_owned(submission.trace, submission.owns_trace)
-
-    def _finish_owned(
-        self, trace: "TraceContext | NullTraceContext", owns_trace: bool
-    ) -> None:
-        """Finish + record a trace this server created (no-op otherwise)."""
-        if owns_trace and self.traces is not None:
-            trace.finish()
-            self.traces.record(trace)
+            submission.request.trace.annotate(error=type(exc).__name__)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -555,9 +514,6 @@ class AsyncMaxCutServer:
         for index, service in enumerate(self.services):
             parts.append("")
             parts.append(f"shard {index} " + service.cache.format_summary())
-        if self.traces is not None and len(self.traces):
-            parts.append("")
-            parts.append(self.traces.format_stage_table())
         return "\n".join(parts)
 
 

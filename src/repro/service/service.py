@@ -150,7 +150,6 @@ class MaxCutService:
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
         error_mode: str = "raise",
-        tracing: bool = False,
         traces: Optional[TraceRecorder] = None,
     ) -> None:
         if error_mode not in ("raise", "capture"):
@@ -185,15 +184,11 @@ class MaxCutService:
         # the store-everything behaviour.
         self.cache_cost_floor = cache_cost_floor
         self.error_mode = error_mode
-        # Request tracing (off by default — requests then carry NO_TRACE
-        # and every span call is a shared no-op).  When enabled the
-        # service creates a TraceContext per un-traced request in
-        # ``solve_many`` and files it with the recorder; requests arriving
-        # with a live trace (async server / HTTP front end) keep theirs.
-        self.traces = (
-            traces if traces is not None else (TraceRecorder() if tracing else None)
-        )
-        self.tracing = self.traces is not None
+        # Request tracing is on when a recorder is given: ``solve_many``
+        # traces a copy of each request that arrived untraced and records
+        # it.  Requests arriving with a live trace (HTTP front end, or a
+        # caller's own) keep it; its creator finishes and records it.
+        self.traces = traces
 
     # ------------------------------------------------------------------
     # Facade
@@ -230,14 +225,15 @@ class MaxCutService:
         requests = list(requests)
         self.metrics.increment("requests", len(requests))
 
-        # Service-owned tracing: attach a fresh trace to each request that
-        # arrived without one; those are finished and recorded here.
-        owned_traces: List["TraceContext"] = []
+        # Service-owned tracing: each request that arrived untraced is
+        # traced as a copy, so the caller's object keeps NO_TRACE and can
+        # be submitted again; its trace is recorded when the batch ends.
+        owned: List[TraceContext] = []
         if self.traces is not None:
-            for request in requests:
+            for idx, request in enumerate(requests):
                 if not request.trace.enabled:
-                    request.trace = TraceContext()
-                    owned_traces.append(request.trace)
+                    owned.append(TraceContext())
+                    requests[idx] = replace(request, trace=owned[-1])
 
         keys = [self.describe(request) for request in requests]
         fps = [key.fp for key in keys]
@@ -283,10 +279,8 @@ class MaxCutService:
                     digests[owner_idx], fps[owner_idx], seeds[owner_idx], raw
                 )
                 if self._should_cache(raw, entry):
-                    t0 = time.perf_counter()
-                    with requests[owner_idx].trace.span("store"):
+                    with self.metrics.stage("store", requests[owner_idx].trace):
                         self.cache.put(entry)
-                    self.metrics.observe("cache_store", time.perf_counter() - t0)
                 # Coalesced members share the digest, hence the canonical
                 # graph — but may label it differently.  Map the canonical
                 # assignment once per distinct relabeling so identical
@@ -317,7 +311,7 @@ class MaxCutService:
             self.metrics.observe("request", res.elapsed)
         self.metrics.observe("batch", time.perf_counter() - t_batch)
         if self.traces is not None:
-            for trace in owned_traces:
+            for trace in owned:
                 self.traces.record(trace)
         return out
 
@@ -332,8 +326,7 @@ class MaxCutService:
         duplicates, then the shard's ``solve_many`` reuses the memoised
         fingerprint.
         """
-        t0 = time.perf_counter()
-        with request.trace.span("fingerprint") as span:
+        with self.metrics.stage("fingerprint", request.trace) as span:
             fp = canonical_fingerprint(request.graph)
             seed = self._resolve_seed(request, fp)
             digest = request_digest(
@@ -345,7 +338,6 @@ class MaxCutService:
                 seed=seed,
             )
             span.set(fingerprint_prefix=fp.digest[:10])
-        self.metrics.observe("fingerprint", time.perf_counter() - t0)
         return RequestKey(fp=fp, seed=seed, digest=digest)
 
     def lookup(
@@ -363,15 +355,12 @@ class MaxCutService:
         """
         if not self.use_cache:
             return None
-        t0 = time.perf_counter()
-        with trace.span("lookup") as span:
+        with self.metrics.stage("lookup", trace) as span:
             entry, tier = self.cache.get_tiered(key.digest)
             hit = entry is not None and entry.matches(key.fp)
             span.set(cache_tier=tier if hit else "miss")
         if hit and entry is not None:
-            return self._result_from_entry(
-                entry, key.fp, key.seed, tier, time.perf_counter() - t0
-            )
+            return self._result_from_entry(entry, key.fp, key.seed, tier, span.wall_s)
         return None
 
     def _should_cache(self, raw: dict, entry: CacheEntry) -> bool:
@@ -387,7 +376,7 @@ class MaxCutService:
             # (+ the store itself, paid once) — both continuously
             # measured on this very instance.
             fingerprint = self.metrics.latencies.get("fingerprint")
-            store = self.metrics.latencies.get("cache_store")
+            store = self.metrics.latencies.get("store")
             floor = (fingerprint.mean if fingerprint is not None else 0.0) + (
                 store.mean if store is not None and store.count else 0.0
             )

@@ -13,8 +13,8 @@ from repro.graphs.maxcut import cut_value
 from repro.hpc.executor import ExecutorConfig
 from repro.qaoa2 import QAOA2Solver
 from repro.qaoa2.solver import LOCKSTEP_MIN_LEAVES, _solve_subgraph_job
-from repro.service import MaxCutService, SolveRequest, zipf_requests
-from repro.util.tracing import TraceContext
+from repro.service import MaxCutService, SolveRequest, TraceRecorder, zipf_requests
+from repro.util.tracing import NO_TRACE, TraceContext
 
 from test_qaoa2_solver import _same_solution
 
@@ -123,8 +123,9 @@ class TestCacheCorrectness:
 
     def test_process_executor_matches_serial(self):
         """Requests pickled into worker processes give the serial answers,
-        and each caller's request keeps its own trace: the scheduler sends
-        the workers copies without traces."""
+        and each request keeps its own trace: the service traces copies of
+        its callers' requests, and the scheduler sends the workers copies
+        without traces."""
         requests = [
             SolveRequest(graph=erdos_renyi(11, 0.35, weighted=True, rng=k),
                          options=OPTIONS, seed=k)
@@ -132,7 +133,7 @@ class TestCacheCorrectness:
         ]
         serial = MaxCutService(seed=0).solve_many(requests)
         service = MaxCutService(
-            seed=0, executor=ExecutorConfig("process", 2), tracing=True
+            seed=0, executor=ExecutorConfig("process", 2), traces=TraceRecorder()
         )
         pooled = service.solve_many(requests)
         assert service.metrics.count("executor_retries") == 0
@@ -140,15 +141,14 @@ class TestCacheCorrectness:
             assert b.status == "solved"
             assert a.cut == b.cut and a.params == b.params
             assert np.array_equal(a.assignment, b.assignment)
-        traces = [request.trace for request in requests]
-        assert all(isinstance(trace, TraceContext) for trace in traces)
-        assert len({id(trace) for trace in traces}) == len(requests)
-        for trace in traces:
-            assert service.traces.get(trace.trace_id) is trace
+        assert service.traces.recorded_total == len(requests)
+        assert all(request.trace is NO_TRACE for request in requests)
         # The scheduler itself strips traces on copies, never on the
         # requests it is handed.
-        service.scheduler.run(requests)
-        assert all(r.trace is t for r, t in zip(requests, traces, strict=True))
+        traced = [replace(request, trace=TraceContext()) for request in requests]
+        traces = [request.trace for request in traced]
+        service.scheduler.run(traced)
+        assert all(r.trace is t for r, t in zip(traced, traces, strict=True))
 
     def test_seedless_request_needs_the_service(self, graph):
         """A leaf job needs an explicit seed; the service derives one."""
@@ -320,9 +320,10 @@ class TestSchedulerLockstep:
 
     def test_each_member_traces_one_solve_span(self):
         requests = self.requests(self.GRAPHS)
-        MaxCutService(seed=0, tracing=True).solve_many(requests)
-        for request in requests:
-            solves = [s for s in request.trace.iter_spans() if s.name == "solve"]
+        service = MaxCutService(seed=0, traces=TraceRecorder())
+        service.solve_many(requests)
+        for trace in service.traces.last(len(requests)):
+            solves = [s for s in trace.iter_spans() if s.name == "solve"]
             assert len(solves) == 1
             assert solves[0].attrs["leaves"] == len(self.GRAPHS)
 
@@ -331,16 +332,19 @@ class TestSchedulerLockstep:
         requests[2] = SolveRequest(
             graph=requests[2].graph, options={**OPTIONS, "optimizer": "bogus"}, seed=2
         )
-        service = MaxCutService(seed=0, error_mode="capture", tracing=True)
+        service = MaxCutService(
+            seed=0, error_mode="capture", traces=TraceRecorder()
+        )
         results = service.solve_many(requests)
         assert scheduler_jobs == [[len(requests)]]  # then one request at a time
         assert service.metrics.count("executor_retries") == 1
         assert [r.failed for r in results] == [k == 2 for k in range(len(requests))]
         assert "unknown optimizer 'bogus'" in results[2].extra["error"]
+        traces = service.traces.last(len(requests))
         for k, (request, result) in enumerate(zip(requests, results, strict=True)):
             if k != 2:
                 self.assert_reference(request, result)
-                solves = [s for s in request.trace.iter_spans() if s.name == "solve"]
+                solves = [s for s in traces[k].iter_spans() if s.name == "solve"]
                 assert len(solves) == 1
 
 

@@ -335,6 +335,14 @@ class TestExecutorFaults:
         # fingerprint+store, so auto mode admits it.
         assert second.status == "hit-memory"
 
+    def test_cache_cost_floor_auto_includes_the_store_mean(self):
+        graph = erdos_renyi(10, 0.4, weighted=True, rng=2)
+        service = MaxCutService(seed=0, cache_cost_floor="auto")
+        service.metrics.observe("store", 1e9)  # an absurdly dear store
+        service.solve(graph, seed=1, **OPTIONS)
+        assert service.metrics.count("cache_skipped") == 1
+        assert len(service.cache) == 0
+
     def test_cache_cost_floor_validation(self):
         with pytest.raises(ValueError, match="cache_cost_floor"):
             MaxCutService(seed=0, cache_cost_floor="always")

@@ -21,7 +21,10 @@ from repro.service import (
     AsyncMaxCutServer,
     HttpMaxCutClient,
     MaxCutService,
+    SolveRequest,
     TraceRecorder,
+    build_request,
+    zipf_requests,
 )
 from repro.service.http import TRACE_HEADER, HttpServerThread
 from repro.util.tracing import NO_TRACE, TraceContext
@@ -44,15 +47,13 @@ class TestServiceTracing:
     def test_disabled_by_default_zero_spans(self):
         service = MaxCutService(seed=0)
         graph = erdos_renyi(10, 0.4, weighted=True, rng=1)
-        from repro.service import build_request
-
         request = build_request(graph, seed=2, **OPTIONS)
         service.solve_many([request])
         assert service.traces is None
         assert request.trace is NO_TRACE  # never replaced, never recorded
 
     def test_tracing_records_solve_stages(self):
-        service = MaxCutService(seed=0, tracing=True)
+        service = MaxCutService(seed=0, traces=TraceRecorder())
         graph = erdos_renyi(10, 0.4, weighted=True, rng=1)
         result = service.solve(graph, seed=2, **OPTIONS)
         assert not result.failed
@@ -63,7 +64,7 @@ class TestServiceTracing:
                 "cut_diagonal", "evolve_chunk", "store"} <= names
 
     def test_cache_hit_trace_has_no_solve_span(self):
-        service = MaxCutService(seed=0, tracing=True)
+        service = MaxCutService(seed=0, traces=TraceRecorder())
         graph = erdos_renyi(10, 0.4, weighted=True, rng=3)
         service.solve(graph, seed=2, **OPTIONS)
         service.solve(graph, seed=2, **OPTIONS)
@@ -82,7 +83,7 @@ class TestServiceTracing:
         assert (tmp_path / "t.jsonl").read_text().count("\n") == 1
 
     def test_stats_report_includes_stage_breakdown(self):
-        service = MaxCutService(seed=0, tracing=True)
+        service = MaxCutService(seed=0, traces=TraceRecorder())
         graph = erdos_renyi(10, 0.4, weighted=True, rng=5)
         service.solve(graph, seed=1, **OPTIONS)
         report = service.stats_report()
@@ -92,10 +93,8 @@ class TestServiceTracing:
     def test_caller_supplied_trace_is_not_recorded_by_service(self):
         # The creator owns the trace: a pre-traced request must flow
         # through without the service finishing or recording it.
-        service = MaxCutService(seed=0, tracing=True)
+        service = MaxCutService(seed=0, traces=TraceRecorder())
         graph = erdos_renyi(10, 0.4, weighted=True, rng=6)
-        from repro.service import build_request
-
         request = build_request(graph, seed=1, **OPTIONS)
         request.trace = TraceContext("caller-owned")
         service.solve_many([request])
@@ -104,65 +103,102 @@ class TestServiceTracing:
         assert "solve" in span_names(request.trace)
         request.trace.finish()
 
+    def test_resubmitted_request_is_traced_each_time(self):
+        # The service traces a copy: the caller's request keeps NO_TRACE,
+        # so submitting the same object again is traced and recorded again.
+        service = MaxCutService(seed=0, traces=TraceRecorder())
+        graph = erdos_renyi(10, 0.4, weighted=True, rng=9)
+        request = build_request(graph, seed=1, **OPTIONS)
+        service.solve_many([request])
+        service.solve_many([request])
+        assert service.traces.recorded_total == 2
+        cold, hit = service.traces.last(2)
+        assert "solve" in span_names(cold) and "solve" not in span_names(hit)
+        assert request.trace is NO_TRACE
+
+    def test_stage_histograms_share_their_spans_clock(self):
+        # Each fingerprint/lookup/store histogram sample is its span's
+        # wall time: one pair of clock readings feeds both.
+        service = MaxCutService(seed=0, traces=TraceRecorder())
+        requests = zipf_requests(
+            n_requests=8, universe=3, n_nodes=8, options=OPTIONS, rng=0
+        )
+        service.solve_many(requests[:4])
+        service.solve_many(requests[4:])
+        traces = service.traces.last(len(requests))
+        for stage in ("fingerprint", "lookup", "store"):
+            walls = [
+                span.wall_s
+                for trace in traces
+                for span in trace.iter_spans()
+                if span.name == stage
+            ]
+            assert walls and service.metrics.latencies[stage]._samples == walls
+        assert "cache_store" not in service.metrics.latencies
+
 
 # ---------------------------------------------------------------------------
 # AsyncMaxCutServer-level tracing (coalesced followers)
 # ---------------------------------------------------------------------------
 class TestServerTracing:
+    """The async server owns no trace: it adds its spans to the trace a
+    request carries and never finishes or records it."""
+
     def test_coalesced_follower_records_owner_reference(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=2)
+        owner, follower = TraceContext(), TraceContext()
 
         async def main():
-            async with AsyncMaxCutServer(seed=0, tracing=True) as server:
-                f1 = server.submit(graph, seed=4, **OPTIONS)
-                f2 = server.submit(graph, seed=4, **OPTIONS)
-                r1, r2 = await asyncio.gather(f1, f2)
-                return server, r1, r2
+            async with AsyncMaxCutServer(seed=0) as server:
+                f1 = server.submit(request=traced(graph, 4, owner))
+                f2 = server.submit(request=traced(graph, 4, follower))
+                return await asyncio.gather(f1, f2)
 
-        server, r1, r2 = asyncio.run(main())
+        _, r2 = asyncio.run(main())
         assert r2.status == "coalesced-inflight"
-        assert server.traces is not None and len(server.traces) == 2
-        by_signature = {
-            trace: span_names(trace) for trace in server.traces.last(2)
-        }
-        owner = next(t for t, names in by_signature.items() if "solve" in names)
-        follower = next(
-            t for t, names in by_signature.items()
-            if "coalesced-inflight" in names
-        )
-        assert owner is not follower
+        assert not owner.finished and not follower.finished
+        assert "solve" in span_names(owner)
+        assert "solve" not in span_names(follower)
         (span,) = [
             s for s in follower.iter_spans() if s.name == "coalesced-inflight"
         ]
         assert span.attrs["owner"] == owner.trace_id
-        assert "solve" not in by_signature[follower]
 
     def test_owner_trace_covers_queue_and_solve(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=7)
+        trace = TraceContext()
 
         async def main():
-            async with AsyncMaxCutServer(seed=0, tracing=True) as server:
-                result = await server.submit(graph, seed=1, **OPTIONS)
-                return server, result
+            async with AsyncMaxCutServer(seed=0) as server:
+                return await server.submit(request=traced(graph, 1, trace))
 
-        server, result = asyncio.run(main())
+        result = asyncio.run(main())
         assert not result.failed
-        trace = server.traces.last(1)[0]
+        assert not trace.finished
         names = span_names(trace)
         assert {"shard-queue", "solve", "evolve_chunk", "store"} <= names
         (queue,) = [s for s in trace.iter_spans() if s.name == "shard-queue"]
         assert "shard" in queue.attrs
+        assert trace.root.attrs["shard"] == queue.attrs["shard"]
 
-    def test_untraced_server_records_nothing(self):
+    def test_untraced_submission_stays_untraced(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=8)
+        request = build_request(graph, seed=1, **OPTIONS)
 
         async def main():
             async with AsyncMaxCutServer(seed=0) as server:
-                await server.submit(graph, seed=1, **OPTIONS)
-                return server
+                cold = await server.submit(request=request)
+                hit = await server.submit(request=request)
+                return server, cold, hit
 
-        server = asyncio.run(main())
-        assert server.traces is None
+        server, cold, hit = asyncio.run(main())
+        assert (cold.status, hit.status) == ("solved", "hit-memory")
+        assert request.trace is NO_TRACE
+        assert all(service.traces is None for service in server.services)
+
+
+def traced(graph, seed, trace):
+    return SolveRequest(graph=graph, options=dict(OPTIONS), seed=seed, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +208,7 @@ class TestHttpTracing:
     def test_trace_id_survives_http_round_trip(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=3)
         with HttpServerThread(
-            n_shards=2, seed=0, http_options={"tracing": True}
+            n_shards=2, seed=0, http_options={"traces": TraceRecorder()}
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
                 result = client.solve(
@@ -196,7 +232,7 @@ class TestHttpTracing:
     def test_server_names_trace_when_client_sends_no_header(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=4)
         with HttpServerThread(
-            n_shards=1, seed=0, http_options={"tracing": True}
+            n_shards=1, seed=0, http_options={"traces": TraceRecorder()}
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
                 client.solve(graph, seed=1, **OPTIONS)
@@ -218,7 +254,7 @@ class TestHttpTracing:
 
     def test_unknown_trace_id_is_404(self):
         with HttpServerThread(
-            n_shards=1, seed=0, http_options={"tracing": True}
+            n_shards=1, seed=0, http_options={"traces": TraceRecorder()}
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
                 status, payload = client.request("GET", "/trace/nope")
@@ -238,7 +274,10 @@ class TestHttpTracing:
         assert series[("repro_solves_total", "")] == 1.0
         # The HTTP layer exports under its own namespace.
         assert any(name.startswith("repro_http_") for name, _ in series)
-        assert types["repro_request_seconds"] == "histogram"
+        for histogram in ("request", "fingerprint", "lookup", "store"):
+            assert types[f"repro_{histogram}_seconds"] == "histogram"
+        assert "repro_cache_store_seconds" not in types
+        assert types["repro_http_http_seconds"] == "histogram"
 
     def test_metrics_method_not_allowed(self):
         with HttpServerThread(n_shards=1, seed=0) as handle:
@@ -250,7 +289,7 @@ class TestHttpTracing:
     def test_stats_payload_gains_trace_stages(self):
         graph = erdos_renyi(10, 0.4, weighted=True, rng=7)
         with HttpServerThread(
-            n_shards=1, seed=0, http_options={"tracing": True}
+            n_shards=1, seed=0, http_options={"traces": TraceRecorder()}
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
                 client.solve(graph, seed=1, **OPTIONS)
@@ -261,7 +300,7 @@ class TestHttpTracing:
 
     def test_bad_request_still_echoes_trace_header(self):
         with HttpServerThread(
-            n_shards=1, seed=0, http_options={"tracing": True}
+            n_shards=1, seed=0, http_options={"traces": TraceRecorder()}
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
                 status, payload = client.request(
@@ -314,6 +353,14 @@ class TestCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["trace_stages"]["request"]["count"] == 6
+        latencies = payload["metrics"]["latencies"]
+        for stage in ("fingerprint", "lookup", "store"):
+            spans = payload["trace_stages"][stage]
+            assert latencies[stage]["count"] == spans["count"]
+            assert latencies[stage]["mean"] * spans["count"] == pytest.approx(
+                spans["wall_s"]
+            )
+        assert "cache_store" not in latencies
 
     def test_service_stats_text_with_trace(self, capsys):
         assert cli_main(["service-stats", "--trace", *self.ARGS]) == 0
