@@ -109,11 +109,17 @@ class HttpMaxCutClient:
         closed an idle connection between our requests) — a fresh
         connection distinguishes "server gone" from "connection expired".
         """
-        body = (
-            None
-            if payload is None
-            else json.dumps(jsonable(payload)).encode("utf-8")
-        )
+        return self._round_trip(method, path, jsonable(payload), headers)
+
+    def _round_trip(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[dict],
+        headers: Optional[dict],
+    ) -> Tuple[int, dict]:
+        """:meth:`request` for a payload already made of strict-JSON builtins."""
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
         headers = dict(headers or {})
         if body is not None:
             headers.setdefault("Content-Type", "application/json")
@@ -177,11 +183,11 @@ class HttpMaxCutClient:
         """
         solve_request = build_request(graph, request=request, **options)
         headers = {} if trace_id is None else {TRACE_HEADER: str(trace_id)}
-        status, payload = self.request(
+        status, payload = self._round_trip(
             "POST",
             "/solve",
             request_to_wire(solve_request, deadline_s=deadline_s),
-            headers=headers,
+            headers,
         )
         if status != 200:
             self._raise_for(status, payload)

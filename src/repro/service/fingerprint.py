@@ -87,8 +87,9 @@ class GraphFingerprint:
 # ---------------------------------------------------------------------------
 def _neighbor_lists(graph: Graph) -> List[List[Tuple[int, float]]]:
     nbrs: List[List[Tuple[int, float]]] = [[] for _ in range(graph.n_nodes)]
-    for a, b, w in zip(graph.u, graph.v, graph.w, strict=True):
-        a, b, w = int(a), int(b), float(w)
+    for a, b, w in zip(
+        graph.u.tolist(), graph.v.tolist(), graph.w.tolist(), strict=True
+    ):
         nbrs[a].append((b, w))
         nbrs[b].append((a, w))
     return nbrs
@@ -113,6 +114,10 @@ def _refine(colors: List[int], nbrs) -> List[int]:
     """
     n = len(colors)
     n_colors = len(set(colors))
+    if n_colors == n:
+        # Already discrete, hence stable: each signature leads with the
+        # node's own colour, so a round would only renumber by that order.
+        return colors
     while True:
         sigs = [
             (colors[i], tuple(sorted((colors[j], w) for j, w in nbrs[i])))
@@ -309,6 +314,45 @@ def config_token(config) -> str:
     return json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
 
 
+def solver_config(
+    *,
+    method: str,
+    options: Optional[dict] = None,
+    qaoa_grid: Optional[Sequence[dict]] = None,
+    gw_options: Optional[dict] = None,
+) -> str:
+    """A request's solver configuration, serialised for :func:`config_digest`.
+
+    A request's seed-less and seeded digests both cover this string, so a
+    caller that needs both serialises the configuration once.  An absent
+    or empty field is written as ``config_token`` writes an empty one.
+    """
+    return "|".join(
+        (
+            str(method),
+            config_token(options) if options else "{}",
+            config_token(list(qaoa_grid)) if qaoa_grid else "[]",
+            config_token(gw_options) if gw_options else "{}",
+        )
+    )
+
+
+def config_digest(graph_digest: str, config: str, seed: Optional[int]) -> str:
+    """The request digest of a graph digest, a :func:`solver_config` and a seed."""
+    payload = "|".join(
+        (
+            graph_digest,
+            config,
+            "auto" if seed is None else str(int(seed)),
+            # A constant now, kept so digests stay where they were: seeds
+            # of requests that carry none derive from this digest, so the
+            # zipf_http checksums and every disk-log record depend on it.
+            "batched",
+        )
+    )
+    return hashlib.sha256(("request|" + payload).encode()).hexdigest()[:32]
+
+
 def request_digest(
     graph_digest: str,
     *,
@@ -325,21 +369,10 @@ def request_digest(
     deterministic computation (bit-identical for byte-equal graphs,
     isomorphism-mapped for relabelled ones).
     """
-    payload = "|".join(
-        (
-            graph_digest,
-            str(method),
-            config_token(options or {}),
-            config_token(list(qaoa_grid) if qaoa_grid else []),
-            config_token(gw_options or {}),
-            "auto" if seed is None else str(int(seed)),
-            # A constant now, kept so digests stay where they were: seeds
-            # of requests that carry none derive from this digest, so the
-            # zipf_http checksums and every disk-log record depend on it.
-            "batched",
-        )
+    config = solver_config(
+        method=method, options=options, qaoa_grid=qaoa_grid, gw_options=gw_options
     )
-    return hashlib.sha256(("request|" + payload).encode()).hexdigest()[:32]
+    return config_digest(graph_digest, config, seed)
 
 
 __all__ = [
@@ -347,6 +380,8 @@ __all__ = [
     "DEFAULT_MAX_SEARCH_NODES",
     "GraphFingerprint",
     "canonical_fingerprint",
+    "config_digest",
     "config_token",
     "request_digest",
+    "solver_config",
 ]

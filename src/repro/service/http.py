@@ -45,9 +45,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import numbers
 import threading
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,6 +132,7 @@ _SOLVE_KEYS = frozenset(
     {"graph", "method", "options", "qaoa_grid", "gw_options", "seed", "deadline_s"}
 )
 _GRAPH_KEYS = frozenset({"n_nodes", "edges"})
+_INT64 = np.iinfo(np.int64)
 
 
 class WireFormatError(ValueError):
@@ -146,6 +148,15 @@ def jsonable(obj):
     NumPy scalars/arrays become Python numbers/lists; non-finite floats
     become ``None`` (strict JSON has no NaN/Infinity).
     """
+    # Exact builtins first: a wire payload is mostly ints, floats and
+    # lists, which need no ABC checks (``type(True)`` is not ``int``).
+    kind = type(obj)
+    if kind is int or kind is str or obj is None:
+        return obj
+    if kind is float:
+        return obj if math.isfinite(obj) else None
+    if kind is list:
+        return [jsonable(item) for item in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, numbers.Integral):
@@ -164,14 +175,22 @@ def jsonable(obj):
 def graph_to_wire(graph: Graph) -> dict:
     """``{"n_nodes": n, "edges": [[u, v, w], ...]}`` (docs/http-api.md)."""
     edges = [
-        [int(a), int(b), float(weight)]
-        for a, b, weight in zip(graph.u, graph.v, graph.w, strict=True)
+        [a, b, weight]
+        for a, b, weight in zip(
+            graph.u.tolist(), graph.v.tolist(), graph.w.tolist(), strict=True
+        )
     ]
     return {"n_nodes": int(graph.n_nodes), "edges": edges}
 
 
 def graph_from_wire(payload: object, *, max_nodes: int = DEFAULT_MAX_NODES) -> Graph:
-    """Validate and decode the wire graph schema into a :class:`Graph`."""
+    """Validate and decode the wire graph schema into a :class:`Graph`.
+
+    One pass checks each edge's shape and types (exact ``int``/``float``
+    first, as ``json.loads`` makes them) and collects the endpoint and
+    weight arrays ``Graph`` canonicalises; ``Graph`` then applies its own
+    range, self-loop, duplicate and finiteness checks.
+    """
     if not isinstance(payload, dict):
         raise WireFormatError("'graph' must be an object")
     unknown = set(payload) - _GRAPH_KEYS
@@ -191,26 +210,50 @@ def graph_from_wire(payload: object, *, max_nodes: int = DEFAULT_MAX_NODES) -> G
     edges = payload.get("edges", [])
     if not isinstance(edges, list):
         raise WireFormatError("'graph.edges' must be a list")
-    triples = []
+    us: List[int] = []
+    vs: List[int] = []
+    weights: List[float] = []
     for index, edge in enumerate(edges):
         if not isinstance(edge, (list, tuple)) or len(edge) not in (2, 3):
             raise WireFormatError(
                 f"edge {index} must be [u, v] or [u, v, weight]"
             )
         a, b = edge[0], edge[1]
-        for endpoint in (a, b):
-            if isinstance(endpoint, bool) or not isinstance(endpoint, int):
-                raise WireFormatError(
-                    f"edge {index} endpoints must be integers"
-                )
+        if type(a) is not int or type(b) is not int:
+            for endpoint in (a, b):
+                if isinstance(endpoint, bool) or not isinstance(endpoint, int):
+                    raise WireFormatError(
+                        f"edge {index} endpoints must be integers"
+                    )
         weight = edge[2] if len(edge) == 3 else 1.0
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-            raise WireFormatError(f"edge {index} weight must be a number")
-        if not np.isfinite(weight):
+        if type(weight) is not float:
+            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+                raise WireFormatError(f"edge {index} weight must be a number")
+            try:
+                weight = float(weight)
+            except OverflowError:  # an integer literal beyond float64
+                weight = math.inf
+        if not math.isfinite(weight):
             raise WireFormatError(f"edge {index} weight must be finite")
-        triples.append((int(a), int(b), float(weight)))
+        us.append(a)
+        vs.append(b)
+        weights.append(weight)
     try:
-        return Graph.from_edges(n_nodes, triples)
+        uu = np.array(us, dtype=np.int64)
+        vv = np.array(vs, dtype=np.int64)
+    except OverflowError:  # an endpoint beyond int64, hence beyond n_nodes
+        index = next(
+            k
+            for k, pair in enumerate(zip(us, vs))
+            if min(pair) < _INT64.min or max(pair) > _INT64.max
+        )
+        raise WireFormatError(
+            f"edge {index} endpoint is out of range [0, {n_nodes})"
+        ) from None
+    try:
+        return Graph._from_arrays(
+            n_nodes, uu, vv, np.array(weights, dtype=np.float64)
+        )
     except ValueError as exc:
         raise WireFormatError(f"invalid graph: {exc}") from exc
 
@@ -218,10 +261,14 @@ def graph_from_wire(payload: object, *, max_nodes: int = DEFAULT_MAX_NODES) -> G
 def request_to_wire(
     request: SolveRequest, *, deadline_s: Optional[float] = None
 ) -> dict:
-    """Encode a :class:`SolveRequest` as the documented POST /solve body."""
+    """Encode a :class:`SolveRequest` as the documented POST /solve body.
+
+    Every value is a strict-JSON builtin already (``jsonable`` returns the
+    payload unchanged), so the client serialises it as it stands.
+    """
     payload: dict = {"graph": graph_to_wire(request.graph)}
     if request.method != "qaoa":
-        payload["method"] = request.method
+        payload["method"] = jsonable(request.method)
     if request.options:
         payload["options"] = jsonable(request.options)
     if request.qaoa_grid is not None:
@@ -231,7 +278,7 @@ def request_to_wire(
     if request.seed is not None:
         payload["seed"] = int(request.seed)
     if deadline_s is not None:
-        payload["deadline_s"] = float(deadline_s)
+        payload["deadline_s"] = jsonable(float(deadline_s))
     return payload
 
 
@@ -276,9 +323,12 @@ def request_from_wire(
             deadline_s, (int, float)
         ):
             raise WireFormatError("'deadline_s' must be a number")
-        if not (float(deadline_s) > 0):
+        try:
+            deadline_s = float(deadline_s)
+        except OverflowError:  # an integer literal beyond float64
+            deadline_s = math.inf
+        if not deadline_s > 0:
             raise WireFormatError("'deadline_s' must be positive")
-        deadline_s = float(deadline_s)
     request = SolveRequest(
         graph=graph,
         method=method,
@@ -295,7 +345,7 @@ def result_to_wire(result: ServiceResult) -> dict:
     return {
         "digest": result.digest,
         "status": result.status,
-        "assignment": [int(bit) for bit in result.assignment],
+        "assignment": np.asarray(result.assignment, dtype=np.int64).tolist(),
         "cut": jsonable(result.cut),
         "method": result.method,
         "seed": int(result.seed),
@@ -419,6 +469,8 @@ class HttpMaxCutServer:
         self.port: Optional[int] = None
         self._listener: Optional[asyncio.AbstractServer] = None
         self._connections: set = set()
+        # Connection tasks waiting for their next request (_next_request).
+        self._idle: set = set()
         self._stop_requested: Optional[asyncio.Event] = None
         self._stopped = False
 
@@ -461,9 +513,12 @@ class HttpMaxCutServer:
             return
         self._stopped = True
         self.request_stop()
-        # 1. Stop accepting new connections; new submissions on live
-        #    connections are refused via the server's drain flag.
+        # 1. Stop accepting new connections and close the idle ones; new
+        #    submissions on live connections are refused via the server's
+        #    drain flag.
         self._listener.close()
+        for task in list(self._idle):
+            self._cancel_idle(task)
         await self._listener.wait_closed()
         self.server.begin_drain()
         # 2. Let in-flight request handlers finish writing responses.
@@ -504,31 +559,9 @@ class HttpMaxCutServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        assert self._stop_requested is not None
-        while True:
-            # Race the next-request read against shutdown: an idle
-            # kept-alive connection must not stall the graceful drain for
-            # a full keep-alive timeout.
-            read = asyncio.ensure_future(self._read_request(reader, writer))
-            stop_wait = asyncio.ensure_future(self._stop_requested.wait())
+        while not self._shutting_down():
             try:
-                await asyncio.wait(
-                    {read, stop_wait},
-                    timeout=self.keepalive_s,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-            finally:
-                stop_wait.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await stop_wait
-            if not read.done():
-                # Idle timeout, or shutdown with no request in progress.
-                read.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await read
-                return
-            try:
-                request = await read
+                request = await self._next_request(reader, writer)
             except _HttpReject as reject:
                 # Framing-preserving rejections (e.g. a drained oversized
                 # body) may keep the connection; framing-losing ones close.
@@ -546,7 +579,7 @@ class HttpMaxCutServer:
                 await self._respond_error(writer, reject, keep_alive=False)
                 return
             if request is None:
-                return  # clean EOF between requests
+                return  # EOF, idle timeout, or a drain between requests
             self.metrics.increment("http_requests")
             keep_alive = request.keep_alive and not self._shutting_down()
             with self.metrics.stage("http"):
@@ -569,6 +602,37 @@ class HttpMaxCutServer:
                     )
             if not keep_alive:
                 return
+
+    async def _next_request(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[_Request]:
+        """Read the next request; ``None`` on EOF, idle timeout or drain.
+
+        The connection is idle while it waits here, and only then may the
+        keep-alive timer or the drain cancel it, so no request is cut off
+        half served.  Both take the task out of ``_idle`` before they
+        cancel it, which tells their cancel from any other.
+        """
+        task = asyncio.current_task()
+        assert task is not None
+        self._idle.add(task)
+        timer = asyncio.get_running_loop().call_later(
+            self.keepalive_s, self._cancel_idle, task
+        )
+        try:
+            return await self._read_request(reader, writer)
+        except asyncio.CancelledError:
+            if task in self._idle:
+                raise
+            return None
+        finally:
+            timer.cancel()
+            self._idle.discard(task)
+
+    def _cancel_idle(self, task: "asyncio.Task[None]") -> None:
+        if task in self._idle:
+            self._idle.discard(task)
+            task.cancel()
 
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -749,7 +813,9 @@ class HttpMaxCutServer:
             with trace.span("wire-parse", bytes=len(body)):
                 try:
                     payload = json.loads(body.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                except ValueError as exc:
+                    # Also an integer literal past the interpreter's
+                    # digit limit, which json.loads reports as ValueError.
                     raise _HttpReject(
                         "bad-request",
                         f"invalid JSON body: {exc}",

@@ -269,8 +269,8 @@ class AsyncMaxCutServer:
 
         # The request's identity depends only on the shared master seed,
         # so any shard's service computes the same key; shard 0 describes,
-        # the digest picks the owner.  (The fingerprint is memoised on
-        # the graph object, so the owning shard's solve_many reuses it.)
+        # the digest picks the owner, and the owning shard's solve_many
+        # takes the key with the request instead of describing it again.
         key = self.router.shards[0].describe(request)  # type: ignore[union-attr]
         shard_index = self.router.shard_index(key.fp.digest)
         service: MaxCutService = self.router.shards[shard_index]  # type: ignore
@@ -441,7 +441,9 @@ class AsyncMaxCutServer:
             sub.request.trace.add_span(
                 "shard-queue", sub.enqueued, now, shard=shard_index
             )
-        return service.solve_many([sub.request for sub in batch])
+        return service.solve_many(
+            [sub.request for sub in batch], keys=[sub.key for sub in batch]
+        )
 
     async def _worker(self, shard_index: int) -> None:
         queue = self._queues[shard_index]

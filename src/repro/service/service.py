@@ -47,7 +47,8 @@ from repro.service.cache import DEFAULT_MAX_BYTES, CacheEntry, ResultCache
 from repro.service.fingerprint import (
     GraphFingerprint,
     canonical_fingerprint,
-    request_digest,
+    config_digest,
+    solver_config,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.scheduler import BatchScheduler
@@ -216,13 +217,19 @@ class MaxCutService:
         requests: Sequence[SolveRequest],
         *,
         executor: Optional[ExecutorConfig] = None,
+        keys: Optional[Sequence[RequestKey]] = None,
     ) -> List[ServiceResult]:
         """Answer a batch of requests (submission order preserved).
 
         ``executor`` overrides the service's dispatch backend for this
-        batch only (QAOA² passes its own leaf executor through)."""
+        batch only (QAOA² passes its own leaf executor through).  ``keys``
+        are the requests' :meth:`describe` results when the caller has
+        them already (the async server describes each submission to
+        route it); otherwise each request is described here."""
         t_batch = time.perf_counter()
         requests = list(requests)
+        if keys is not None and len(keys) != len(requests):
+            raise ValueError(f"{len(keys)} keys for {len(requests)} requests")
         self.metrics.increment("requests", len(requests))
 
         # Service-owned tracing: each request that arrived untraced is
@@ -235,7 +242,8 @@ class MaxCutService:
                     owned.append(TraceContext())
                     requests[idx] = replace(request, trace=owned[-1])
 
-        keys = [self.describe(request) for request in requests]
+        if keys is None:
+            keys = [self.describe(request) for request in requests]
         fps = [key.fp for key in keys]
         seeds = [key.seed for key in keys]
         digests = [key.digest for key in keys]
@@ -323,20 +331,18 @@ class MaxCutService:
 
         This is the routing-relevant identity: the async server calls it
         once per submission to pick a shard and detect in-flight
-        duplicates, then the shard's ``solve_many`` reuses the memoised
-        fingerprint.
+        duplicates, then hands the key to the shard's ``solve_many``.
         """
         with self.metrics.stage("fingerprint", request.trace) as span:
             fp = canonical_fingerprint(request.graph)
-            seed = self._resolve_seed(request, fp)
-            digest = request_digest(
-                fp.digest,
+            config = solver_config(
                 method=request.method,
                 options=request.options,
                 qaoa_grid=request.qaoa_grid,
                 gw_options=request.gw_options,
-                seed=seed,
             )
+            seed = self._resolve_seed(request, fp, config)
+            digest = config_digest(fp.digest, config, seed)
             span.set(fingerprint_prefix=fp.digest[:10])
         return RequestKey(fp=fp, seed=seed, digest=digest)
 
@@ -402,17 +408,12 @@ class MaxCutService:
         )
 
     # ------------------------------------------------------------------
-    def _resolve_seed(self, request: SolveRequest, fp: GraphFingerprint) -> int:
+    def _resolve_seed(
+        self, request: SolveRequest, fp: GraphFingerprint, config: str
+    ) -> int:
         if request.seed is not None:
             return int(request.seed)
-        digest_sans_seed = request_digest(
-            fp.digest,
-            method=request.method,
-            options=request.options,
-            qaoa_grid=request.qaoa_grid,
-            gw_options=request.gw_options,
-            seed=None,
-        )
+        digest_sans_seed = config_digest(fp.digest, config, None)
         h = hashlib.sha256(
             f"seed|{self.master_seed}|{digest_sans_seed}".encode()
         ).digest()

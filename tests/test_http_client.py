@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.graphs import erdos_renyi
+from repro.graphs import Graph, erdos_renyi
 from repro.service import (
     HttpMaxCutClient,
     HttpResponseError,
@@ -89,6 +89,91 @@ class TestCallingStyles:
         client = HttpMaxCutClient("localhost", 1)
         with pytest.raises(ValueError, match="not both"):
             client.solve(graph, request=build_request(graph))
+
+
+# ---------------------------------------------------------------------------
+# The request body on the wire
+# ---------------------------------------------------------------------------
+class _CannedResponse:
+    status = 200
+
+    def __init__(self, body: bytes) -> None:
+        self._body = body
+
+    def read(self) -> bytes:
+        return self._body
+
+    def getheaders(self):
+        return [("Content-Type", "application/json")]
+
+    def getheader(self, name, default=None):
+        return dict(self.getheaders()).get(name, default)
+
+
+class _RecordingConnection:
+    """Stands in for the client's HTTPConnection: keeps what is sent."""
+
+    def __init__(self, reply: bytes) -> None:
+        self.reply = reply
+        self.sent: list = []
+
+    def request(self, method, path, body=None, headers=None):
+        self.sent.append((method, path, body, dict(headers or {})))
+
+    def getresponse(self):
+        return _CannedResponse(self.reply)
+
+    def close(self):
+        pass
+
+
+class TestRequestBody:
+    def test_solve_sends_the_pinned_body(self):
+        """The exact bytes of one weighted graph with numpy-typed options:
+        a faster encoder must not move one of them."""
+        graph = erdos_renyi(5, 0.6, weighted=True, rng=3)
+        connection = _RecordingConnection(
+            b'{"digest":"d","status":"hit-memory","assignment":[0,1,1,0,1],'
+            b'"cut":2.5,"method":"qaoa","seed":11,"elapsed":0.001,'
+            b'"params":null,"extra":{}}'
+        )
+        client = HttpMaxCutClient("localhost", 1)  # never connected
+        client._conn = connection  # type: ignore[assignment]
+        result = client.solve(
+            graph,
+            layers=np.int64(2),
+            maxiter=np.int32(20),
+            rhobeg=np.float64(0.25),
+            seed=np.int64(11),
+            deadline_s=np.float64(2.5),
+        )
+        assert connection.sent == [
+            (
+                "POST",
+                "/solve",
+                b'{"graph": {"n_nodes": 5, "edges": [[0, 1, 0.39122819049566204], '
+                b"[0, 2, 0.5167401826213637], [0, 4, 0.4306280204141778], "
+                b"[1, 2, 0.5867985714381407], [1, 3, 0.7378377872921602], "
+                b"[1, 4, 0.9562672548360985], [2, 3, 0.28420116374879145], "
+                b'[3, 4, 0.648547207079825]]}, "options": {"layers": 2, '
+                b'"maxiter": 20, "rhobeg": 0.25}, "seed": 11, "deadline_s": 2.5}',
+                {"Content-Type": "application/json"},
+            )
+        ]
+        assert result.assignment.tolist() == [0, 1, 1, 0, 1]
+        # Every other field, and a deadline strict JSON cannot carry.
+        client.solve(
+            Graph.from_edges(3, [(0, 1, 0.5), (1, 2, 2)]),
+            method="gw",
+            gw_options={"rounds": np.int64(4)},
+            qaoa_grid=[{"p": np.int64(1)}],
+            deadline_s=float("inf"),
+        )
+        assert connection.sent[1][2] == (
+            b'{"graph": {"n_nodes": 3, "edges": [[0, 1, 0.5], [1, 2, 2.0]]}, '
+            b'"method": "gw", "qaoa_grid": [{"p": 1}], "gw_options": {"rounds": 4}, '
+            b'"deadline_s": null}'
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,10 @@ class GatedService(MaxCutService):
         self._gate = gate
         self._entered = entered
 
-    def solve_many(self, requests):
+    def solve_many(self, requests, **kwargs):
         self._entered.set()
         assert self._gate.wait(timeout=60), "test gate never opened"
-        return super().solve_many(requests)
+        return super().solve_many(requests, **kwargs)
 
 
 def solve_over_http(handle, requests, *, clients=4):

@@ -36,10 +36,10 @@ class GatedService(MaxCutService):
         self._gate = gate
         self._entered = entered
 
-    def solve_many(self, requests):
+    def solve_many(self, requests, **kwargs):
         self._entered.set()
         assert self._gate.wait(timeout=60), "test gate never opened"
-        return super().solve_many(requests)
+        return super().solve_many(requests, **kwargs)
 
 
 def post_raw_body(host, port, body: bytes, *, path="/solve"):
@@ -84,6 +84,39 @@ class TestBadRequest:
             assert (status, payload["code"]) == (400, "bad-request")
             assert "unknown request keys" in payload["error"]
             assert merged.count("requests") == 0
+
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            # A 401-digit weight: beyond float64, so not finite.
+            (b"[0, 1, 1" + b"0" * 400 + b"]", "edge 0 weight must be finite"),
+            (b"[0, 1, NaN]", "edge 0 weight must be finite"),
+            (b"[0, 1, -Infinity]", "edge 0 weight must be finite"),
+            # Beyond int64, where a float64 cast used to wrap it negative.
+            (b"[0, 1" + b"0" * 30 + b"]", "edge 0 endpoint is out of range [0, 4)"),
+        ],
+        ids=["weight-401-digits", "weight-nan", "weight-minus-inf", "endpoint-1e30"],
+    )
+    def test_out_of_range_wire_numbers_are_400(self, edge, message):
+        body = b'{"graph": {"n_nodes": 4, "edges": [' + edge + b"]}}"
+        with HttpServerThread(n_shards=1, seed=0) as handle:
+            status, payload, _ = post_raw_body(handle.host, handle.port, body)
+            merged = handle.merged_metrics()
+        assert (status, payload["code"], payload["error"]) == (
+            400,
+            "bad-request",
+            message,
+        )
+        assert merged.count("requests") == 0
+
+    def test_integer_literal_past_the_digit_limit_is_400(self):
+        # json.loads refuses integer literals of more than 4,300 digits
+        # with a ValueError that is not a JSONDecodeError.
+        body = b'{"graph": {"n_nodes": ' + b"1" * 5000 + b', "edges": []}}'
+        with HttpServerThread(n_shards=1, seed=0) as handle:
+            status, payload, _ = post_raw_body(handle.host, handle.port, body)
+        assert (status, payload["code"]) == (400, "bad-request")
+        assert payload["error"].startswith("invalid JSON body: ")
 
     def test_oversized_graph_is_400(self):
         with HttpServerThread(

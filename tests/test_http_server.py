@@ -34,10 +34,10 @@ class GatedService(MaxCutService):
         self._gate = gate
         self._entered = entered
 
-    def solve_many(self, requests):
+    def solve_many(self, requests, **kwargs):
         self._entered.set()
         assert self._gate.wait(timeout=60), "test gate never opened"
-        return super().solve_many(requests)
+        return super().solve_many(requests, **kwargs)
 
 
 def raw_exchange(host, port, payload: bytes, *, read_all: bool = True) -> bytes:
@@ -170,6 +170,52 @@ class TestConnections:
         assert raw.startswith(b"HTTP/1.1 200")
         assert b"Connection: close" in raw
 
+    def test_idle_connection_closes_after_keepalive_s(self):
+        with HttpServerThread(
+            n_shards=1, seed=0, http_options={"keepalive_s": 0.3}
+        ) as handle:
+            with socket.create_connection(
+                (handle.host, handle.port), timeout=30
+            ) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                reader = sock.makefile("rb")
+                assert reader.readline().startswith(b"HTTP/1.1 200")
+                t0 = time.monotonic()
+                rest = reader.read()  # returns at the server's close
+                waited = time.monotonic() - t0
+        assert rest.endswith(b'"shards":1}')
+        assert 0.2 < waited < 10
+
+    def test_idle_timer_spares_a_request_in_progress(self):
+        # The keep-alive timer runs only while a connection waits for its
+        # next request: a solve that outlasts keepalive_s still answers,
+        # and the connection stays usable after it.
+        graph = erdos_renyi(9, 0.4, weighted=True, rng=5)
+        gate, entered = threading.Event(), threading.Event()
+        with HttpServerThread(
+            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            http_options={"keepalive_s": 0.2},
+        ) as handle:
+            with HttpMaxCutClient(handle.host, handle.port) as client:
+                results: dict = {}
+
+                def solve():
+                    results["result"] = client.solve(graph, seed=1, **OPTIONS)
+                    results["conn"] = client._conn
+
+                solver = threading.Thread(target=solve)
+                solver.start()
+                try:
+                    assert entered.wait(timeout=60)
+                    time.sleep(0.8)  # four keep-alive periods mid-request
+                finally:
+                    gate.set()
+                solver.join(timeout=60)
+                assert not solver.is_alive()
+                assert results["result"].status == "solved"
+                assert client.healthz()["status"] == "ok"
+                assert client._conn is results["conn"]  # no reconnect
+
     def test_explicit_connection_close_honoured(self):
         with HttpServerThread(n_shards=1, seed=0) as handle:
             raw = raw_exchange(
@@ -226,6 +272,22 @@ class TestDrain:
         # The in-flight request still got its full, correct response.
         ref = MaxCutService(seed=0).solve(graph, seed=1, **OPTIONS)
         assert results["result"].cut == ref.cut
+
+
+    def test_stop_closes_idle_keepalive_connections_at_once(self):
+        handle = HttpServerThread(
+            n_shards=1, seed=0, http_options={"keepalive_s": 60.0}
+        ).start()
+        with socket.create_connection((handle.host, handle.port), timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            reader = sock.makefile("rb")
+            assert reader.readline().startswith(b"HTTP/1.1 200")
+            t0 = time.monotonic()
+            handle.stop()  # the connection idles, kept alive for 60 s
+            stopped = time.monotonic() - t0
+            rest = reader.read()  # the drain closed it
+        assert stopped < 10
+        assert rest.endswith(b'"shards":1}')
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,9 @@ strict validation, and the error-contract table itself (ISSUE 8)."""
 from __future__ import annotations
 
 import json
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +27,78 @@ from repro.service.http import (
 )
 
 pytestmark = pytest.mark.timeout(120)
+
+# (payload, the exact WireFormatError text it must raise).
+GRAPH_REJECTIONS = [
+    ("not a dict", "'graph' must be an object"),
+    ({"edges": []}, "'graph.n_nodes' is required"),
+    ({"n_nodes": "4", "edges": []}, "'graph.n_nodes' must be an integer"),
+    ({"n_nodes": True, "edges": []}, "'graph.n_nodes' must be an integer"),
+    ({"n_nodes": -1, "edges": []}, "'graph.n_nodes' must be non-negative"),
+    ({"n_nodes": 4, "edges": [], "extra": 1}, "unknown graph keys ['extra']"),
+    ({"n_nodes": 4, "edges": "nope"}, "'graph.edges' must be a list"),
+    ({"n_nodes": 4, "edges": [[0]]}, "edge 0 must be [u, v] or [u, v, weight]"),
+    (
+        {"n_nodes": 4, "edges": [[0, 1, 2, 3]]},
+        "edge 0 must be [u, v] or [u, v, weight]",
+    ),
+    ({"n_nodes": 4, "edges": [[0.5, 1]]}, "edge 0 endpoints must be integers"),
+    ({"n_nodes": 4, "edges": [[0, True]]}, "edge 0 endpoints must be integers"),
+    ({"n_nodes": 4, "edges": [[0, 1, "heavy"]]}, "edge 0 weight must be a number"),
+    ({"n_nodes": 4, "edges": [[0, 1, float("inf")]]}, "edge 0 weight must be finite"),
+    (
+        {"n_nodes": 4, "edges": [[0, 9]]},  # endpoint out of range
+        "invalid graph: edge endpoint exceeds n_nodes",
+    ),
+    ({"n_nodes": 4, "edges": [[0, 1, float("nan")]]}, "edge 0 weight must be finite"),
+    ({"n_nodes": 4, "edges": [[0, 1, -float("inf")]]}, "edge 0 weight must be finite"),
+    ({"n_nodes": 4, "edges": [[0, 1], [2, 3, True]]}, "edge 1 weight must be a number"),
+    (
+        {"n_nodes": 4, "edges": [[-1, 2]]},
+        "invalid graph: node indices must be non-negative",
+    ),
+    ({"n_nodes": 4, "edges": [[1, 1]]}, "invalid graph: self loops are not allowed"),
+    (
+        # Finite weights whose duplicate sum overflows float64.
+        {"n_nodes": 4, "edges": [[0, 1, 1e308], [1, 0, 1e308]]},
+        "invalid graph: edge weights must be finite",
+    ),
+]
+
+_TWO_NODES = {"n_nodes": 2, "edges": []}
+REQUEST_REJECTIONS = [
+    ([], "request body must be a JSON object"),  # not an object
+    ({}, "'graph' is required"),
+    ({"graph": _TWO_NODES, "surprise": 1}, "unknown request keys ['surprise']"),
+    ({"graph": _TWO_NODES, "method": 7}, "'method' must be a string"),
+    ({"graph": _TWO_NODES, "options": []}, "'options' must be an object"),
+    *(
+        ({"graph": _TWO_NODES, "qaoa_grid": g}, "'qaoa_grid' must be a list of objects")
+        for g in ({"p": 1}, [1, 2])
+    ),
+    ({"graph": _TWO_NODES, "gw_options": 0}, "'gw_options' must be an object"),
+    ({"graph": _TWO_NODES, "seed": "5"}, "'seed' must be an integer or null"),
+    ({"graph": _TWO_NODES, "seed": True}, "'seed' must be an integer or null"),
+    # A removed key.
+    ({"graph": _TWO_NODES, "exact": True}, "unknown request keys ['exact']"),
+    ({"graph": _TWO_NODES, "deadline_s": "soon"}, "'deadline_s' must be a number"),
+    ({"graph": _TWO_NODES, "deadline_s": 0}, "'deadline_s' must be positive"),
+    ({"graph": _TWO_NODES, "deadline_s": -1.0}, "'deadline_s' must be positive"),
+    ({"graph": _TWO_NODES, "deadline_s": math.nan}, "'deadline_s' must be positive"),
+    (
+        {"graph": {"n_nodes": 2, "edges": [[0, 1, float("nan")]]}},
+        "edge 0 weight must be finite",
+    ),
+]
+
+
+def payload_ids(cases):
+    """pytest's own ids for the payloads alone (a string, else ``payload<k>``),
+    so each case keeps its name whatever its message."""
+    return [
+        payload if isinstance(payload, str) else f"payload{k}"
+        for k, (payload, _) in enumerate(cases)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -81,27 +156,36 @@ class TestGraphWire:
         assert graph.n_nodes == 0 and graph.n_edges == 0
 
     @pytest.mark.parametrize(
-        "payload",
-        [
-            "not a dict",
-            {"edges": []},  # n_nodes missing
-            {"n_nodes": "4", "edges": []},
-            {"n_nodes": True, "edges": []},
-            {"n_nodes": -1, "edges": []},
-            {"n_nodes": 4, "edges": [], "extra": 1},
-            {"n_nodes": 4, "edges": "nope"},
-            {"n_nodes": 4, "edges": [[0]]},
-            {"n_nodes": 4, "edges": [[0, 1, 2, 3]]},
-            {"n_nodes": 4, "edges": [[0.5, 1]]},
-            {"n_nodes": 4, "edges": [[0, True]]},
-            {"n_nodes": 4, "edges": [[0, 1, "heavy"]]},
-            {"n_nodes": 4, "edges": [[0, 1, float("inf")]]},
-            {"n_nodes": 4, "edges": [[0, 9]]},  # endpoint out of range
-        ],
+        "payload, message", GRAPH_REJECTIONS, ids=payload_ids(GRAPH_REJECTIONS)
     )
-    def test_invalid_graph_rejected(self, payload):
-        with pytest.raises(WireFormatError):
+    def test_invalid_graph_rejected(self, payload, message):
+        with pytest.raises(WireFormatError, match=f"^{re.escape(message)}$"):
             graph_from_wire(payload)
+
+    def test_weight_beyond_float64_is_not_finite(self):
+        # json.loads turns a 401-digit literal into a Python int, which
+        # neither np.isfinite nor math.isfinite accepts.
+        payload = json.loads('{"n_nodes": 4, "edges": [[0, 1, 1' + "0" * 400 + "]]}")
+        with pytest.raises(WireFormatError, match="^edge 0 weight must be finite$"):
+            graph_from_wire(payload)
+
+    @pytest.mark.parametrize("endpoint", [10**30, -(10**30), 2**63])
+    def test_endpoint_beyond_int64_is_out_of_range(self, endpoint):
+        payload = {"n_nodes": 4, "edges": [[0, 1], [2, endpoint]]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no float64 -> int64 cast warning
+            with pytest.raises(
+                WireFormatError,
+                match=re.escape("edge 1 endpoint is out of range [0, 4)"),
+            ):
+                graph_from_wire(payload)
+
+    def test_largest_in_range_numbers_decode(self):
+        graph = graph_from_wire(
+            {"n_nodes": 4, "edges": [[3, 0, 2**60 + 1], [1, 2, 1e308]]}
+        )
+        assert graph.u.tolist() == [0, 1] and graph.v.tolist() == [3, 2]
+        assert graph.w.tolist() == [float(2**60 + 1), 1e308]
 
     def test_max_nodes_cap(self):
         with pytest.raises(WireFormatError, match="service limit"):
@@ -146,27 +230,23 @@ class TestRequestWire:
         assert deadline_s is None
 
     @pytest.mark.parametrize(
-        "payload",
-        [
-            [],  # not an object
-            {},  # graph missing
-            {"graph": {"n_nodes": 2, "edges": []}, "surprise": 1},
-            {"graph": {"n_nodes": 2, "edges": []}, "method": 7},
-            {"graph": {"n_nodes": 2, "edges": []}, "options": []},
-            {"graph": {"n_nodes": 2, "edges": []}, "qaoa_grid": {"p": 1}},
-            {"graph": {"n_nodes": 2, "edges": []}, "qaoa_grid": [1, 2]},
-            {"graph": {"n_nodes": 2, "edges": []}, "gw_options": 0},
-            {"graph": {"n_nodes": 2, "edges": []}, "seed": "5"},
-            {"graph": {"n_nodes": 2, "edges": []}, "seed": True},
-            {"graph": {"n_nodes": 2, "edges": []}, "exact": True},  # removed key
-            {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": "soon"},
-            {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": 0},
-            {"graph": {"n_nodes": 2, "edges": []}, "deadline_s": -1.0},
-        ],
+        "payload, message", REQUEST_REJECTIONS, ids=payload_ids(REQUEST_REJECTIONS)
     )
-    def test_invalid_request_rejected(self, payload):
-        with pytest.raises(WireFormatError):
+    def test_invalid_request_rejected(self, payload, message):
+        with pytest.raises(WireFormatError, match=f"^{re.escape(message)}$"):
             request_from_wire(payload)
+
+    def test_deadline_beyond_float64_waits_without_limit(self):
+        # As a 1e400 literal does, which json.loads reads as infinity.
+        for literal in ("1e400", "1" + "0" * 400):
+            _, deadline_s = request_from_wire(
+                json.loads(
+                    '{"graph": {"n_nodes": 2, "edges": []}, "deadline_s": '
+                    + literal
+                    + "}"
+                )
+            )
+            assert deadline_s == float("inf")
 
 
 # ---------------------------------------------------------------------------

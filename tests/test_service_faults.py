@@ -293,11 +293,11 @@ class TestExecutorFaults:
                 super().__init__(**kwargs)
                 self.exploded = False
 
-            def solve_many(self, requests):
+            def solve_many(self, requests, **kwargs):
                 if not self.exploded:
                     self.exploded = True
                     raise RuntimeError("solver heap corrupted")
-                return super().solve_many(requests)
+                return super().solve_many(requests, **kwargs)
 
         import asyncio
 

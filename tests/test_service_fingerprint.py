@@ -79,6 +79,85 @@ class TestCanonicalInvariance:
         assert fp.exact and fp.n_nodes == 5 and len(fp.canon_u) == 0
 
 
+def _cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _complete(n):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+class TestGoldenFingerprints:
+    """Digest, permutation and exactness on each canonicalisation route.
+
+    Cache keys and disk-log records rest on these; a faster route (such
+    as skipping refinement of a colouring that is already discrete) must
+    reproduce them exactly.
+    """
+
+    @pytest.mark.parametrize(
+        "graph, digest, perm, exact",
+        [
+            pytest.param(
+                # Discrete after the initial (degree, weights) colouring.
+                erdos_renyi(12, 0.3, weighted=True, rng=0),
+                "4d813b63e0709e5c11e03a42ee4275b6",
+                [5, 9, 4, 6, 0, 3, 11, 8, 1, 7, 2, 10],
+                True,
+                id="weighted-er-discrete",
+            ),
+            pytest.param(
+                # Discrete only after 1-WL refinement.
+                erdos_renyi(10, 0.3, weighted=False, rng=3),
+                "87c227232354811b0dbaead9997a0886",
+                [8, 6, 9, 0, 1, 7, 5, 3, 4, 2],
+                True,
+                id="unweighted-er-refined",
+            ),
+            pytest.param(
+                # Refinement leaves ties: individualisation search.
+                erdos_renyi(10, 0.3, weighted=False, rng=0),
+                "a3074065001074dd0a435ecc4e64683e",
+                [7, 6, 8, 3, 9, 0, 4, 5, 2, 1],
+                True,
+                id="unweighted-er-searched",
+            ),
+            pytest.param(
+                _cycle(8),
+                "7334b24f2a0a8e315d1f10b7af61d950",
+                [0, 1, 3, 5, 7, 6, 4, 2],
+                True,
+                id="cycle-8",
+            ),
+            pytest.param(
+                _complete(4),
+                "779e732e72abfb4731244c50fdbd53d5",
+                [0, 1, 2, 3],
+                True,
+                id="complete-4",
+            ),
+            pytest.param(
+                # 6! leaves overrun the 64-leaf budget: refinement fallback.
+                _complete(6),
+                "3df4414ad099fec56baae0c68be16ba5",
+                [0, 1, 2, 3, 4, 5],
+                False,
+                id="complete-6-over-budget",
+            ),
+            pytest.param(
+                Graph.from_edges(5, []),
+                "9a8b8d1523e4893289da43ad22a8e210",
+                [0, 1, 2, 3, 4],
+                True,
+                id="edgeless-5",
+            ),
+        ],
+    )
+    def test_golden_fingerprint(self, graph, digest, perm, exact):
+        fp = canonical_fingerprint(graph)
+        assert (fp.digest, fp.perm.tolist(), fp.exact) == (digest, perm, exact)
+
+
 class TestAssignmentMapping:
     def test_round_trip(self, er_small):
         fp = canonical_fingerprint(er_small)
@@ -132,6 +211,24 @@ class TestRequestDigest:
             canonical_fingerprint(g).digest, method="qaoa", options=options, seed=None
         )
         assert digest == "bc3f35d5171e34862b4afdd497ff11c8"
+
+    def test_golden_digests_of_empty_and_full_configs(self):
+        """Absent and empty configuration fields hash as before, and so
+        does a request that sets every field."""
+        assert request_digest("g", method="gw") == "27c9f1180d7cb19bcbd5eaac0fea371d"
+        for empty in ({"options": {}, "qaoa_grid": [], "gw_options": {}}, {}):
+            assert request_digest("g", method="gw", **empty) == (
+                "27c9f1180d7cb19bcbd5eaac0fea371d"
+            )
+        digest = request_digest(
+            "g",
+            method="qaoa",
+            options={"layers": np.int64(3), "warm": np.array([0.5, 0.25])},
+            qaoa_grid=[{"p": 1, "rhobeg": 0.3}, {"p": 2}],
+            gw_options={"rounds": 8},
+            seed=11,
+        )
+        assert digest == "14b73ab3ac126726654fba95b9fed1bd"
 
     def test_config_token_handles_numpy(self):
         token = config_token({"warm": np.array([0.1, 0.2]), "n": np.int64(3)})

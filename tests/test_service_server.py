@@ -56,10 +56,10 @@ class GatedService(MaxCutService):
         self._gate = gate
         self._entered = entered
 
-    def solve_many(self, requests):
+    def solve_many(self, requests, **kwargs):
         self._entered.set()
         assert self._gate.wait(timeout=60), "test gate never opened"
-        return super().solve_many(requests)
+        return super().solve_many(requests, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +162,32 @@ class TestConcurrentClients:
         merged = server.merged_metrics()
         assert merged.count("requests") == 5
         assert merged.latencies["request"].count == 5
+
+    def test_each_submission_is_fingerprinted_once(self):
+        # submit() describes a request to route it; a queued request's
+        # shard takes that key instead of describing it again.
+        requests = zipf_requests(
+            n_requests=40,
+            universe=4,
+            n_nodes=8,
+            edge_prob=0.4,
+            options={"layers": 1, "maxiter": 10},
+            rng=0,
+        )
+        server, results = serve_requests(requests, clients=2, n_shards=2, seed=0)
+        merged = server.merged_metrics()
+        assert merged.count("misses") > 0  # some requests were queued
+        assert merged.latencies["fingerprint"].count == len(requests)
+        reference = MaxCutService(seed=0).solve_many(requests)
+        assert [r.digest for r in results] == [r.digest for r in reference]
+        assert [r.cut for r in results] == [r.cut for r in reference]
+
+    def test_solve_many_rejects_a_key_count_mismatch(self):
+        requests = stream(n=3, universe=2)
+        service = MaxCutService(seed=0)
+        keys = [service.describe(request) for request in requests[:2]]
+        with pytest.raises(ValueError, match="2 keys for 3 requests"):
+            service.solve_many(requests, keys=keys)
 
     def test_router_loads_count_admissions_only(self):
         # Only queued (cold) submissions are admissions; inline hits and
