@@ -1,9 +1,9 @@
 """Blocking HTTP client for the MaxCut serving stack.
 
-:class:`HttpMaxCutClient` is the stdlib (:mod:`http.client`) counterpart
-to :mod:`repro.service.http`: one persistent keep-alive connection, the
-documented JSON wire schemas (``docs/http-api.md``), and the error
-contract mapped back onto the service's own exception types —
+:class:`HttpMaxCutClient` is the blocking counterpart to
+:mod:`repro.service.http`: one keep-alive TCP socket, the documented JSON
+wire schemas (``docs/http-api.md``), and the error contract mapped back
+onto the service's own exception types —
 
 * 503 ``overloaded``        -> :class:`repro.service.ServerOverloaded`
   (with the parsed ``Retry-After`` seconds on ``.retry_after``)
@@ -15,17 +15,28 @@ so callers can swap ``AsyncMaxCutServer.solve`` for a wire round-trip
 without changing their error handling.  The client is synchronous by
 design: benchmark client threads, examples and tests all drive it from
 plain threads.
+
+It frames HTTP/1.1 itself, in the subset the server speaks: a request's
+head and body leave in one ``sendall`` on a ``TCP_NODELAY`` socket, and a
+response is parsed from one receive buffer — status line, headers, then
+exactly ``Content-Length`` body bytes (no chunked bodies).  A response
+it cannot frame is a :class:`ConnectionError`, like a closed or reset
+socket.  Framing the subset directly keeps the stdlib's general parser
+(:mod:`http.client` and its ``email.parser`` header parse) off every
+cache hit's round trip.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 from typing import Optional, Tuple
 
 from repro.graphs.graph import Graph
 from repro.qaoa2.solver import SolveRequest
 from repro.service.http import (
+    MAX_HEADER_BYTES,
     RETRY_AFTER_S,
     TRACE_HEADER,
     TRACE_ROUTE_PREFIX,
@@ -37,6 +48,8 @@ from repro.service.server import RequestError, ServerOverloaded
 from repro.service.service import ServiceResult, build_request
 
 DEFAULT_TIMEOUT_S = 300.0
+
+_STATUS_LINE = re.compile(r"HTTP/1\.[0-9] ([0-9]{3})(?: |$)")
 
 
 class HttpResponseError(RuntimeError):
@@ -61,6 +74,7 @@ class HttpMaxCutClient:
 
     Not thread-safe (one underlying socket): give each client thread its
     own instance — connections are cheap and kept alive across requests.
+    ``timeout`` bounds the connect and every send and receive.
     """
 
     def __init__(
@@ -69,24 +83,31 @@ class HttpMaxCutClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._conn: Optional[socket.socket] = None
+        #: Bytes received on ``_conn`` past the end of the last response.
+        self._buffer = bytearray()
+        authority = f"[{host}]" if ":" in host else host
+        self._host_line = f"Host: {authority}:{self.port}\r\n"
         #: Response headers of the most recent round-trip (Retry-After &c).
         self.last_headers: dict = {}
         #: Trace id echoed by the most recent round-trip ("" if untraced).
         self.last_trace_id: str = ""
 
     # -- plumbing ------------------------------------------------------
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> socket.socket:
         if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
+            self._conn = socket.create_connection(
+                (self.host, self.port), timeout=self.timeout
             )
+            self._conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return self._conn
 
     def close(self) -> None:
+        """Close the socket and drop unread bytes; a later request reconnects."""
         if self._conn is not None:
             self._conn.close()
             self._conn = None
+        self._buffer = bytearray()
 
     def __enter__(self) -> "HttpMaxCutClient":
         return self
@@ -119,28 +140,32 @@ class HttpMaxCutClient:
         headers: Optional[dict],
     ) -> Tuple[int, dict]:
         """:meth:`request` for a payload already made of strict-JSON builtins."""
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        headers = dict(headers or {})
-        if body is not None:
-            headers.setdefault("Content-Type", "application/json")
+        fields = dict(headers or {})
+        body = b""
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            fields.setdefault("Content-Type", "application/json")
+            fields["Content-Length"] = len(body)
+        texts = (method, path, *fields, *map(str, fields.values()))
+        if " " in method + path or not all(map(str.isprintable, texts)):
+            raise ValueError(f"request line or header is not one line: {texts!r}")
+        head = f"{method} {path} HTTP/1.1\r\n{self._host_line}" + "".join(
+            f"{name}: {value}\r\n" for name, value in fields.items()
+        )
+        message = (head + "\r\n").encode("latin-1") + body
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
+                status, content_type, raw = self._exchange(message)
                 break
-            except (http.client.HTTPException, ConnectionError):
+            except BaseException as exc:
+                # The socket's framing is lost: never reuse it.  A
+                # connection failure (a stale keep-alive socket, reset,
+                # refused, or a response that cannot be framed) gets one
+                # retry on a fresh socket.
                 self.close()
-                if attempt:
+                if attempt or not isinstance(exc, ConnectionError):
                     raise
-        status = response.status
-        self.last_headers = {name: value for name, value in response.getheaders()}
-        self.last_trace_id = str(self.last_headers.get(TRACE_HEADER, ""))
-        content_type = str(response.getheader("Content-Type") or "")
         if content_type.startswith("text/plain"):
-            if response.getheader("Connection", "").lower() == "close":
-                self.close()
             return status, {"text": raw.decode("utf-8")}
         try:
             decoded = json.loads(raw.decode("utf-8")) if raw else {}
@@ -148,9 +173,61 @@ class HttpMaxCutClient:
             raise HttpResponseError(
                 status, {"code": "bad-response", "error": f"undecodable body: {exc}"}
             ) from exc
-        if response.getheader("Connection", "").lower() == "close":
-            self.close()
         return status, decoded
+
+    def _exchange(self, message: bytes) -> Tuple[int, str, bytes]:
+        """Send one request; read its response off the kept-alive socket.
+
+        Sets :attr:`last_headers` (names in the server's case) and
+        :attr:`last_trace_id`, closes the socket on ``Connection: close``
+        and returns ``(status, Content-Type, body)``.
+        """
+        sock = self._connection()
+        sock.sendall(message)
+        buffer = self._buffer
+        end = buffer.find(b"\r\n\r\n")
+        while end < 0:
+            if len(buffer) > MAX_HEADER_BYTES:
+                raise ConnectionError(
+                    f"response head exceeds {MAX_HEADER_BYTES} bytes"
+                )
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError(
+                    "server closed the connection without a response"
+                )
+            buffer += chunk
+            end = buffer.find(b"\r\n\r\n")
+        status_line, *lines = buffer[:end].decode("latin-1").split("\r\n")
+        match = _STATUS_LINE.match(status_line)
+        if match is None:
+            raise ConnectionError(f"malformed status line {status_line!r}")
+        headers = {}
+        for line in lines:
+            name, sep, value = line.partition(":")
+            if not sep:
+                raise ConnectionError(f"malformed header line {line!r}")
+            headers[name] = value.strip()
+        folded = {name.lower(): value for name, value in headers.items()}
+        length = folded.get("content-length", "")
+        if not length.isdecimal():  # absent, negative, or a chunked body
+            raise ConnectionError(
+                f"response without a usable Content-Length: {length!r}"
+            )
+        start = end + 4
+        stop = start + int(length)
+        while len(buffer) < stop:
+            chunk = sock.recv(65536)
+            if not chunk:
+                raise ConnectionError("server closed the connection mid-body")
+            buffer += chunk
+        raw = bytes(buffer[start:stop])
+        del buffer[:stop]
+        self.last_headers = headers
+        self.last_trace_id = headers.get(TRACE_HEADER, "")
+        if folded.get("connection", "").lower() == "close":
+            self.close()
+        return int(match.group(1)), folded.get("content-type", ""), raw
 
     def _raise_for(self, status: int, payload: dict) -> None:
         if payload.get("code") == "overloaded":

@@ -145,31 +145,38 @@ class WireFormatError(ValueError):
 def jsonable(obj):
     """Recursively coerce ``obj`` into strict-JSON-safe builtins.
 
-    NumPy scalars/arrays become Python numbers/lists; non-finite floats
-    become ``None`` (strict JSON has no NaN/Infinity).
+    NumPy scalars become the Python values ``.item()`` gives and arrays
+    become lists; non-finite floats become ``None`` (strict JSON has no
+    NaN/Infinity).  A value strict JSON cannot carry (a complex number, a
+    date, bytes, a set) raises :class:`TypeError` naming its type.
     """
     # Exact builtins first: a wire payload is mostly ints, floats and
     # lists, which need no ABC checks (``type(True)`` is not ``int``).
     kind = type(obj)
-    if kind is int or kind is str or obj is None:
+    if kind is int or kind is str or kind is bool or obj is None:
         return obj
     if kind is float:
         return obj if math.isfinite(obj) else None
     if kind is list:
         return [jsonable(item) for item in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        value = obj.item()
+        if not isinstance(value, np.generic):  # .item() keeps long doubles
+            return jsonable(value)
     if isinstance(obj, numbers.Integral):
         return int(obj)
     if isinstance(obj, numbers.Real):
         value = float(obj)
-        return value if np.isfinite(value) else None
+        return value if math.isfinite(value) else None
+    if isinstance(obj, str):
+        return obj
     if isinstance(obj, dict):
         return {str(key): jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)) or hasattr(obj, "tolist"):
-        seq = obj.tolist() if hasattr(obj, "tolist") else obj
-        return [jsonable(item) for item in seq]
-    return obj
+    if isinstance(obj, np.ndarray):
+        return jsonable(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(item) for item in obj]
+    raise TypeError(f"{kind.__name__} value {obj!r} is not strict JSON")
 
 
 def graph_to_wire(graph: Graph) -> dict:

@@ -128,6 +128,47 @@ class TestJsonable:
         encoded = json.dumps(payload, allow_nan=False)  # raises on NaN leaks
         assert json.loads(encoded) == {"cut": None, "params": [1.5, None]}
 
+    def test_numpy_scalars_go_through_item(self):
+        out = jsonable(
+            {
+                "method": np.str_("gw"),
+                "rounds": np.uint8(7),
+                "x": np.float32(0.5),
+                "wide": np.longdouble(1.5),
+                "when": np.datetime64("NaT"),
+            }
+        )
+        assert out == {"method": "gw", "rounds": 7, "x": 0.5, "wide": 1.5, "when": None}
+        assert type(out["method"]) is str
+        assert type(out["wide"]) is float
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [
+            (np.complex128(1 + 2j), "complex"),
+            (np.clongdouble(1 + 2j), "clongdouble"),
+            (np.datetime64("2024-01-01"), "date"),
+            (np.timedelta64(5, "s"), "timedelta"),
+            (np.bytes_(b"gw"), "bytes"),
+            (np.array([1 + 1j]), "complex"),
+            (1 + 2j, "complex"),
+            ({1, 2}, "set"),
+        ],
+        ids=[
+            "complex128",
+            "clongdouble",
+            "datetime64",
+            "timedelta64",
+            "bytes_",
+            "complex-array",
+            "complex",
+            "set",
+        ],
+    )
+    def test_values_strict_json_cannot_carry_raise_type_error(self, value, kind):
+        with pytest.raises(TypeError, match=f"^{kind} value .* is not strict JSON$"):
+            jsonable({"nested": [value]})
+
 
 # ---------------------------------------------------------------------------
 # Graph schema
