@@ -13,7 +13,10 @@ The paper used cvxpy+SCS; we implement two independent solvers from scratch:
   g_i = Σ_j w_ij v_j.  For rank k > √(2n) all second-order critical points
   are global optima, so this converges to the SDP optimum in practice and
   runs in O(m·k) per sweep — this is the default and scales to the
-  Fig. 4 graph sizes easily.
+  Fig. 4 graph sizes easily.  The sweep keeps the unit vectors node-major,
+  one contiguous ``(k,)`` row per node, so an update gathers whole rows;
+  the layout rule in its docstring keeps every result bit-identical to the
+  column-major loop kept in ``tests/test_sdp.py``.
 * :func:`solve_sdp_admm` — dense operator-splitting solver on the full
   matrix variable (projection onto {diag=1} and PSD cones), O(n³) per
   iteration.  Used as an independent reference in the tests.
@@ -25,6 +28,7 @@ MaxCut).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +84,21 @@ def solve_sdp_mixing(
     Minimises Σ w_ij v_i·v_j over unit vectors; each node update is the
     exact coordinate minimiser v_i = −g_i/‖g_i‖.  Objective is monotone
     non-increasing, giving a clean convergence criterion.
+
+    The sweep stores the vectors node-major: ``rows`` is the ``(n, k)``
+    C-ordered transpose of the seeded, normalised ``(k, n)`` draw, and each
+    node's row view, neighbour slice and weight slice are built once per
+    call.  Results are bit-identical to updating the columns of the
+    ``(k, n)`` array in place because every operation keeps its operands:
+    the transposed row gather ``rows.take(nbr, axis=0).T`` (``rows[nbr].T``
+    with less dispatch) is byte for byte the F-ordered ``(k, deg)`` block
+    that ``vectors[:, nbr]`` gathers, so ``g`` is the same GEMV; ``‖g‖`` is
+    ``sqrt(g·g)``, which is what ``np.linalg.norm`` computes for a 1-D
+    float vector; ``g / (−‖g‖)`` equals ``(−g) / ‖g‖`` in IEEE arithmetic;
+    and the objective reads ``rows.T``, whose column gathers are laid out
+    as before.  ``tests/test_sdp.py::TestColumnMajorParity`` pins this
+    against the column-major loop.  The returned ``vectors`` is C-ordered
+    ``(k, n)``.
     """
     n = graph.n_nodes
     gen = ensure_rng(rng)
@@ -92,26 +111,30 @@ def solve_sdp_mixing(
     if graph.n_edges == 0:
         return SDPResult(vectors, 0.0, 0, True)
 
+    rows = np.ascontiguousarray(vectors.T)
     indptr, indices, weights = graph.neighbors()
-    prev_obj = _sdp_objective(graph, vectors)
+    bounds = indptr.tolist()
+    updates = [
+        (rows[i], indices[start:stop], weights[start:stop])
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:]))
+        if start != stop
+    ]
+    prev_obj = _sdp_objective(graph, rows.T)
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        for i in range(n):
-            start, stop = indptr[i], indptr[i + 1]
-            if start == stop:
-                continue
-            nbr = indices[start:stop]
-            g = vectors[:, nbr] @ weights[start:stop]
-            norm = np.linalg.norm(g)
+        for row, nbr, w in updates:
+            g = rows.take(nbr, axis=0).T @ w
+            norm = math.sqrt(g.dot(g))
             if norm > 1e-14:
-                vectors[:, i] = -g / norm
-        obj = _sdp_objective(graph, vectors)
+                np.divide(g, -norm, out=row)
+        obj = _sdp_objective(graph, rows.T)
         if abs(obj - prev_obj) <= tol * max(1.0, abs(obj)):
             converged = True
             prev_obj = obj
             break
         prev_obj = obj
+    vectors[...] = rows.T
     return SDPResult(vectors, prev_obj, sweeps, converged, "mixing")
 
 

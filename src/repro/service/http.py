@@ -674,7 +674,9 @@ class HttpMaxCutServer:
                 raise _HttpReject(
                     "bad-request", f"malformed header {name!r}", close=True
                 )
-            headers[name.strip().lower()] = value.strip()
+            # HTTP's optional whitespace is SP and HTAB; a bare strip()
+            # would also drop latin-1's NBSP and NEL around a value.
+            headers[name.strip().lower()] = value.strip(" \t\r\n")
 
         if "chunked" in headers.get("transfer-encoding", "").lower():
             raise _HttpReject(
@@ -684,16 +686,20 @@ class HttpMaxCutServer:
         body = b""
         length_header = headers.get("content-length")
         if length_header is not None:
-            try:
-                length = int(length_header)
-            except ValueError:
-                raise _HttpReject(
-                    "bad-request", "malformed Content-Length", close=True
-                ) from None
-            if length < 0:
-                raise _HttpReject(
-                    "bad-request", "negative Content-Length", close=True
+            # ASCII digits only: int() also reads "+10" and "1_0" as ten,
+            # which a proxy in front may frame differently.  Header text is
+            # latin-1, in which isdecimal() accepts exactly 0-9.
+            if not length_header.isdecimal():
+                negative = (
+                    length_header[:1] == "-" and length_header[1:].isdecimal()
                 )
+                raise _HttpReject(
+                    "bad-request",
+                    "negative Content-Length" if negative
+                    else "malformed Content-Length",
+                    close=True,
+                )
+            length = int(length_header)
             if length > self.max_body_bytes:
                 # Rejected from the Content-Length header alone: the body
                 # is never parsed and no shard is touched.  Moderate

@@ -151,6 +151,56 @@ class TestBadRequest:
                 raw = sock.recv(65536)
         assert raw.startswith(b"HTTP/1.1 400")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (b"1_0", b"malformed Content-Length"),
+            (b"+10", b"malformed Content-Length"),
+            (b"0x0a", b"malformed Content-Length"),
+            (b"10\xa0", b"malformed Content-Length"),
+            (b"-10", b"negative Content-Length"),
+        ],
+        ids=["underscore", "plus-sign", "hex", "no-break-space", "negative"],
+    )
+    def test_content_length_is_ascii_digits_only(self, value, message):
+        with HttpServerThread(n_shards=1, seed=0) as handle:
+            raw = exchange_raw(
+                handle.host,
+                handle.port,
+                b"POST /solve HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + value + b"\r\n\r\n0123456789",
+            )
+            merged = handle.merged_metrics()
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert message in raw
+        assert merged.count("requests") == 0
+
+    def test_pipelined_request_after_a_malformed_length_is_not_served(self):
+        # int() would frame "1_0" as a 10-byte body and then answer the
+        # pipelined GET; a proxy that reads the header otherwise would
+        # take those bytes as the body.  The server answers one 400 and
+        # closes instead.
+        with HttpServerThread(n_shards=1, seed=0) as handle:
+            raw = exchange_raw(
+                handle.host,
+                handle.port,
+                b"POST /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 1_0"
+                b"\r\n\r\n0123456789GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert b"malformed Content-Length" in raw
+
+
+def exchange_raw(host, port, request: bytes) -> bytes:
+    """Send raw request bytes and read everything until the server closes."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
 
 # ---------------------------------------------------------------------------
 # 413 payload-too-large
