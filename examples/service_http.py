@@ -13,7 +13,7 @@ keep-alive socket:
   determinism);
 * the documented error contract in action: an unknown path (404) and a
   strict-schema rejection (400) — see ``docs/http-api.md``;
-* ``GET /stats`` — merged shard counters + HTTP latency percentiles;
+* ``GET /stats`` — the server's counters + HTTP latency percentiles;
 * graceful drain on shutdown.
 
 Run:  python examples/service_http.py          (~2 seconds)

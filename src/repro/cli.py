@@ -16,7 +16,7 @@ writing Python:
   N request span trees (vocabulary in docs/observability.md)
 * ``serve``         — drive the same stream through the async sharded
   front end (AsyncMaxCutServer): concurrent clients, in-flight
-  coalescing, per-shard queues; prints the merged shard report.  With
+  coalescing, per-shard queues; prints the server's stats report.  With
   ``--http HOST:PORT`` it instead exposes the server over real HTTP
   (JSON protocol, see docs/http-api.md) until SIGINT/SIGTERM
 """

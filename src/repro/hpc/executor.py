@@ -48,19 +48,15 @@ def map_jobs(
     jobs: Sequence[Any],
     *,
     config: Optional[ExecutorConfig] = None,
-    backend: Optional[str] = None,
-    max_workers: Optional[int] = None,
 ) -> List[Any]:
     """Apply ``fn`` to every job, preserving input order.
 
-    Either pass a full :class:`ExecutorConfig` or the individual knobs.
+    ``config`` picks the backend and its width (serial when omitted).
     For the ``process`` backend, ``fn`` must be defined at module level and
     all jobs/results must pickle.
     """
     if config is None:
-        config = ExecutorConfig(
-            backend=backend or "serial", max_workers=max_workers
-        )
+        config = ExecutorConfig()
     jobs = list(jobs)
     if not jobs:
         return []

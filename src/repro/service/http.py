@@ -431,8 +431,6 @@ class HttpMaxCutServer:
     ``max_body_bytes``     request bodies above this are answered 413
                            *before* being read or parsed
     ``max_nodes``          graphs above this node count are answered 400
-    ``default_deadline_s`` per-request deadline applied when the request
-                           body carries none (``None`` = wait forever)
     ``keepalive_s``        idle seconds before a kept-alive connection
                            is closed
     ``traces``             a :class:`TraceRecorder` turns tracing on: each
@@ -457,7 +455,6 @@ class HttpMaxCutServer:
         port: int = 0,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         max_nodes: int = DEFAULT_MAX_NODES,
-        default_deadline_s: Optional[float] = None,
         keepalive_s: float = DEFAULT_KEEPALIVE_S,
         traces: Optional[TraceRecorder] = None,
     ) -> None:
@@ -468,7 +465,6 @@ class HttpMaxCutServer:
         self.requested_port = port
         self.max_body_bytes = int(max_body_bytes)
         self.max_nodes = int(max_nodes)
-        self.default_deadline_s = default_deadline_s
         self.keepalive_s = float(keepalive_s)
         self.traces = traces
         self.metrics = ServiceMetrics()
@@ -487,7 +483,7 @@ class HttpMaxCutServer:
             raise RuntimeError("HTTP server already started")
         self._stop_requested = asyncio.Event()
         self._listener = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             host=self.requested_host,
             port=self.requested_port,
             # Bounds readline() (request line / header lines); bodies go
@@ -520,17 +516,27 @@ class HttpMaxCutServer:
             return
         self._stopped = True
         self.request_stop()
-        # 1. Stop accepting new connections and close the idle ones; new
-        #    submissions on live connections are refused via the server's
-        #    drain flag.
+        # 1. Stop accepting: the listening sockets leave the loop first, so
+        #    no accept starts, and one pass lets the accepts already under
+        #    way build their transports.  A transport built after close()
+        #    cannot attach to the listener and leaks its socket.  A second
+        #    pass runs their connection_made, which registers each one.
+        loop = asyncio.get_running_loop()
+        for sock in self._listener.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
         self._listener.close()
-        for task in list(self._idle):
-            self._cancel_idle(task)
-        await self._listener.wait_closed()
+        await asyncio.sleep(0)
+        # New submissions on live connections are refused via the
+        # server's drain flag.
         self.server.begin_drain()
-        # 2. Let in-flight request handlers finish writing responses.
-        if self._connections:
-            await asyncio.gather(*list(self._connections), return_exceptions=True)
+        # 2. Close the idle connections and let in-flight request handlers
+        #    finish writing responses.
+        while self._connections:
+            for task in list(self._idle):
+                self._cancel_idle(task)
+            await asyncio.gather(*self._connections, return_exceptions=True)
+        await self._listener.wait_closed()
         # 3. Drain the shard queues and shut the workers down.
         await self.server.stop()
 
@@ -541,19 +547,25 @@ class HttpMaxCutServer:
         await self.stop()
 
     # -- connection handling -------------------------------------------
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # The connection's task is registered as it is accepted, before it
+        # first runs, so stop() waits for every connection it let in.
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer)
+        )
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
         try:
             await self._serve_connection(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError):
             self.metrics.increment("http_disconnects")
         finally:
-            if task is not None:
-                self._connections.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
@@ -674,9 +686,16 @@ class HttpMaxCutServer:
                 raise _HttpReject(
                     "bad-request", f"malformed header {name!r}", close=True
                 )
+            name = name.strip().lower()
+            if name == "content-length" and name in headers:
+                # Two lengths frame the body two ways; which one a proxy
+                # in front honoured is unknowable, so neither is used.
+                raise _HttpReject(
+                    "bad-request", "repeated Content-Length", close=True
+                )
             # HTTP's optional whitespace is SP and HTAB; a bare strip()
             # would also drop latin-1's NBSP and NEL around a value.
-            headers[name.strip().lower()] = value.strip(" \t\r\n")
+            headers[name] = value.strip(" \t\r\n")
 
         if "chunked" in headers.get("transfer-encoding", "").lower():
             raise _HttpReject(
@@ -791,7 +810,7 @@ class HttpMaxCutServer:
         return payload
 
     def _metrics_text(self) -> str:
-        """Prometheus text exposition: shard metrics + HTTP-layer metrics."""
+        """Prometheus text exposition: server metrics + HTTP-layer metrics."""
         return render_prometheus(
             self.server.merged_metrics(), namespace="repro"
         ) + render_prometheus(self.metrics, namespace="repro_http")
@@ -843,8 +862,6 @@ class HttpMaxCutServer:
                         "bad-request", str(exc), headers=headers
                     ) from exc
             request.trace = trace
-            if deadline_s is None:
-                deadline_s = self.default_deadline_s
             try:
                 future = self.server.submit(request=request)
             except ServerOverloaded as exc:
@@ -959,7 +976,7 @@ def serve_http(
 
     The blocking driver behind ``python -m repro serve --http HOST:PORT``.
     Prints the bound address (``port=0`` picks a free port) and, after a
-    clean drain, the merged shard stats report.
+    clean drain, the server's stats report.
     """
     import signal
 

@@ -2,8 +2,10 @@
 
 Deliberately dependency-free (no prometheus / statsd): a counter map plus
 reservoir latency recorders, rendered as the text report behind
-``python -m repro service-stats``.  Everything is in-process; the service
-mutates one :class:`ServiceMetrics` instance and callers read snapshots.
+``python -m repro service-stats``.  Everything is in-process: a
+``MaxCutService``, or an ``AsyncMaxCutServer`` with every shard service
+it builds, mutates one :class:`ServiceMetrics` instance, and callers
+read snapshots of it.
 
 Counter vocabulary used by the service stack (callers may add their own):
 
@@ -28,7 +30,7 @@ Counter vocabulary used by the service stack (callers may add their own):
 ``shed``            queued submissions dropped for a newer one (shed)
 ``backend_<name>``  QAOA solves evolved by that statevector backend
 
-Per-shard accounting satisfies ``requests == hits_memory + hits_disk +
+Per-server accounting satisfies ``requests == hits_memory + hits_disk +
 coalesced + misses`` (rejected/shed submissions were never admitted and
 are counted separately; ``errors`` counts the subset of misses/coalesced
 answered with a captured error) — pinned by the server test suite.
@@ -39,7 +41,8 @@ which on a traced request shares the stage span's clock readings; the
 request and batch histograms record observed values.
 
 All mutation goes through one lock per :class:`ServiceMetrics` instance,
-so shard worker threads and the event-loop thread can share a recorder.
+so shard worker threads and the event-loop thread share a server's one
+recorder.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import re
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,16 +71,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0,
 )
-
-
-def _strided_subsample(samples: List[float], k: int) -> List[float]:
-    """``k`` samples drawn at an even stride (deterministic, order kept)."""
-    if k <= 0:
-        return []
-    if k >= len(samples):
-        return list(samples)
-    step = len(samples) / k
-    return [samples[int(i * step)] for i in range(k)]
 
 
 class LatencyStats:
@@ -136,39 +129,6 @@ class LatencyStats:
             "max": self.max if self.count else float("nan"),
         }
 
-    def merge(self, other: "LatencyStats") -> None:
-        """Fold ``other``'s observations into this recorder (shard rollup).
-
-        Exact statistics (count/total/min/max) merge exactly.  The two
-        sample reservoirs are combined by a deterministic proportional
-        subsample: each side contributes a share of the capacity matching
-        its share of the *observation* count (not its reservoir length),
-        drawn with an even stride so the kept samples span each side's
-        history.  A plain ``(self + other)[:reservoir]`` would silently
-        drop all of ``other``'s samples whenever ``self`` is already
-        full, skewing merged percentiles toward one shard.
-        """
-        total_count = self.count + other.count
-        if len(self._samples) + len(other._samples) <= self.reservoir:
-            merged = self._samples + other._samples
-        elif total_count <= 0:
-            merged = (self._samples + other._samples)[: self.reservoir]
-        else:
-            k_self = int(round(self.reservoir * self.count / total_count))
-            if other._samples and other.count:
-                k_self = min(k_self, self.reservoir - 1)
-            if self._samples and self.count:
-                k_self = max(k_self, 1)
-            merged = _strided_subsample(self._samples, k_self)
-            merged += _strided_subsample(
-                other._samples, self.reservoir - len(merged)
-            )
-        self.count = total_count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self._samples = merged
-
     def bucket_counts(self, bounds: Sequence[float]) -> List[int]:
         """Cumulative observation counts per upper bound (histogram rows).
 
@@ -215,9 +175,10 @@ class ServiceMetrics:
         self._reservoir = reservoir
         self.counters: Dict[str, int] = {}
         self.latencies: Dict[str, LatencyStats] = {}
-        # Shard workers mutate their service's metrics from worker
-        # threads while the event loop reads them; one lock per instance
-        # keeps read-modify-write increments and reservoir appends atomic.
+        # A server's shard workers all record into one instance from
+        # their threads while the event loop records and reads it; the
+        # lock keeps read-modify-write increments and reservoir appends
+        # atomic.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -261,15 +222,18 @@ class ServiceMetrics:
         return stats.percentile(q) if stats is not None else float("nan")
 
     def counter_snapshot(self) -> Dict[str, int]:
-        """Sorted copy of the counter map."""
-        return dict(sorted(self.counters.items()))
+        """Sorted copy of the counter map, taken under the lock."""
+        with self._lock:
+            return dict(sorted(self.counters.items()))
 
     def latency_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Sorted per-histogram summaries (count/mean/p50/p95/min/max)."""
-        return {
-            name: stats.summary()
-            for name, stats in sorted(self.latencies.items())
-        }
+        """Sorted per-histogram summaries (count/mean/p50/p95/min/max),
+        taken under the lock."""
+        with self._lock:
+            return {
+                name: stats.summary()
+                for name, stats in sorted(self.latencies.items())
+            }
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -298,26 +262,6 @@ class ServiceMetrics:
                 for name, summary in self.latency_snapshot().items()
             },
         }
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def merged(cls, parts: Iterable["ServiceMetrics"]) -> "ServiceMetrics":
-        """One recorder aggregating several shards' counters/latencies."""
-        out: Optional[ServiceMetrics] = None
-        for part in parts:
-            if out is None:
-                out = cls(part._reservoir)
-            with part._lock:
-                counters = dict(part.counters)
-                latencies = dict(part.latencies)
-            for name, value in counters.items():
-                out.increment(name, value)
-            for name, stats in latencies.items():
-                target = out.latencies.get(name)
-                if target is None:
-                    target = out.latencies[name] = LatencyStats(out._reservoir)
-                target.merge(stats)
-        return out if out is not None else cls()
 
     # ------------------------------------------------------------------
     def hit_rate(self) -> Optional[float]:

@@ -113,19 +113,23 @@ class AsyncMaxCutServer:
 
     Knobs
     -----
-    ``n_shards``          independent shard services (cache + scheduler +
-                          metrics each), routed by fingerprint prefix
+    ``n_shards``          shard services (cache + scheduler each), routed
+                          by fingerprint prefix; all record into the
+                          server's one ``ServiceMetrics``
     ``queue_depth``       per-shard bounded queue (admission limit)
     ``admission``         ``"reject"`` (refuse when full) or ``"shed"``
                           (drop the oldest queued request for the newest)
     ``max_batch``         micro-batch size a shard worker drains per solve
-    ``cache_cost_floor``  per-shard cache admission: only store solves
-                          costlier than this many seconds ("auto" =
+    ``cache_cost_floor``  cache admission: only store solves costlier
+                          than this many seconds ("auto" = the server's
                           measured fingerprint+store cost; None = always)
     ``disk_dir``          per-shard disk tiers: shard ``k`` appends to
                           ``<disk_dir>/shard-<kk>/cache.log``
     ``service_factory``   override shard construction entirely
-                          (``factory(shard_index) -> MaxCutService``)
+                          (``factory(shard_index, metrics) ->
+                          MaxCutService``); the service must record into
+                          the ``metrics`` it is given, or the server
+                          raises ``ValueError``
 
     Tracing: the server owns no trace.  It adds its spans
     (``shard-queue``, ``coalesced-inflight``) and the ``shard``
@@ -147,7 +151,9 @@ class AsyncMaxCutServer:
         executor: Optional[ExecutorConfig] = None,
         use_cache: bool = True,
         cache_cost_floor: Optional[object] = None,
-        service_factory: Optional[Callable[[int], MaxCutService]] = None,
+        service_factory: Optional[
+            Callable[[int, ServiceMetrics], MaxCutService]
+        ] = None,
     ) -> None:
         if admission not in ADMISSION_POLICIES:
             raise ValueError(
@@ -165,7 +171,7 @@ class AsyncMaxCutServer:
         if service_factory is None:
             base_dir = Path(disk_dir) if disk_dir is not None else None
 
-            def service_factory(shard: int) -> MaxCutService:
+            def service_factory(shard: int, metrics: ServiceMetrics) -> MaxCutService:
                 return MaxCutService(
                     # Same seed everywhere: derived request seeds depend
                     # only on content, so answers are shard-count
@@ -179,9 +185,22 @@ class AsyncMaxCutServer:
                     use_cache=use_cache,
                     cache_cost_floor=cache_cost_floor,
                     error_mode="capture",
+                    metrics=metrics,
                 )
 
-        self.router = ShardRouter(n_shards, service_factory)
+        # One recorder for the whole server: /stats, /metrics and
+        # stats_report() read it as it stands, and every shard's auto
+        # cost floor sees every fingerprint (shard 0 describes them all).
+        self._metrics = ServiceMetrics()
+        self.router = ShardRouter(
+            n_shards, lambda shard: service_factory(shard, self._metrics)
+        )
+        for index, service in enumerate(self.services):
+            if service.metrics is not self._metrics:
+                raise ValueError(
+                    f"shard {index}'s service records into its own metrics; "
+                    "build it with the metrics the factory is given"
+                )
         self._inflight: dict[str, _InFlight] = {}
         self._queues: List[asyncio.Queue] = []
         self._workers: List[asyncio.Task] = []
@@ -270,7 +289,8 @@ class AsyncMaxCutServer:
         # The request's identity depends only on the shared master seed,
         # so any shard's service computes the same key; shard 0 describes,
         # the digest picks the owner, and the owning shard's solve_many
-        # takes the key with the request instead of describing it again.
+        # takes the key with the request instead of describing it again
+        # (or probing the cache again: a queued submission missed below).
         key = self.router.shards[0].describe(request)  # type: ignore[union-attr]
         shard_index = self.router.shard_index(key.fp.digest)
         service: MaxCutService = self.router.shards[shard_index]  # type: ignore
@@ -285,19 +305,20 @@ class AsyncMaxCutServer:
         # repro: begin-atomic
         inflight = self._inflight.get(key.digest)
         if inflight is not None and not inflight.future.cancelled():
-            service.metrics.increment("requests")
-            service.metrics.increment("coalesced")
-            service.metrics.increment("coalesced_inflight")
-            return loop.create_task(self._follow(service, inflight, key, trace))
+            self._metrics.increment("requests")
+            self._metrics.increment("coalesced")
+            self._metrics.increment("coalesced_inflight")
+            return loop.create_task(self._follow(inflight, key, trace))
 
-        # Inline cache probe on the owning shard (cheap; the cache is
+        # The one cache probe, on the owning shard (cheap; the cache is
         # thread-safe against the shard worker).  Counted and timed exactly
         # like a solve_many hit; queued requests are counted by solve_many
-        # itself, preserving requests == hits + coalesced + misses.
+        # itself, which takes them as probed, preserving
+        # requests == hits + coalesced + misses.
         hit = service.lookup(key, trace=trace)
         if hit is not None:
-            service.metrics.increment("requests")
-            service.metrics.observe("request", hit.elapsed)
+            self._metrics.increment("requests")
+            self._metrics.observe("request", hit.elapsed)
             done: asyncio.Future = loop.create_future()
             done.set_result(hit)
             return done
@@ -311,7 +332,7 @@ class AsyncMaxCutServer:
             queue.put_nowait(submission)
         except asyncio.QueueFull:
             if self.admission == "reject":
-                service.metrics.increment("rejected")
+                self._metrics.increment("rejected")
                 raise ServerOverloaded(
                     f"shard {shard_index} queue full ({self.queue_depth})"
                 ) from None
@@ -325,7 +346,7 @@ class AsyncMaxCutServer:
                 victim.future.set_exception(
                     ServerOverloaded(f"shed from shard {shard_index} queue")
                 )
-            service.metrics.increment("shed")
+            self._metrics.increment("shed")
             queue.put_nowait(submission)
         self._inflight[key.digest] = _InFlight(
             future=future, fp=key.fp, trace_id=trace.trace_id
@@ -381,7 +402,6 @@ class AsyncMaxCutServer:
     # ------------------------------------------------------------------
     async def _follow(
         self,
-        service: MaxCutService,
         inflight: _InFlight,
         key: RequestKey,
         trace: "TraceContext | NullTraceContext",
@@ -396,9 +416,9 @@ class AsyncMaxCutServer:
         with trace.span("coalesced-inflight", owner=inflight.trace_id):
             owner: ServiceResult = await asyncio.shield(inflight.future)
         elapsed = time.perf_counter() - t0
-        service.metrics.observe("request", elapsed)
+        self._metrics.observe("request", elapsed)
         if owner.failed:
-            service.metrics.increment("errors")
+            self._metrics.increment("errors")
             return ServiceResult(
                 digest=key.digest,
                 status="error",
@@ -503,7 +523,8 @@ class AsyncMaxCutServer:
         return list(self.router.shards)  # type: ignore[arg-type]
 
     def merged_metrics(self) -> ServiceMetrics:
-        return ServiceMetrics.merged(service.metrics for service in self.services)
+        """The server's one recorder, which every shard service records into."""
+        return self._metrics
 
     def stats_report(self) -> str:
         parts = [

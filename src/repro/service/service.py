@@ -223,9 +223,17 @@ class MaxCutService:
 
         ``executor`` overrides the service's dispatch backend for this
         batch only (QAOA² passes its own leaf executor through).  ``keys``
-        are the requests' :meth:`describe` results when the caller has
-        them already (the async server describes each submission to
-        route it); otherwise each request is described here."""
+        are the requests' :meth:`describe` results from a caller that has
+        also probed the cache with them (the async server describes each
+        submission to route it and probes its shard inline): such
+        requests are not looked up again here.  Without ``keys`` each
+        request is described and probed here.
+
+        One consequence of taking keys as probed: if a caller of the
+        async server's ``solve()`` is cancelled and the same request is
+        resubmitted, and the two land in different micro-batches, the
+        request is solved a second time instead of read back from the
+        cache.  Both answers are equal."""
         t_batch = time.perf_counter()
         requests = list(requests)
         if keys is not None and len(keys) != len(requests):
@@ -242,6 +250,7 @@ class MaxCutService:
                     owned.append(TraceContext())
                     requests[idx] = replace(request, trace=owned[-1])
 
+        probe = keys is None
         if keys is None:
             keys = [self.describe(request) for request in requests]
         fps = [key.fp for key in keys]
@@ -255,9 +264,10 @@ class MaxCutService:
         cold: List[SolveRequest] = []
         job_members: List[List[int]] = []
         for idx, request in enumerate(requests):
-            results[idx] = self.lookup(keys[idx], trace=request.trace)
-            if results[idx] is not None:
-                continue
+            if probe:
+                results[idx] = self.lookup(keys[idx], trace=request.trace)
+                if results[idx] is not None:
+                    continue
             digest = digests[idx]
             if digest in owners:
                 job_members[owners[digest]].append(idx)
@@ -380,7 +390,8 @@ class MaxCutService:
             # Admit only when replaying from cache is cheaper than the
             # solve it would save: the hit path costs one fingerprint
             # (+ the store itself, paid once) — both continuously
-            # measured on this very instance.
+            # measured on this service's recorder, which an async
+            # server's shards share.
             fingerprint = self.metrics.latencies.get("fingerprint")
             store = self.metrics.latencies.get("store")
             floor = (fingerprint.mean if fingerprint is not None else 0.0) + (

@@ -60,9 +60,10 @@ class ShardRouter:
 
     ``factory(shard_index)`` builds each shard's backend — for the async
     server that is one :class:`~repro.service.service.MaxCutService` per
-    shard, each with its own cache, scheduler and metrics (state is
+    shard, each with its own cache and scheduler (that state is
     *partitioned*, never shared, which is what makes the shards safe to
-    drive from concurrent worker threads).
+    drive from concurrent worker threads); they all record into the
+    server's one lock-protected metrics recorder.
     """
 
     def __init__(self, n_shards: int, factory: Callable[[int], object]) -> None:

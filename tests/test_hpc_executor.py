@@ -32,20 +32,20 @@ class TestMapJobs:
 
     def test_thread_backend_matches_serial(self):
         jobs = list(range(20))
-        serial = map_jobs(square, jobs, backend="serial")
-        threaded = map_jobs(square, jobs, backend="thread", max_workers=4)
+        serial = map_jobs(square, jobs, config=ExecutorConfig("serial"))
+        threaded = map_jobs(square, jobs, config=ExecutorConfig("thread", 4))
         assert serial == threaded
 
     @pytest.mark.slow
     def test_process_backend_matches_serial(self):
         jobs = list(range(8))
-        serial = map_jobs(square, jobs, backend="serial")
-        procs = map_jobs(square, jobs, backend="process", max_workers=2)
+        serial = map_jobs(square, jobs, config=ExecutorConfig("serial"))
+        procs = map_jobs(square, jobs, config=ExecutorConfig("process", 2))
         assert serial == procs
 
     def test_single_job_short_circuits(self):
         # With one job, even parallel backends run inline.
-        assert map_jobs(square, [5], backend="thread") == [25]
+        assert map_jobs(square, [5], config=ExecutorConfig("thread")) == [25]
 
     def test_config_object_used(self):
         config = ExecutorConfig(backend="thread", max_workers=2)
@@ -63,4 +63,4 @@ class TestMapJobs:
             raise ValueError("nope")
 
         with pytest.raises(ValueError, match="nope"):
-            map_jobs(bad, [1, 2], backend="thread")
+            map_jobs(bad, [1, 2], config=ExecutorConfig("thread"))

@@ -125,7 +125,9 @@ class TestDisconnectMidSolve:
         handle = HttpServerThread(
             n_shards=1,
             max_batch=1,
-            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            service_factory=lambda k, metrics: GatedService(
+                gate, entered, seed=0, metrics=metrics
+            ),
         ).start()
         try:
             # Owner: a raw socket that submits the solve, then vanishes

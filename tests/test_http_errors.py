@@ -191,6 +191,27 @@ class TestBadRequest:
         assert raw.count(b"HTTP/1.1 ") == 1
         assert b"malformed Content-Length" in raw
 
+    @pytest.mark.parametrize(
+        "first, second", [(b"5", b"10"), (b"10", b"5")], ids=["5-then-10", "10-then-5"]
+    )
+    def test_repeated_content_length_is_400_and_closes(self, first, second):
+        # Keeping either value frames the body one way, and a proxy in
+        # front may have kept the other: the last of "5, 10" would answer
+        # the pipelined GET.  The server answers one 400 and closes.
+        with HttpServerThread(n_shards=1, seed=0) as handle:
+            raw = exchange_raw(
+                handle.host,
+                handle.port,
+                b"POST /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: "
+                + first
+                + b"\r\nContent-Length: "
+                + second
+                + b"\r\n\r\n0123456789GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+            )
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert raw.count(b"HTTP/1.1 ") == 1
+        assert b"repeated Content-Length" in raw
+
 
 def exchange_raw(host, port, request: bytes) -> bytes:
     """Send raw request bytes and read everything until the server closes."""
@@ -285,7 +306,9 @@ class TestOverloaded:
             queue_depth=1,
             max_batch=1,
             admission="reject",
-            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            service_factory=lambda k, metrics: GatedService(
+                gate, entered, seed=0, metrics=metrics
+            ),
         ).start()
 
         def blocked_solve(graph):
@@ -329,7 +352,9 @@ class TestDeadline:
         handle = HttpServerThread(
             n_shards=1,
             max_batch=1,
-            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            service_factory=lambda k, metrics: GatedService(
+                gate, entered, seed=0, metrics=metrics
+            ),
         ).start()
         try:
             with HttpMaxCutClient(handle.host, handle.port) as client:

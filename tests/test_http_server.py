@@ -193,7 +193,9 @@ class TestConnections:
         graph = erdos_renyi(9, 0.4, weighted=True, rng=5)
         gate, entered = threading.Event(), threading.Event()
         with HttpServerThread(
-            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            service_factory=lambda k, metrics: GatedService(
+                gate, entered, seed=0, metrics=metrics
+            ),
             http_options={"keepalive_s": 0.2},
         ) as handle:
             with HttpMaxCutClient(handle.host, handle.port) as client:
@@ -236,7 +238,9 @@ class TestDrain:
         gate, entered = threading.Event(), threading.Event()
         handle = HttpServerThread(
             max_batch=1,
-            service_factory=lambda k: GatedService(gate, entered, seed=0),
+            service_factory=lambda k, metrics: GatedService(
+                gate, entered, seed=0, metrics=metrics
+            ),
         ).start()
         results: dict = {}
 
@@ -341,5 +345,5 @@ class TestCli:
                 proc.communicate(timeout=30)
         assert proc.returncode == 0
         assert "draining" in remainder
-        # After a clean drain the CLI prints the merged stats report.
+        # After a clean drain the CLI prints the server's stats report.
         assert "counters" in remainder

@@ -305,7 +305,9 @@ class TestExecutorFaults:
 
         async def main():
             server = AsyncMaxCutServer(
-                service_factory=lambda k: ExplodingOnceService(seed=0)
+                service_factory=lambda k, metrics: ExplodingOnceService(
+                    seed=0, metrics=metrics
+                )
             )
             async with server:
                 with pytest.raises(RequestError, match="heap corrupted"):

@@ -19,6 +19,8 @@ from repro.service import (
     serve_requests,
     zipf_requests,
 )
+from repro.service.fingerprint import canonical_fingerprint
+from repro.service.sharding import shard_for_digest
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -182,6 +184,15 @@ class TestConcurrentClients:
         assert [r.digest for r in results] == [r.digest for r in reference]
         assert [r.cut for r in results] == [r.cut for r in reference]
 
+    def test_each_submission_is_probed_once(self):
+        # submit() probes the owning shard's cache inline; a queued miss's
+        # shard takes it as probed.  One client: no in-flight followers.
+        requests = stream(n=30, universe=6)
+        server, _ = serve_requests(requests, clients=1, n_shards=2, seed=0)
+        merged = server.merged_metrics()
+        assert merged.count("misses") > 0
+        assert merged.latencies["lookup"].count == len(requests)
+
     def test_solve_many_rejects_a_key_count_mismatch(self):
         requests = stream(n=3, universe=2)
         service = MaxCutService(seed=0)
@@ -222,6 +233,45 @@ class TestConcurrentClients:
 
 
 # ---------------------------------------------------------------------------
+# One metrics recorder per server
+# ---------------------------------------------------------------------------
+class TestOneRecorder:
+    def test_every_shard_records_into_the_server_recorder(self):
+        server = AsyncMaxCutServer(n_shards=2, seed=0)
+        assert len(server.services) == 2
+        for service in server.services:
+            assert service.metrics is server.merged_metrics()
+
+    def test_a_service_with_its_own_recorder_is_refused(self):
+        with pytest.raises(ValueError, match="shard 0's service records"):
+            AsyncMaxCutServer(
+                n_shards=2, service_factory=lambda k, metrics: MaxCutService()
+            )
+
+    def test_auto_cost_floor_on_shard_one_sees_the_fingerprint_cost(self):
+        # Shard 0 describes every submission; the auto floor of the shard
+        # that solves must still see those fingerprint samples.
+        graph = next(
+            g
+            for g in (erdos_renyi(9, 0.4, weighted=True, rng=k) for k in range(64))
+            if shard_for_digest(canonical_fingerprint(g).digest, 2) == 1
+        )
+
+        async def main():
+            async with AsyncMaxCutServer(
+                n_shards=2, seed=0, cache_cost_floor="auto"
+            ) as server:
+                server.merged_metrics().observe("fingerprint", 1e9)
+                result = await server.solve(graph, seed=1, **OPTIONS)
+            return server, result
+
+        server, result = asyncio.run(main())
+        assert result.status == "solved"
+        assert server.merged_metrics().count("cache_skipped") == 1
+        assert len(server.services[1].cache) == 0
+
+
+# ---------------------------------------------------------------------------
 # In-flight coalescing
 # ---------------------------------------------------------------------------
 class TestInflightCoalescing:
@@ -253,7 +303,9 @@ class TestInflightCoalescing:
         async def main():
             server = AsyncMaxCutServer(
                 max_batch=1,
-                service_factory=lambda k: GatedService(gate, entered, seed=0),
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, metrics=metrics
+                ),
             )
             try:
                 async with server:
@@ -280,7 +332,9 @@ class TestInflightCoalescing:
         async def main():
             server = AsyncMaxCutServer(
                 max_batch=1,
-                service_factory=lambda k: GatedService(gate, entered, seed=0),
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, metrics=metrics
+                ),
             )
             try:
                 async with server:
@@ -333,7 +387,9 @@ class TestAdmissionControl:
                 queue_depth=1,
                 max_batch=1,
                 admission="reject",
-                service_factory=lambda k: GatedService(gate, entered, seed=0),
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, metrics=metrics
+                ),
             )
             try:
                 async with server:
@@ -364,7 +420,9 @@ class TestAdmissionControl:
                 queue_depth=1,
                 max_batch=1,
                 admission="shed",
-                service_factory=lambda k: GatedService(gate, entered, seed=0),
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, metrics=metrics
+                ),
             )
             try:
                 async with server:
@@ -396,7 +454,9 @@ class TestAdmissionControl:
                 queue_depth=1,
                 max_batch=1,
                 admission="shed",
-                service_factory=lambda k: GatedService(gate, entered, seed=0),
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, metrics=metrics
+                ),
             )
             try:
                 async with server:
@@ -460,8 +520,8 @@ class TestErrors:
         async def main():
             server = AsyncMaxCutServer(
                 max_batch=1,
-                service_factory=lambda k: GatedService(
-                    gate, entered, seed=0, error_mode="capture"
+                service_factory=lambda k, metrics: GatedService(
+                    gate, entered, seed=0, error_mode="capture", metrics=metrics
                 ),
             )
             try:

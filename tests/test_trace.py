@@ -1,10 +1,11 @@
 """Tracing primitives, the TraceRecorder, and the metrics satellites
-(reservoir-merge fix, typed snapshots, Prometheus rendering)."""
+(a recorder shared by threads, typed snapshots, Prometheus rendering)."""
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 import time
 
@@ -13,7 +14,6 @@ import pytest
 from repro.service.metrics import (
     DEFAULT_BUCKETS,
     PROMETHEUS_CONTENT_TYPE,
-    LatencyStats,
     ServiceMetrics,
     render_prometheus,
 )
@@ -283,74 +283,41 @@ class TestTraceRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: LatencyStats.merge reservoir bias fix
+# One recorder shared by an async server's threads
 # ---------------------------------------------------------------------------
-class TestLatencyMerge:
-    def test_merge_concatenates_when_reservoir_fits(self):
-        a, b = LatencyStats(reservoir=16), LatencyStats(reservoir=16)
-        for value in (1.0, 2.0):
-            a.observe(value)
-        for value in (3.0, 4.0):
-            b.observe(value)
-        a.merge(b)
-        assert a.count == 4
-        assert a.total == pytest.approx(10.0)
-        assert sorted(a._samples) == [1.0, 2.0, 3.0, 4.0]
+class TestSharedRecorder:
+    def test_concurrent_writers_lose_no_update(self):
+        # An async server's shard workers and its event loop all record
+        # into one ServiceMetrics.  More writers than cores and a tiny
+        # switch interval make a lost update likely wherever a write
+        # skips the lock: a counter's read-modify-write, or two threads
+        # creating the same new histogram (every name below is new).
+        metrics = ServiceMetrics()
+        writers, increments, stages = 4, 50000, 20000
+        start = threading.Barrier(writers, timeout=60)
 
-    def test_merge_keeps_both_sides_when_full(self):
-        # Regression: the old `(self + other)[:reservoir]` dropped ALL of
-        # other's samples whenever self's reservoir was already full —
-        # merged percentiles collapsed onto one shard.
-        a, b = LatencyStats(reservoir=8), LatencyStats(reservoir=8)
-        for _ in range(8):
-            a.observe(0.0)
-        for _ in range(8):
-            b.observe(1.0)
-        a.merge(b)
-        assert len(a._samples) == 8
-        assert 0.0 in a._samples and 1.0 in a._samples
-        assert a._samples.count(0.0) == 4 and a._samples.count(1.0) == 4
-        assert a.count == 16 and a.total == pytest.approx(8.0)
-        assert a.min == 0.0 and a.max == 1.0
+        def writer():
+            start.wait()
+            for _ in range(increments):
+                metrics.increment("requests")
+            start.wait()
+            for index in range(stages):
+                metrics.observe(f"stage-{index}", 1e-3)
 
-    def test_merge_shares_are_proportional_to_counts(self):
-        a, b = LatencyStats(reservoir=10), LatencyStats(reservoir=10)
-        for _ in range(90):
-            a.observe(0.0)
-        for _ in range(10):
-            b.observe(1.0)
-        a.merge(b)
-        assert a._samples.count(0.0) == 9
-        assert a._samples.count(1.0) == 1
-        assert a.count == 100
-
-    def test_merge_never_silences_a_nonempty_side(self):
-        a, b = LatencyStats(reservoir=4), LatencyStats(reservoir=4)
-        for _ in range(1000):
-            a.observe(0.0)
-        b.observe(1.0)  # tiny shard: proportional share rounds to zero
-        a.merge(b)
-        assert 1.0 in a._samples  # clamped to at least one sample
-        assert 0.0 in a._samples
-
-    def test_merge_with_empty_sides(self):
-        a, b = LatencyStats(reservoir=4), LatencyStats(reservoir=4)
-        b.observe(2.0)
-        a.merge(b)
-        assert a._samples == [2.0] and a.count == 1
-        empty = LatencyStats(reservoir=4)
-        a.merge(empty)
-        assert a._samples == [2.0] and a.count == 1
-
-    def test_merged_percentiles_span_both_shards(self):
-        a, b = LatencyStats(reservoir=32), LatencyStats(reservoir=32)
-        for _ in range(100):
-            a.observe(0.001)
-        for _ in range(100):
-            b.observe(1.0)
-        a.merge(b)
-        assert a.percentile(5.0) == pytest.approx(0.001)
-        assert a.percentile(95.0) == pytest.approx(1.0)
+        threads = [threading.Thread(target=writer) for _ in range(writers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert metrics.count("requests") == writers * increments
+        assert len(metrics.latencies) == stages
+        assert sum(s.count for s in metrics.latencies.values()) == writers * stages
 
 
 # ---------------------------------------------------------------------------
